@@ -304,17 +304,32 @@ class WedgeChain:
 def factor_from_json(doc, n, algebra=None):
     from .opalg import derivation_operator
 
+    if not isinstance(doc, dict):
+        raise ValueError(f"a chain factor must be an object, got {doc!r}")
     if "Y" in doc:
         if algebra is None:
             raise ValueError("Lie-algebra factors need an algebra")
         element = algebra.by_name(doc["Y"])
         if "coeff" in doc:
             element = element.scale(Fraction(doc["coeff"]))
-        return GLaurent.monomial(n, element, tuple(doc["exp"]))
+        return GLaurent.monomial(n, element, _list_field(doc, "exp", "chain factor"))
     if "s" in doc:
-        return derivation_operator(n, tuple(doc["s"]), int(doc.get("i", 1)))
+        return derivation_operator(n, _list_field(doc, "s", "chain factor"), int(doc.get("i", 1)))
     coeff = Fraction(doc.get("coeff", 1))
-    return LaurentPoly.monomial(n, tuple(doc["exp"]), coeff)
+    return LaurentPoly.monomial(n, _list_field(doc, "exp", "chain factor"), coeff)
+
+
+def _list_field(doc, key, what):
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, list):
+        raise ValueError(f"{what} {doc!r} needs a {key!r} list")
+    return tuple(value)
+
+
+def term_factors(term, n, algebra=None) -> tuple:
+    """The factors of one chain-JSON term, f_0 first."""
+    return tuple(factor_from_json(f, n, algebra)
+                 for f in _list_field(term, "factors", "chain term"))
 
 
 def wedge_from_json(doc, algebra=None) -> WedgeChain:
@@ -322,7 +337,7 @@ def wedge_from_json(doc, algebra=None) -> WedgeChain:
     items = []
     length = None
     for term in doc["terms"]:
-        factors = tuple(factor_from_json(f, n, algebra) for f in term["factors"])
+        factors = term_factors(term, n, algebra)
         length = len(factors) if length is None else length
         items.append((Fraction(term.get("coeff", 1)), factors))
     if length is None:

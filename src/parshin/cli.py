@@ -13,11 +13,14 @@ from fractions import Fraction
 
 from . import cocycle as _cocycle
 from . import verify as _verify
-from .chains import factor_from_json
-from .errors import ArityError, ParseError, ParshinError
+from .chains import term_factors
+from .errors import ArityError, MixedFlavors, ParseError, ParshinError
 from .laurent import _parse_sparse, LaurentPoly
 from .liealg import load_algebra
 from .residue import residue
+
+# the trace sum walks up to n! * 2^n words per monomial tuple
+MAX_N = 4
 
 
 def parse_form(text):
@@ -75,6 +78,8 @@ def _cuts_arg(args, n):
 
 def cmd_residue(args) -> int:
     f0, fs = parse_form(_read_form(args))
+    if f0.n > MAX_N:
+        raise ArityError(f"n = {f0.n} exceeds the cap n <= {MAX_N}")
     report = residue(f0, fs, _cuts_arg(args, f0.n))
     payload = report.to_json_dict()
     _emit(payload, args.json, [
@@ -91,7 +96,7 @@ def cmd_residue(args) -> int:
 def cmd_cocycle(args) -> int:
     with open(args.input) as handle:
         doc = json.load(handle)
-    if "n" not in doc or "terms" not in doc:
+    if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("terms"), list):
         raise ArityError("chain file needs 'n' and 'terms' fields")
     algebra = None
     algebra_ref = doc.get("algebra")
@@ -100,18 +105,26 @@ def cmd_cocycle(args) -> int:
     elif algebra_ref and algebra_ref != "scalar":
         algebra = load_algebra(algebra_ref)
     n = int(doc["n"])
+    # the first factor is the distinguished f0 slot; order is preserved
+    wedges = [_cocycle.CocycleInput.classify(term_factors(term, n, algebra))
+              for term in doc["terms"]]
+    flavors = sorted({wedge.flavor for wedge in wedges})
+    if len(flavors) != 1:
+        raise MixedFlavors(f"chain terms must share one flavor, got {flavors or 'no terms'}")
+    flavor = flavors[0]
+    if args.flavor is not None and args.flavor != flavor:
+        raise MixedFlavors(f"--flavor {args.flavor} given, but the chain's entries are {flavor}")
     total = Fraction(0)
-    for term in doc["terms"]:
-        # the first factor is the distinguished f0 slot; order is preserved
-        factors = [factor_from_json(f, n, algebra) for f in term["factors"]]
-        value = _cocycle.phi(factors, cuts=_cuts_arg(args, n))
-        total += Fraction(term.get("coeff", 1)) * value
-    payload = {"flavor": args.flavor, "n": n, "value": str(total)}
-    _emit(payload, args.json, [f"flavor = {args.flavor}", f"n      = {n}", f"value  = {total}"])
+    for term, wedge in zip(doc["terms"], wedges):
+        total += Fraction(term.get("coeff", 1)) * _cocycle.phi(wedge, cuts=_cuts_arg(args, n))
+    payload = {"flavor": flavor, "n": n, "value": str(total)}
+    _emit(payload, args.json, [f"flavor = {flavor}", f"n      = {n}", f"value  = {total}"])
     return 0
 
 
 def cmd_virasoro(args) -> int:
+    if args.max_m < 1:
+        raise ArityError("--max-m must be at least 1")
     rows = _cocycle.virasoro_table(args.max_m)
     payload = {"rows": [{"m": m, "phi": str(v)} for m, v in rows]}
     _emit(payload, args.json, [f"m={m}  phi(L_m ^ L_-m) = {v}" for m, v in rows])
@@ -164,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cocycle", help="evaluate the cocycle on a chain JSON file")
     p.add_argument("--input", required=True, help="chain JSON path")
-    p.add_argument("--flavor", choices=_cocycle.FLAVORS, default="multiloop")
+    p.add_argument("--flavor", choices=_cocycle.FLAVORS,
+                   help="expected flavor; an error if the chain's entries are another")
     p.add_argument("--algebra", help="Lie algebra JSON path (overrides the chain file)")
     p.add_argument("--cuts")
     p.add_argument("--json", action="store_true")
@@ -178,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded identity suite")
     p.add_argument("--suite", default="all",
                    help="one of %s, 'fixtures', or 'all'" % ", ".join(sorted(_verify.SUITES)))
-    p.add_argument("--n", type=int, default=2, choices=(1, 2, 3, 4))
+    p.add_argument("--n", type=int, default=2, choices=range(1, MAX_N + 1))
     p.add_argument("--seed", type=int, default=1,
                    help="PRNG seed (0 is reserved for the fixture suite)")
     p.add_argument("--trials", type=int, default=25)

@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .chains import TensorChain, WedgeChain
 from .errors import DimensionMismatch, MixedFlavors, NotCentreless
-from .laurent import GLaurent, LaurentPoly
+from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import is_centreless, killing_nform
 from .opalg import LatticeOperator, derivation_operator, mul_operator
-from .residue import _perm_sign, raw_sum
+from .residue import raw_sum
 
 FLAVORS = ("multiloop", "scalar", "vectorfield")
 

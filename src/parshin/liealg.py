@@ -44,6 +44,10 @@ class LieAlgebra:
         return self.element(tuple(1 if k == i else 0 for k in range(self.dim)))
 
     def by_name(self, name) -> "LieElement":
+        if name not in self.basis_names:
+            raise ValueError(
+                f"unknown basis element {name!r}; the basis is {', '.join(self.basis_names)}"
+            )
         return self.basis_element(self.basis_names.index(name))
 
     def zero(self) -> "LieElement":

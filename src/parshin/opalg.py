@@ -617,15 +617,6 @@ def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     ])
 
 
-def projector_word(n, signs, d=1, cuts=None) -> LatticeOperator:
-    """Product P_1^(s_1) ... P_k^(s_k) for signs drawn from '+-' (axes 1..k)."""
-    cuts = cuts or (0,) * n
-    op = LatticeOperator.identity(n, d)
-    for axis0, sign in enumerate(signs):
-        op = op.compose(projector(n, axis0 + 1, sign, d=d, cut=cuts[axis0]))
-    return op
-
-
 def mul_operator(f) -> LatticeOperator:
     """Multiplication by a LaurentPoly (d=1) or by a GLaurent via ad (d=dim g)."""
     from .laurent import GLaurent, LaurentPoly

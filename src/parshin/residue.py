@@ -29,22 +29,26 @@ def _cuts(n, cuts):
     return cuts
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def raw_sum(operators, cuts=None) -> Fraction:
     """tau sum over pi in S_n, g in {+,-}^n of sgn(pi) (-1)^(g_1+...+g_n)
     (P_1^(-g_1) f_pi(1) P_1^(g_1)) ... (P_n^(-g_n) f_pi(n) P_n^(g_n)) f_0.
 
     The conjugations are plain multiplications: sandwiched between opposite
     projectors, the second commutator term of an adjoint action dies.
-    Every composite must be trace-class; NotTraceClass propagates.
+
+    The words share prefixes, so they are walked as a tree rather than built
+    one by one.  The 2n^2 sandwiches S(axis, j, g) = P_axis^(-g) f_j
+    P_axis^(g) are composed once, and the structurally zero ones dropped (a
+    monomial keeps at most one sign per (axis, j), none when its exponent on
+    that axis is 0).  The walk starts from f_0 and goes depth first from
+    axis n down to axis 1, at each level composing one unused f_j's
+    surviving sandwiches onto the current prefix.  A structurally zero
+    prefix is pruned with every word that extends it.  The sign travels
+    down the walk: each placement of j adds as many inversions of pi as
+    there are smaller indices already placed, and each "-" flips it.
+    Composition is associative and exact, so the value equals the
+    word-by-word sum.  Every surviving word is traced on its own and must
+    be trace-class; NotTraceClass propagates.
     """
     operators = list(operators)
     n, d = operators[0].n, operators[0].d
@@ -55,25 +59,33 @@ def raw_sum(operators, cuts=None) -> Fraction:
         raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
     cuts = _cuts(n, cuts)
 
-    proj = {
-        (axis, sign): projector(n, axis, sign, d=d, cut=cuts[axis - 1])
-        for axis in range(1, n + 1)
-        for sign in "+-"
-    }
-    total = Fraction(0)
-    for perm in itertools.permutations(range(1, n + 1)):
-        sgn = _perm_sign(perm)
-        for gammas in itertools.product("+-", repeat=n):
-            sign = sgn * (-1 if gammas.count("-") % 2 else 1)
-            comp = operators[0]
-            for axis in range(n, 0, -1):
-                g = gammas[axis - 1]
-                flip = "-" if g == "+" else "+"
-                comp = proj[(axis, g)].compose(comp)
-                comp = operators[perm[axis - 1]].compose(comp)
-                comp = proj[(axis, flip)].compose(comp)
-            total += sign * comp.trace()
-    return total
+    # (axis, j) -> [(sign of g, S(axis, j, g))] over the nonzero sandwiches
+    sandwiches = {}
+    for axis in range(1, n + 1):
+        plus = projector(n, axis, "+", d=d, cut=cuts[axis - 1])
+        minus = projector(n, axis, "-", d=d, cut=cuts[axis - 1])
+        for j in range(1, n + 1):
+            built = ((1, minus.compose(operators[j].compose(plus))),
+                     (-1, plus.compose(operators[j].compose(minus))))
+            sandwiches[axis, j] = [(g, s) for g, s in built if not s.is_structurally_zero()]
+
+    def walk(axis, prefix, sign, placed):
+        if prefix.is_structurally_zero():
+            return Fraction(0)
+        if axis == 0:
+            return sign * prefix.trace()
+        total = Fraction(0)
+        for j in range(1, n + 1):
+            if j in placed:
+                continue
+            inversions = sum(1 for k in placed if k < j)
+            perm_sign = -sign if inversions % 2 else sign
+            for g_sign, sandwich in sandwiches[axis, j]:
+                total += walk(axis - 1, sandwich.compose(prefix), perm_sign * g_sign,
+                              placed + (j,))
+        return total
+
+    return walk(n, operators[0], 1, ())
 
 
 @dataclass(frozen=True)

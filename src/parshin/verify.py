@@ -16,7 +16,7 @@ from . import cocycle as _cocycle
 from . import cube as _cube
 from . import liealg as _liealg
 from .chains import TensorChain, WedgeChain
-from .laurent import GLaurent, LaurentPoly, parshin_oracle, partial
+from .laurent import GLaurent, LaurentPoly, _perm_sign, parshin_oracle, partial
 from .opalg import mul_operator
 from .residue import ack_residue_n1, raw_sum, residue, residue_det_monomial
 from .sampling import (
@@ -244,12 +244,8 @@ def check_rho(trials=500, seed=1) -> CheckReport:
     for n in range(1, 6):
         const = (-1) ** (n * (n - 1) // 2)
         for perm in itertools.permutations(range(1, n + 1)):
-            sgn = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sgn = -sgn
-            report.record(_cube.rho(perm) == const * sgn, {"perm": perm, "law": "sign"})
+            report.record(_cube.rho(perm) == const * _perm_sign(perm),
+                          {"perm": perm, "law": "sign"})
     return report
 
 

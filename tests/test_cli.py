@@ -149,3 +149,85 @@ def test_verify_cube_small(capsys):
                            "--seed", "42", "--trials", "3", "--json")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+# -- refused inputs: the error payload, exit 1, no traceback ----------------------
+
+def assert_error(capsys, argv, error_type, *fragments):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error"} and doc["error"]["type"] == error_type
+    for fragment in fragments:
+        assert fragment in doc["error"]["message"]
+
+
+def test_residue_caps_n(capsys):
+    code, out, _ = run_cli(capsys, "residue", "--form",
+                           "t1^-1*t2^-1*t3^-1*t4^-1 ; t1 ; t2 ; t3 ; t4", "--json")
+    assert code == 0 and json.loads(out)["residue"] == "1"
+    assert_error(capsys, ["residue", "--form",
+                          "t1^-1*t2^-1*t3^-1*t4^-1*t5^-1 ; t1 ; t2 ; t3 ; t4 ; t5", "--json"],
+                 "ArityError", "n = 5")
+
+
+def write_chain(tmp_path, terms, algebra="scalar"):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": 1, "algebra": algebra, "terms": terms}))
+    return str(path)
+
+
+def sl2_path(tmp_path):
+    from parshin.liealg import sl2, to_json_dict
+
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(to_json_dict(sl2())))
+    return str(path)
+
+
+def test_cocycle_term_without_factors(tmp_path, capsys):
+    for term in ({"coeff": "1"}, {"factors": 3}, "E"):
+        chain = write_chain(tmp_path, [term])
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'factors'")
+    chain = write_chain(tmp_path, 5)
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ArityError", "'terms'")
+
+
+def test_cocycle_factor_without_exp(tmp_path, capsys):
+    chain = write_chain(tmp_path, [{"factors": [{"exp": [-1]}, {"coeff": "2"}]}])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'exp'")
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [1]}, {"Y": "F"}]}],
+                        algebra=sl2_path(tmp_path))
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'exp'")
+
+
+def test_cocycle_unknown_basis_name(tmp_path, capsys):
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [1]}, {"Y": "G", "exp": [-1]}]}],
+                        algebra=sl2_path(tmp_path))
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError",
+                 "'G'", "H, E, F")
+
+
+def test_cocycle_flavor_is_classified_and_checked(tmp_path, capsys):
+    chain = write_chain(tmp_path, [{"factors": [{"exp": [-3]}, {"exp": [3]}]}])
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    assert code == 0 and json.loads(out) == {"flavor": "scalar", "n": 1, "value": "-3"}
+    assert_error(capsys, ["cocycle", "--input", chain, "--flavor", "vectorfield", "--json"],
+                 "MixedFlavors", "vectorfield", "scalar")
+    assert_error(capsys, ["cocycle", "--input", chain, "--flavor", "multiloop", "--json"],
+                 "MixedFlavors", "multiloop", "scalar")
+
+    sl2_chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [2]}, {"Y": "F", "exp": [-2]}]}],
+                            algebra=sl2_path(tmp_path))
+    code, out, _ = run_cli(capsys, "cocycle", "--input", sl2_chain, "--json")
+    assert code == 0 and json.loads(out) == {"flavor": "multiloop", "n": 1, "value": "8"}
+
+    mixed = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [2]}, {"Y": "F", "exp": [-2]}]},
+                                   {"factors": [{"exp": [-3]}, {"exp": [3]}]}],
+                        algebra=sl2_path(tmp_path))
+    assert_error(capsys, ["cocycle", "--input", mixed, "--json"], "MixedFlavors")
+
+
+def test_virasoro_rejects_max_m_below_one(capsys):
+    for max_m in ("0", "-3"):
+        assert_error(capsys, ["virasoro", "--max-m", max_m, "--json"], "ArityError", "--max-m")

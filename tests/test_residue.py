@@ -1,13 +1,15 @@
 """Operator-trace residues against the coefficient-extraction oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from parshin.errors import ShapeMismatch
-from parshin.laurent import LaurentPoly, parse_poly
-from parshin.opalg import mul_operator
+from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
+from parshin.liealg import sl2
+from parshin.opalg import derivation_operator, mul_operator, projector
 from parshin.residue import (
     ResidueReport,
     ack_residue_n1,
@@ -16,7 +18,7 @@ from parshin.residue import (
     residue,
     residue_det_monomial,
 )
-from parshin.sampling import random_laurent
+from parshin.sampling import random_laurent, random_lie_element
 
 
 def mono(n, exp, c=1):
@@ -60,6 +62,82 @@ def test_raw_sum_polys_matches_operator_route():
             fs = [random_laurent(rng, n) for _ in range(n)]
             direct = raw_sum([mul_operator(f0)] + [mul_operator(f) for f in fs])
             assert raw_sum_polys(f0, fs) == direct
+
+
+# -- the word walk against word-by-word enumeration ------------------------------
+
+def brute_raw_sum(operators, cuts=None):
+    """Reference: every word built from scratch, 3n composes each, all traced."""
+    n, d = operators[0].n, operators[0].d
+    cuts = cuts or (0,) * n
+    proj = {(axis, g): projector(n, axis, g, d=d, cut=cuts[axis - 1])
+            for axis in range(1, n + 1) for g in "+-"}
+    total = Fraction(0)
+    for perm in itertools.permutations(range(1, n + 1)):
+        for gammas in itertools.product("+-", repeat=n):
+            sign = _perm_sign(perm) * (-1) ** gammas.count("-")
+            comp = operators[0]
+            for axis in range(n, 0, -1):
+                g = gammas[axis - 1]
+                comp = proj[(axis, g)].compose(comp)
+                comp = operators[perm[axis - 1]].compose(comp)
+                comp = proj[(axis, "-" if g == "+" else "+")].compose(comp)
+            total += sign * comp.trace()
+    return total
+
+
+def random_rows(rng, n, balanced, bound=3):
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n + 1)]
+    if balanced:
+        rows[0] = [-sum(rows[i][j] for i in range(1, n + 1)) for j in range(n)]
+    return rows
+
+
+def random_cuts(rng, n):
+    return None if rng.random() < 0.3 else tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+def random_nonzero(rng):
+    return rng.choice((1, 2, -1, Fraction(3, 2), Fraction(-5, 3)))
+
+
+def test_walk_matches_enumeration_monomials():
+    rng = random.Random(11)
+    for n, trials in ((1, 12), (2, 12), (3, 6)):
+        for trial in range(trials):
+            rows = random_rows(rng, n, balanced=trial % 2 == 0)
+            ops = [mul_operator(mono(n, tuple(row), random_nonzero(rng))) for row in rows]
+            cuts = random_cuts(rng, n)
+            assert raw_sum(ops, cuts) == brute_raw_sum(ops, cuts), (rows, cuts)
+
+
+def test_walk_matches_enumeration_sl2_multiloop():
+    rng = random.Random(12)
+    alg = sl2()
+    for trial in range(6):
+        rows = random_rows(rng, 2, balanced=trial % 2 == 0, bound=2)
+        ops = [mul_operator(GLaurent.monomial(2, random_lie_element(rng, alg), tuple(row)))
+               for row in rows]
+        cuts = random_cuts(rng, 2)
+        assert raw_sum(ops, cuts) == brute_raw_sum(ops, cuts), (rows, cuts)
+
+
+def test_walk_matches_enumeration_derivations():
+    rng = random.Random(13)
+    for m in range(-4, 5):
+        for cut in (0, rng.randint(-3, 3)):
+            ops = [derivation_operator(1, (m + 1,), 1), derivation_operator(1, (1 - m,), 1)]
+            assert raw_sum(ops, (cut,)) == brute_raw_sum(ops, (cut,)), (m, cut)
+
+
+def test_walk_matches_enumeration_polynomials():
+    rng = random.Random(17)  # three terms per slot and a nonzero value
+    polys = [random_laurent(rng, 2, max_terms=3, exp_bound=2) for _ in range(3)]
+    ops = [mul_operator(f) for f in polys]
+    assert all(len(op.atoms) == 3 for op in ops)
+    for cuts in (None, (-1, 2)):
+        value = raw_sum(ops, cuts)
+        assert value != 0 and value == brute_raw_sum(ops, cuts)
 
 
 # -- the residue and its report ------------------------------------------------
