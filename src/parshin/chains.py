@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ModuleActionUndefined
 from .laurent import GLaurent, LaurentPoly
 from .liealg import LieElement
-from .opalg import LatticeOperator
+from .opalg import LatticeOperator, atom_key
 
 
 def bracket_of(a, b):
@@ -63,9 +63,7 @@ def element_key(x):
     if isinstance(x, GLaurent):
         return ("gla", x.n, x.terms)
     if isinstance(x, LatticeOperator):
-        return ("op", x.n, x.d, tuple(
-            (a.shift, a.box.sort_key(), a.weight.terms, a.matrix) for a in x.atoms
-        ))
+        return ("op", x.n, x.d, tuple(atom_key(a) for a in x.atoms))
     raise ModuleActionUndefined(f"no canonical key for {type(x).__name__}")
 
 

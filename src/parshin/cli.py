@@ -15,7 +15,7 @@ from . import cocycle as _cocycle
 from . import verify as _verify
 from .chains import term_factors
 from .errors import ArityError, MixedFlavors, ParseError, ParshinError
-from .laurent import _parse_sparse, LaurentPoly
+from .laurent import _from_sparse, _parse_sparse
 from .liealg import load_algebra
 from .residue import residue
 
@@ -40,13 +40,7 @@ def parse_form(text):
         raise ArityError(
             f"form mentions t{n} so it needs {n + 1} polynomials, got {len(parsed)}"
         )
-    polys = []
-    for sparse in parsed:
-        terms = {}
-        for coeff, exps in sparse:
-            exp = tuple(exps.get(i + 1, 0) for i in range(n))
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        polys.append(LaurentPoly.make(n, terms))
+    polys = [_from_sparse(sparse, n) for sparse in parsed]
     return polys[0], polys[1:]
 
 

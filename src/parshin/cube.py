@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
-from .opalg import LatticeOperator, projector
+from .opalg import LatticeOperator, _cuts, projector
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -153,15 +153,6 @@ class CubeElement:
 # ---------------------------------------------------------------------------
 # Differential and homotopies
 # ---------------------------------------------------------------------------
-
-def _cuts(n, cuts):
-    if cuts is None:
-        return (0,) * n
-    cuts = tuple(int(c) for c in cuts)
-    if len(cuts) != n:
-        raise DimensionMismatch(f"need {n} cut points, got {len(cuts)}")
-    return cuts
-
 
 def _proj(n, d, axis, sign, cuts):
     return projector(n, axis, sign, d=d, cut=cuts[axis - 1])
@@ -362,10 +353,6 @@ def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
         if not op.is_structurally_zero():
             out[s] = op
     return CubeElement(g.n, g.d, 1, out)
-
-
-def identity_minus_epsilon_all(f: CubeElement, cuts=None) -> CubeElement:
-    return f - epsilon_all(f, cuts)
 
 
 # ---------------------------------------------------------------------------

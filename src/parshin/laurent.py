@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import DimensionMismatch, MixedAlgebras, ParseError
 from .liealg import LieAlgebra, LieElement
@@ -101,6 +102,41 @@ class LaurentPoly:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 out[exp] = out.get(exp, Fraction(0)) + c1 * c2
         return LaurentPoly(self.n, _canonical(out))
+
+    def shift_argument(self, shift) -> "LaurentPoly":
+        """The polynomial x -> self(x + shift), by binomial expansion (exponents >= 0)."""
+        if not any(shift):
+            return self
+        out = {}
+        for exp, c in self.terms:
+            expansions = []
+            for e, s in zip(exp, shift):
+                if s == 0 or e == 0:
+                    expansions.append([(e, 1)])
+                else:
+                    # (x+s)^e = sum_k C(e,k) s^(e-k) x^k
+                    expansions.append([(k, comb(e, k) * s ** (e - k)) for k in range(e + 1)])
+            for combo in itertools.product(*expansions):
+                new = tuple(k for k, _ in combo)
+                coeff = c
+                for _, b in combo:
+                    coeff *= b
+                out[new] = out.get(new, Fraction(0)) + coeff
+        return LaurentPoly(self.n, _canonical(out))
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for exp, c in self.terms:
+            val = c
+            for e, x in zip(exp, point):
+                if e:
+                    val *= Fraction(x) ** e
+            total += val
+        return total
+
+    def degree_axis(self, i):
+        """Largest exponent of the 0-based axis i, or 0."""
+        return max((exp[i] for exp, _ in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:
@@ -373,6 +409,15 @@ def _parse_sparse(text, base=0):
     return parser.parse_poly()
 
 
+def _from_sparse(sparse, n) -> LaurentPoly:
+    """The LaurentPoly in n variables of a parsed term list (dense exponents)."""
+    out = {}
+    for coeff, exps in sparse:
+        exp = tuple(exps.get(i + 1, 0) for i in range(n))
+        out[exp] = out.get(exp, Fraction(0)) + coeff
+    return LaurentPoly.make(n, out)
+
+
 def parse_poly(text, n=None) -> LaurentPoly:
     """Parse the text grammar into a LaurentPoly.
 
@@ -384,8 +429,4 @@ def parse_poly(text, n=None) -> LaurentPoly:
         n = max_idx
     elif max_idx > n:
         raise ParseError(0, f"variable t{max_idx} exceeds n={n}")
-    out = {}
-    for coeff, exps in sparse:
-        exp = tuple(exps.get(i + 1, 0) for i in range(n))
-        out[exp] = out.get(exp, Fraction(0)) + coeff
-    return LaurentPoly.make(n, out)
+    return _from_sparse(sparse, n)

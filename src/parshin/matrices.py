@@ -14,11 +14,6 @@ def identity(d):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
 
 
-def zeros(d):
-    zero = Fraction(0)
-    return tuple((zero,) * d for _ in range(d))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

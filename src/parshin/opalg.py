@@ -2,11 +2,12 @@
 
 An operator is a finite sum of kernel atoms.  Each atom sends the basis
 vector v (x) e_lam to  [lam in box] * weight(lam) * (matrix v) (x) e_(lam+shift),
-with an exact rational matrix, a polynomial weight in the lattice coordinate
-lam, and a half-open integer box (axes may be unbounded).  This class of
-operators is closed under addition and composition and contains everything
-the residue and cocycle formulas generate: multiplication operators,
-derivations t^s d/dt_i, the half-space projectors P_i^+-, and their products.
+with an exact rational matrix, a weight polynomial in the lattice coordinate
+lam (a ``LaurentPoly`` with exponents >= 0), and a half-open integer box
+(axes may be unbounded).  This class of operators is closed under addition
+and composition and contains everything the residue and cocycle formulas
+generate: multiplication operators, derivations t^s d/dt_i, the half-space
+projectors P_i^+-, and their products.
 
 Operator identity is semantic.  Equality and the trace both refine the atoms
 into box-arrangement cells per axis and decide vanishing of the cell-wise
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotTraceClass
+from .laurent import GLaurent, LaurentPoly
+from .liealg import ad
 from .matrices import (
     identity,
     is_zero_matrix,
@@ -29,9 +32,6 @@ from .matrices import (
     mat_scale,
     mat_vec,
 )
-
-_INF_LO = -(10**18)
-_INF_HI = 10**18
 
 
 # ---------------------------------------------------------------------------
@@ -86,109 +86,12 @@ class Box:
         return (lo is not None) if side == "+" else (hi is not None)
 
     def sort_key(self):
-        return tuple((_INF_LO if lo is None else lo, _INF_HI if hi is None else hi)
-                     for lo, hi in self.bounds)
+        """Total order on boxes: per axis, an unbounded end sorts beyond every bound."""
+        return tuple((lo is not None, lo or 0, hi is None, hi or 0) for lo, hi in self.bounds)
 
 
-# ---------------------------------------------------------------------------
-# Weight polynomials in the lattice coordinate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightPoly:
-    """Polynomial in lam_1, ..., lam_n with Fraction coefficients, canonical form."""
-
-    n: int
-    terms: tuple  # sorted ((degree tuple, Fraction), ...), no zeros
-
-    @staticmethod
-    def make(n, mapping) -> "WeightPoly":
-        out = {}
-        for deg, c in mapping.items():
-            c = Fraction(c)
-            if c != 0:
-                deg = tuple(int(d) for d in deg)
-                out[deg] = out.get(deg, Fraction(0)) + c
-        return WeightPoly(n, tuple(sorted((d, c) for d, c in out.items() if c != 0)))
-
-    @staticmethod
-    def const(n, c) -> "WeightPoly":
-        return WeightPoly.make(n, {(0,) * n: c})
-
-    @staticmethod
-    def coordinate(n, i) -> "WeightPoly":
-        """The coordinate function lam_i (0-based axis)."""
-        deg = tuple(1 if k == i else 0 for k in range(n))
-        return WeightPoly.make(n, {deg: 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for deg, c in other.terms:
-            out[deg] = out.get(deg, Fraction(0)) + c
-        return WeightPoly.make(self.n, out)
-
-    def __neg__(self):
-        return WeightPoly(self.n, tuple((d, -c) for d, c in self.terms))
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return WeightPoly(self.n, ())
-        return WeightPoly(self.n, tuple((d, c * v) for d, v in self.terms))
-
-    def __mul__(self, other):
-        out = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                deg = tuple(a + b for a, b in zip(d1, d2))
-                out[deg] = out.get(deg, Fraction(0)) + c1 * c2
-        return WeightPoly.make(self.n, out)
-
-    def shift_argument(self, shift) -> "WeightPoly":
-        """The polynomial lam -> self(lam + shift), by binomial expansion."""
-        if all(s == 0 for s in shift):
-            return self
-        out = {}
-        for deg, c in self.terms:
-            expansions = []
-            for e, s in zip(deg, shift):
-                if s == 0 or e == 0:
-                    expansions.append([(e, Fraction(1))])
-                else:
-                    # (x+s)^e = sum_k C(e,k) s^(e-k) x^k
-                    expansions.append(
-                        [(k, Fraction(_binomial(e, k) * s ** (e - k))) for k in range(e + 1)]
-                    )
-            for combo in itertools.product(*expansions):
-                deg_new = tuple(k for k, _ in combo)
-                coeff = c
-                for _, b in combo:
-                    coeff *= b
-                out[deg_new] = out.get(deg_new, Fraction(0)) + coeff
-        return WeightPoly.make(self.n, out)
-
-    def evaluate(self, point) -> Fraction:
-        total = Fraction(0)
-        for deg, c in self.terms:
-            val = c
-            for e, x in zip(deg, point):
-                if e:
-                    val *= Fraction(x) ** e
-            total += val
-        return total
-
-    def degree_axis(self, i):
-        return max((d[i] for d, _ in self.terms), default=0)
-
-
-def _binomial(n, k):
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
+# Weights are polynomials in lam: LaurentPolys with exponents >= 0.
+WeightPoly = LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +102,13 @@ def _binomial(n, k):
 class KernelAtom:
     shift: tuple
     matrix: tuple
-    weight: WeightPoly
+    weight: LaurentPoly
     box: Box
+
+
+def atom_key(atom):
+    """Total order on atoms; a normalized operator lists its atoms in this order."""
+    return (atom.shift, atom.box.sort_key(), atom.weight.terms, atom.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +138,7 @@ class LatticeOperator:
     @staticmethod
     def identity(n, d=1) -> "LatticeOperator":
         return LatticeOperator.make(n, d, [
-            KernelAtom((0,) * n, identity(d), WeightPoly.const(n, 1), Box.full(n))
+            KernelAtom((0,) * n, identity(d), LaurentPoly.one(n), Box.full(n))
         ])
 
     # -- structure ----------------------------------------------------------
@@ -376,9 +284,6 @@ class LatticeOperator:
     def in_trace_ideal(self) -> bool:
         return all(self.in_ideal(axis, "0") for axis in range(1, self.n + 1))
 
-    def max_degree_axis(self, i):
-        return max((a.weight.degree_axis(i) for a in self.atoms), default=0)
-
     def __str__(self):
         if not self.atoms:
             return "0"
@@ -455,7 +360,7 @@ def _normalize(n, d, atoms):
             glued.extend(KernelAtom(shift, mat, weight, b) for b in boxes)
         pending = glued
 
-    pending.sort(key=lambda a: (a.shift, a.box.sort_key(), a.weight.terms, a.matrix))
+    pending.sort(key=atom_key)
     return tuple(pending)
 
 
@@ -606,6 +511,16 @@ def _weight_box_sum(weight, cell):
 # Named operators
 # ---------------------------------------------------------------------------
 
+def _cuts(n, cuts):
+    """The cut points of the n projectors P_i^+-: 0 on every axis by default."""
+    if cuts is None:
+        return (0,) * n
+    cuts = tuple(int(c) for c in cuts)
+    if len(cuts) != n:
+        raise DimensionMismatch(f"need {n} cut points, got {len(cuts)}")
+    return cuts
+
+
 def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     """P_axis^+ = indicator(lam_axis >= cut); P_axis^- = 1 - P_axis^+ (1-based axis)."""
     if not 1 <= axis <= n:
@@ -613,25 +528,22 @@ def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     bounds = [(None, None)] * n
     bounds[axis - 1] = (cut, None) if sign == "+" else (None, cut)
     return LatticeOperator.make(n, d, [
-        KernelAtom((0,) * n, identity(d), WeightPoly.const(n, 1), Box.of(bounds))
+        KernelAtom((0,) * n, identity(d), LaurentPoly.one(n), Box.of(bounds))
     ])
 
 
 def mul_operator(f) -> LatticeOperator:
     """Multiplication by a LaurentPoly (d=1) or by a GLaurent via ad (d=dim g)."""
-    from .laurent import GLaurent, LaurentPoly
-    from .liealg import ad
-
     if isinstance(f, LaurentPoly):
         atoms = [
-            KernelAtom(exp, ((Fraction(1),),), WeightPoly.const(f.n, c), Box.full(f.n))
+            KernelAtom(exp, ((Fraction(1),),), LaurentPoly.monomial(f.n, (0,) * f.n, c), Box.full(f.n))
             for exp, c in f.terms
         ]
         return LatticeOperator.make(f.n, 1, atoms)
     if isinstance(f, GLaurent):
         d = f.algebra.dim
         atoms = [
-            KernelAtom(exp, ad(el), WeightPoly.const(f.n, 1), Box.full(f.n))
+            KernelAtom(exp, ad(el), LaurentPoly.one(f.n), Box.full(f.n))
             for exp, el in f.iter_terms()
         ]
         return LatticeOperator.make(f.n, d, atoms)
@@ -647,5 +559,5 @@ def derivation_operator(n, s, axis) -> LatticeOperator:
         raise DimensionMismatch(f"shift {s} has length {len(s)}, expected {n}")
     shift = tuple(x - (1 if i == axis - 1 else 0) for i, x in enumerate(s))
     return LatticeOperator.make(n, 1, [
-        KernelAtom(shift, ((Fraction(1),),), WeightPoly.coordinate(n, axis - 1), Box.full(n))
+        KernelAtom(shift, ((Fraction(1),),), LaurentPoly.variable(n, axis), Box.full(n))
     ])

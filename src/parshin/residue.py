@@ -17,16 +17,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, parshin_oracle
 from .matrices import det
-from .opalg import LatticeOperator, mul_operator, projector
-
-
-def _cuts(n, cuts):
-    if cuts is None:
-        return (0,) * n
-    cuts = tuple(int(c) for c in cuts)
-    if len(cuts) != n:
-        raise DimensionMismatch(f"need {n} cut points, got {len(cuts)}")
-    return cuts
+from .opalg import LatticeOperator, _cuts, mul_operator, projector
 
 
 def raw_sum(operators, cuts=None) -> Fraction:

@@ -7,18 +7,13 @@ its seed.  Seed 0 is reserved by the CLI for the fixed fixture suites.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .cube import CubeElement, sign_strings
-from .laurent import GLaurent, LaurentPoly
+from .laurent import LaurentPoly
 from .liealg import LieAlgebra
 from .matrices import matrix
-from .opalg import Box, KernelAtom, LatticeOperator, WeightPoly
-
-
-def rng_for(seed) -> random.Random:
-    return random.Random(seed)
+from .opalg import Box, KernelAtom, LatticeOperator
 
 
 def random_fraction(rng, span=3, max_den=3) -> Fraction:
@@ -52,10 +47,6 @@ def random_lie_element(rng, algebra: LieAlgebra, span=2):
             return el
 
 
-def random_glaurent_monomial(rng, n, algebra: LieAlgebra, exp_bound=2) -> GLaurent:
-    return GLaurent.monomial(n, random_lie_element(rng, algebra), random_exponent(rng, n, exp_bound))
-
-
 def random_matrix(rng, d, span=2):
     while True:
         m = matrix([[rng.randint(-span, span) for _ in range(d)] for _ in range(d)])
@@ -63,13 +54,13 @@ def random_matrix(rng, d, span=2):
             return m
 
 
-def random_weight(rng, n, max_degree=1) -> WeightPoly:
+def random_weight(rng, n, max_degree=1) -> LaurentPoly:
     terms = {(0,) * n: random_nonzero_fraction(rng, span=2, max_den=2)}
     if max_degree >= 1 and rng.random() < 0.5:
         axis = rng.randrange(n)
         deg = tuple(1 if i == axis else 0 for i in range(n))
         terms[deg] = Fraction(rng.randint(-2, 2))
-    return WeightPoly.make(n, terms)
+    return LaurentPoly.make(n, terms)
 
 
 def random_box_for_sign(rng, sign_string, bound=3) -> Box:
@@ -117,9 +108,3 @@ def random_operator(rng, n, d=1, atoms=2, shift_bound=2, box_bound=3) -> Lattice
             Box.of(bounds),
         ))
     return LatticeOperator.make(n, d, out)
-
-
-def random_mul_operator(rng, n, max_terms=2, exp_bound=2) -> LatticeOperator:
-    from .opalg import mul_operator
-
-    return mul_operator(random_laurent(rng, n, max_terms, exp_bound))

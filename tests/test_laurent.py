@@ -48,16 +48,20 @@ def test_glaurent_bracket():
     assert br.terms == (((0,), (Fraction(1), Fraction(0), Fraction(0))),)  # H t^0
 
 
-small_polys = st.builds(
-    lambda terms: LaurentPoly.make(2, {tuple(e): c for e, c in terms}),
-    st.lists(
-        st.tuples(
-            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+def polys_with_exponents_from(low):
+    return st.builds(
+        lambda terms: LaurentPoly.make(2, {tuple(e): c for e, c in terms}),
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(low, 3), st.integers(low, 3)),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            ),
+            max_size=4,
         ),
-        max_size=4,
-    ),
-)
+    )
+
+
+small_polys = polys_with_exponents_from(-3)
 
 
 @given(small_polys, small_polys, small_polys)
@@ -66,6 +70,18 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+weight_polys = polys_with_exponents_from(0)
+lattice_points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@given(weight_polys, weight_polys, lattice_points, lattice_points)
+@settings(max_examples=60, deadline=None)
+def test_shift_argument_and_evaluate(p, q, s, x):
+    moved = tuple(a + b for a, b in zip(x, s))
+    assert p.shift_argument(s).evaluate(x) == p.evaluate(moved)
+    assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
 # -- derivatives --------------------------------------------------------------

@@ -13,7 +13,6 @@ from parshin.opalg import (
     Box,
     KernelAtom,
     LatticeOperator,
-    WeightPoly,
     derivation_operator,
     mul_operator,
     projector,
@@ -106,7 +105,7 @@ def test_witt_relations():
 
 def test_trace_finite_box():
     op = LatticeOperator.make(1, 1, [
-        KernelAtom((0,), matrix([[1]]), WeightPoly.const(1, 1), Box.of([(0, 5)]))
+        KernelAtom((0,), matrix([[1]]), LaurentPoly.one(1), Box.of([(0, 5)]))
     ])
     assert op.trace() == 5
 
@@ -130,7 +129,7 @@ def test_trace_cancelling_unbounded_atoms():
 
 def test_trace_polynomial_weight():
     op = LatticeOperator.make(1, 1, [
-        KernelAtom((0,), matrix([[1]]), WeightPoly.coordinate(1, 0), Box.of([(-3, 4)]))
+        KernelAtom((0,), matrix([[1]]), LaurentPoly.variable(1, 1), Box.of([(-3, 4)]))
     ])
     assert op.trace() == sum(range(-3, 4))
 
@@ -220,6 +219,15 @@ def test_semantic_equality_vs_apply():
 def test_piecewise_cancellation_normalizes_away():
     one = LatticeOperator.identity(1)
     assert (projector(1, 1, "+") + projector(1, 1, "-") - one).atoms == ()
+
+
+def test_atom_order_is_independent_of_input_order():
+    # an unbounded end must not tie with a bound however far out
+    one = LaurentPoly.one(1)
+    for unbounded, bounded in (((None, 5), (-10**18, 5)), ((5, None), (5, 10**18))):
+        a = KernelAtom((0,), matrix([[1]]), one, Box.of([unbounded]))
+        b = KernelAtom((0,), matrix([[1]]), one, Box.of([bounded]))
+        assert LatticeOperator.make(1, 1, [a, b]).atoms == LatticeOperator.make(1, 1, [b, a]).atoms
 
 
 def test_cut_parameter():
