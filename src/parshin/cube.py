@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
-from .opalg import LatticeOperator, _cuts, projector
+from .opalg import Box, LatticeOperator, _cuts, region, sandwiches
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -154,10 +154,6 @@ class CubeElement:
 # Differential and homotopies
 # ---------------------------------------------------------------------------
 
-def _proj(n, d, axis, sign, cuts):
-    return projector(n, axis, sign, d=d, cut=cuts[axis - 1])
-
-
 def _flip(sign):
     return "-" if sign == "+" else "+"
 
@@ -230,7 +226,7 @@ def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:
             acc = piece if acc is None else acc + piece
         if acc is None:
             continue
-        op = _proj(f.n, f.d, axis, s[i], cuts).compose(acc).scale(_sign_value(s[i]))
+        op = acc.restrict(region(cuts, {axis: s[i]}), Box.full(f.n)).scale(_sign_value(s[i]))
         if not op.is_structurally_zero():
             out[s] = op
     return CubeElement(f.n, f.d, f.p, out)
@@ -258,8 +254,7 @@ def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
             acc = piece if acc is None else acc + piece
         if acc is None:
             continue
-        for axis in range(upto, 0, -1):
-            acc = _proj(f.n, f.d, axis, s[axis - 1], cuts).compose(acc)
+        acc = acc.restrict(region(cuts, dict(enumerate(head, 1))), Box.full(f.n))
         acc = acc.scale(_minus_parity(head))
         if not acc.is_structurally_zero():
             out[s] = acc
@@ -283,7 +278,7 @@ def homotopy_axis(f: CubeElement, axis, cuts=None) -> CubeElement:
             comp = f.components.get(s[:i] + g + s[i + 1:])
             if comp is None:
                 continue
-            piece = _proj(f.n, f.d, axis, _flip(g), cuts).compose(comp)
+            piece = comp.restrict(region(cuts, {axis: _flip(g)}), Box.full(f.n))
             acc = piece if acc is None else acc + piece
         if acc is None:
             continue
@@ -309,19 +304,18 @@ def homotopy(f: CubeElement, cuts=None) -> CubeElement:
     out = {}
     for s in sign_strings(f.n, f.p + 1):
         b = s.index("0")  # 0-based slot of the leftmost zero
+        head = dict(enumerate(s[:b], 1))
         acc = None
         for g in itertools.product(SIGNS, repeat=b + 1):
             word = "".join(g)
             comp = f.components.get(word + s[b + 1:])
             if comp is None:
                 continue
-            piece = _proj(f.n, f.d, b + 1, _flip(word[b]), cuts).compose(comp)
+            piece = comp.restrict(region(cuts, {**head, b + 1: _flip(word[b])}), Box.full(f.n))
             piece = piece.scale(_minus_parity(word[:b]))
             acc = piece if acc is None else acc + piece
         if acc is None:
             continue
-        for axis in range(b, 0, -1):
-            acc = _proj(f.n, f.d, axis, s[axis - 1], cuts).compose(acc)
         sign = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
         acc = acc.scale(sign)
         if not acc.is_structurally_zero():
@@ -346,10 +340,7 @@ def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
     out = {}
     for combo in itertools.product(SIGNS, repeat=g.n):
         s = "".join(combo)
-        op = g
-        for axis in range(g.n, 0, -1):
-            op = _proj(g.n, g.d, axis, s[axis - 1], cuts).compose(op)
-        op = op.scale(_minus_parity(s))
+        op = g.restrict(region(cuts, dict(enumerate(s, 1))), Box.full(g.n)).scale(_minus_parity(s))
         if not op.is_structurally_zero():
             out[s] = op
     return CubeElement(g.n, g.d, 1, out)
@@ -480,14 +471,13 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
         base_sign = prefactor * ((-1) ** sum(w_tuple)) * rho(w_tuple)
         inner = fs[0]
         for axis in range(n, n - p, -1):  # axis n holds f_(w_1), axis n-p+1 holds f_(w_p)
-            inner = _signed_conjugation(fs[w_tuple[n - axis]], axis, cuts).compose(inner)
+            (_, plus), (_, minus) = sandwiches(fs[w_tuple[n - axis]], axis, cuts)
+            inner = (plus - minus).compose(inner)
         key = tuple(sorted(w_tuple))
         components = heads.setdefault(key, {})
         for g in itertools.product(SIGNS, repeat=n - p):
             word = "".join(g)
-            op = inner
-            for axis in range(n - p, 0, -1):
-                op = _proj(n, d, axis, word[axis - 1], cuts).compose(op)
+            op = inner.restrict(region(cuts, dict(enumerate(word, 1))), Box.full(n))
             op = op.scale(base_sign * _minus_parity(word))
             s = word + "0" * p
             components[s] = components[s] + op if s in components else op
@@ -497,10 +487,3 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
         for key, comps in sorted(heads.items())
     ]
     return LiftState(p + 1, n - p, terms)
-
-
-def _signed_conjugation(f: LatticeOperator, axis, cuts) -> LatticeOperator:
-    """sum over g in {+,-} of (-1)^g P_axis^(-g) f P_axis^(g)."""
-    plus = _proj(f.n, f.d, axis, "-", cuts).compose(f).compose(_proj(f.n, f.d, axis, "+", cuts))
-    minus = _proj(f.n, f.d, axis, "+", cuts).compose(f).compose(_proj(f.n, f.d, axis, "-", cuts))
-    return plus - minus

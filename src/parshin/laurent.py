@@ -113,6 +113,8 @@ class LaurentPoly:
             for e, s in zip(exp, shift):
                 if s == 0 or e == 0:
                     expansions.append([(e, 1)])
+                elif e < 0:
+                    raise ValueError(f"cannot shift the term with exponent {exp}: it is not a polynomial")
                 else:
                     # (x+s)^e = sum_k C(e,k) s^(e-k) x^k
                     expansions.append([(k, comb(e, k) * s ** (e - k)) for k in range(e + 1)])

@@ -31,9 +31,6 @@ class LieAlgebra:
     basis_names: tuple
     table: tuple  # table[i][j] -> tuple of Fraction, coefficients of [e_i, e_j]
 
-    def bracket_basis(self, i, j):
-        return self.table[i][j]
-
     def element(self, coeffs) -> "LieElement":
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != self.dim:

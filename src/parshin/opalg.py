@@ -7,7 +7,9 @@ lam (a ``LaurentPoly`` with exponents >= 0), and a half-open integer box
 (axes may be unbounded).  This class of operators is closed under addition
 and composition and contains everything the residue and cocycle formulas
 generate: multiplication operators, derivations t^s d/dt_i, the half-space
-projectors P_i^+-, and their products.
+projectors P_i^+-, and their products.  A product of projectors is the
+indicator of a box (``region``) and is applied by cutting atom boxes
+(``LatticeOperator.restrict``, ``sandwiches``), not by composition.
 
 Operator identity is semantic.  Equality and the trace both refine the atoms
 into box-arrangement cells per axis and decide vanishing of the cell-wise
@@ -30,6 +32,7 @@ from .matrices import (
     mat_add,
     mat_mul,
     mat_scale,
+    mat_trace,
     mat_vec,
 )
 
@@ -193,6 +196,14 @@ class LatticeOperator:
                 atoms.append(KernelAtom(shift, matrix, weight, box))
         return LatticeOperator.make(self.n, self.d, atoms)
 
+    def restrict(self, image, domain) -> "LatticeOperator":
+        """P_image after self after P_domain, where P_box is the indicator of a box."""
+        return LatticeOperator.make(self.n, self.d, [
+            KernelAtom(a.shift, a.matrix, a.weight,
+                       a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
+            for a in self.atoms
+        ])
+
     def __matmul__(self, other):
         return self.compose(other)
 
@@ -256,7 +267,7 @@ class LatticeOperator:
         for cell, alive in _iter_cells(self.n, diagonal):
             if all(lo is not None and hi is not None for lo, hi in cell):
                 for atom in alive:
-                    tr = sum((atom.matrix[i][i] for i in range(self.d)), Fraction(0))
+                    tr = mat_trace(atom.matrix)
                     if tr != 0:
                         total += tr * _weight_box_sum(atom.weight, cell)
             else:
@@ -521,15 +532,26 @@ def _cuts(n, cuts):
     return cuts
 
 
+def region(cuts, signs) -> Box:
+    """Where every P_axis^sign in ``signs`` (1-based axis -> sign) is 1; other axes are free."""
+    bounds = [(None, None)] * len(cuts)
+    for axis, sign in signs.items():
+        cut = cuts[axis - 1]
+        bounds[axis - 1] = (cut, None) if sign == "+" else (None, cut)
+    return Box(tuple(bounds))
+
+
 def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     """P_axis^+ = indicator(lam_axis >= cut); P_axis^- = 1 - P_axis^+ (1-based axis)."""
     if not 1 <= axis <= n:
         raise DimensionMismatch(f"axis {axis} outside 1..{n}")
-    bounds = [(None, None)] * n
-    bounds[axis - 1] = (cut, None) if sign == "+" else (None, cut)
-    return LatticeOperator.make(n, d, [
-        KernelAtom((0,) * n, identity(d), LaurentPoly.one(n), Box.of(bounds))
-    ])
+    return LatticeOperator.identity(n, d).restrict(region((cut,) * n, {axis: sign}), Box.full(n))
+
+
+def sandwiches(f, axis, cuts):
+    """((+1, P_axis^- f P_axis^+), (-1, P_axis^+ f P_axis^-)): the terms (-1)^g P^(-g) f P^(g)."""
+    plus, minus = region(cuts, {axis: "+"}), region(cuts, {axis: "-"})
+    return ((1, f.restrict(minus, plus)), (-1, f.restrict(plus, minus)))
 
 
 def mul_operator(f) -> LatticeOperator:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, parshin_oracle
 from .matrices import det
-from .opalg import LatticeOperator, _cuts, mul_operator, projector
+from .opalg import LatticeOperator, _cuts, mul_operator, projector, sandwiches
 
 
 def raw_sum(operators, cuts=None) -> Fraction:
@@ -29,7 +29,7 @@ def raw_sum(operators, cuts=None) -> Fraction:
 
     The words share prefixes, so they are walked as a tree rather than built
     one by one.  The 2n^2 sandwiches S(axis, j, g) = P_axis^(-g) f_j
-    P_axis^(g) are composed once, and the structurally zero ones dropped (a
+    P_axis^(g) are built once, and the structurally zero ones dropped (a
     monomial keeps at most one sign per (axis, j), none when its exponent on
     that axis is 0).  The walk starts from f_0 and goes depth first from
     axis n down to axis 1, at each level composing one unused f_j's
@@ -51,14 +51,11 @@ def raw_sum(operators, cuts=None) -> Fraction:
     cuts = _cuts(n, cuts)
 
     # (axis, j) -> [(sign of g, S(axis, j, g))] over the nonzero sandwiches
-    sandwiches = {}
-    for axis in range(1, n + 1):
-        plus = projector(n, axis, "+", d=d, cut=cuts[axis - 1])
-        minus = projector(n, axis, "-", d=d, cut=cuts[axis - 1])
-        for j in range(1, n + 1):
-            built = ((1, minus.compose(operators[j].compose(plus))),
-                     (-1, plus.compose(operators[j].compose(minus))))
-            sandwiches[axis, j] = [(g, s) for g, s in built if not s.is_structurally_zero()]
+    surviving = {
+        (axis, j): [(g, s) for g, s in sandwiches(operators[j], axis, cuts)
+                    if not s.is_structurally_zero()]
+        for axis in range(1, n + 1) for j in range(1, n + 1)
+    }
 
     def walk(axis, prefix, sign, placed):
         if prefix.is_structurally_zero():
@@ -71,7 +68,7 @@ def raw_sum(operators, cuts=None) -> Fraction:
                 continue
             inversions = sum(1 for k in placed if k < j)
             perm_sign = -sign if inversions % 2 else sign
-            for g_sign, sandwich in sandwiches[axis, j]:
+            for g_sign, sandwich in surviving[axis, j]:
                 total += walk(axis - 1, sandwich.compose(prefix), perm_sign * g_sign,
                               placed + (j,))
         return total

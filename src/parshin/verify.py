@@ -183,7 +183,6 @@ def check_cube_identities(n, trials=50, seed=1, cuts=None) -> CheckReport:
                 report.record((lhs - f).is_zero(), {**ctx, "identity": "dH+H^d^=1 (N^1)"})
             # pairwise relations
             for i in range(1, n + 1):
-                lhs = _cube.boundary_axis(_cube.homotopy_axis(f, i, cuts), i) if p >= 1 else None
                 if p >= 2:
                     diag = (_cube.boundary_axis(_cube.homotopy_axis(f, i, cuts), i)
                             + _cube.homotopy_axis(_cube.boundary_axis(f, i), i, cuts))

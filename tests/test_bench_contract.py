@@ -1,8 +1,10 @@
-"""The parshin names that the benchmark's tracer and cube probe reach into.
+"""The parshin names and figures that the benchmark's tracer and checks rely on.
 
 ``perfbench/tracing.py`` wraps functions and methods by name, and the
 ``cube_n2`` probe builds kernel atoms by hand; a rename or deletion of any of
-them breaks the traced run and the probe without failing another test.
+them breaks the traced run and the probe without failing another test.  The
+``cube_n2`` check also counts the identities the cube battery records, so an
+edit that adds or drops one fails the benchmark before it fails here.
 """
 
 import importlib
@@ -10,21 +12,21 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from parshin import opalg
+from parshin import opalg, verify
 from parshin.matrices import matrix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     for module_name, fn_name in tracing.FUNCTIONS:
         module = importlib.import_module(f"parshin.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
@@ -40,3 +42,11 @@ def test_cube_probe_names_resolve():
     op = opalg.LatticeOperator.make(2, 1, [atom])
     assert op.atoms == (atom,)
     assert not op.is_zero()
+
+
+def test_cube_check_count_matches_the_benchmark():
+    checks = _load_perfbench("checks")
+    for n in (1, 2):
+        for trials in (1, 2):
+            report = verify.check_cube_identities(n, trials, seed=1)
+            assert report.checks == checks.expected_cube_checks(n, trials), (n, trials)

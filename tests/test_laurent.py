@@ -84,6 +84,14 @@ def test_shift_argument_and_evaluate(p, q, s, x):
     assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
+def test_shift_argument_refuses_negative_exponents():
+    # 1/(x+1) is no polynomial; the term must not be dropped silently
+    with pytest.raises(ValueError, match=r"\(-1,\)"):
+        mono(1, (-1,)).shift_argument((1,))
+    # an axis that is not shifted may carry any exponent
+    assert mono(2, (1, -1)).shift_argument((1, 0)) == mono(2, (1, -1)) + mono(2, (0, -1))
+
+
 # -- derivatives --------------------------------------------------------------
 
 def test_partial_basic():

@@ -16,8 +16,9 @@ from parshin.opalg import (
     derivation_operator,
     mul_operator,
     projector,
+    region,
 )
-from parshin.sampling import random_operator
+from parshin.sampling import random_cube_element, random_operator
 
 
 def test_identity_apply():
@@ -228,6 +229,27 @@ def test_atom_order_is_independent_of_input_order():
         a = KernelAtom((0,), matrix([[1]]), one, Box.of([unbounded]))
         b = KernelAtom((0,), matrix([[1]]), one, Box.of([bounded]))
         assert LatticeOperator.make(1, 1, [a, b]).atoms == LatticeOperator.make(1, 1, [b, a]).atoms
+
+
+def test_restrict_matches_projector_composition():
+    rng = random.Random(11)
+    for trial in range(200):
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-2, 2) for _ in range(n))
+        if trial % 2:
+            op = random_operator(rng, n, d)
+        else:
+            element = random_cube_element(rng, n, rng.randint(1, n + 1), d)
+            op = rng.choice(list(element.components.values()) or [LatticeOperator.zero(n, d)])
+        a, g, h = rng.randint(1, n), rng.choice("+-"), rng.choice("+-")
+        composed = (projector(n, a, g, d, cuts[a - 1]).compose(op)
+                    .compose(projector(n, a, h, d, cuts[a - 1])))
+        assert op.restrict(region(cuts, {a: g}), region(cuts, {a: h})).atoms == composed.atoms
+        word = [rng.choice("+-") for _ in range(n)]
+        composed = op
+        for axis in range(n, 0, -1):
+            composed = projector(n, axis, word[axis - 1], d, cuts[axis - 1]).compose(composed)
+        assert op.restrict(region(cuts, dict(enumerate(word, 1))), Box.full(n)).atoms == composed.atoms
 
 
 def test_cut_parameter():
