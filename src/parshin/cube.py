@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
-from .opalg import Box, LatticeOperator, _cuts, region, sandwiches
+from .opalg import LatticeOperator, _cuts, region, sandwiches
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -32,14 +33,10 @@ def degree(s) -> int:
     return 1 + s.count("0")
 
 
+@lru_cache(maxsize=None)
 def sign_strings(n, p):
     """All sign strings in {+,-,0}^n of degree p, in lexicographic order."""
-    out = []
-    for combo in itertools.product("+-0", repeat=n):
-        s = "".join(combo)
-        if degree(s) == p:
-            out.append(s)
-    return out
+    return tuple(s for s in map("".join, itertools.product("+-0", repeat=n)) if degree(s) == p)
 
 
 def _sign_value(ch) -> int:
@@ -114,7 +111,12 @@ class CubeElement:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return CubeElement.make(self.n, self.d, self.p, {
+            s: LatticeOperator.combine(self.n, self.d, [(1, self.component(s), None),
+                                                        (-1, other.component(s), None)])
+            for s in dict.fromkeys([*self.components, *other.components])
+        })
 
     def scale(self, c):
         c = Fraction(c)
@@ -158,26 +160,32 @@ def _flip(sign):
     return "-" if sign == "+" else "+"
 
 
+def _zeros_after(s, i) -> int:
+    """(-1)^(#{j > i : s_j = 0})."""
+    return -1 if s[i + 1:].count("0") % 2 else 1
+
+
+def _assemble(n, d, p, sums) -> CubeElement:
+    """The element of N^p whose component at s is the combined sum sums[s]."""
+    out = {}
+    for s, terms in sums.items():
+        op = LatticeOperator.combine(n, d, terms)
+        if not op.is_structurally_zero():
+            out[s] = op
+    return CubeElement(n, d, p, out)
+
+
 def boundary(f: CubeElement) -> CubeElement:
     """(d f)_s = sum over i with s_i in {+,-} of (-1)^(#{j>i: s_j=0}) f_(s with 0 at i)."""
     if f.p < 2:
         raise DimensionMismatch("boundary needs degree >= 2; use boundary_hat on N^1")
-    out = {}
+    sums = {}
     for s in sign_strings(f.n, f.p - 1):
-        total = None
         for i, ch in enumerate(s):
-            if ch == "0":
-                continue
-            source = s[:i] + "0" + s[i + 1:]
-            comp = f.components.get(source)
-            if comp is None:
-                continue
-            sign = -1 if sum(1 for j in range(i + 1, f.n) if s[j] == "0") % 2 else 1
-            piece = comp.scale(sign)
-            total = piece if total is None else total + piece
-        if total is not None and not total.is_structurally_zero():
-            out[s] = total
-    return CubeElement(f.n, f.d, f.p - 1, out)
+            comp = None if ch == "0" else f.components.get(s[:i] + "0" + s[i + 1:])
+            if comp is not None:
+                sums.setdefault(s, []).append((_zeros_after(s, i), comp, None))
+    return _assemble(f.n, f.d, f.p - 1, sums)
 
 
 def boundary_axis(f: CubeElement, axis) -> CubeElement:
@@ -190,12 +198,8 @@ def boundary_axis(f: CubeElement, axis) -> CubeElement:
         if s[i] == "0":
             continue
         comp = f.components.get(s[:i] + "0" + s[i + 1:])
-        if comp is None:
-            continue
-        sign = -1 if sum(1 for j in range(i + 1, f.n) if s[j] == "0") % 2 else 1
-        op = comp.scale(sign)
-        if not op.is_structurally_zero():
-            out[s] = op
+        if comp is not None:
+            out[s] = comp.scale(_zeros_after(s, i))
     return CubeElement(f.n, f.d, f.p - 1, out)
 
 
@@ -203,33 +207,25 @@ def boundary_hat(f: CubeElement) -> LatticeOperator:
     """N^1 -> N^0: sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s."""
     if f.p != 1:
         raise DimensionMismatch("boundary_hat is defined on N^1")
-    total = LatticeOperator.zero(f.n, f.d)
-    for s, op in f.components.items():
-        total = total + op.scale(_minus_parity(s))
-    return total
+    return LatticeOperator.combine(f.n, f.d, [
+        (_minus_parity(s), op, None) for s, op in f.components.items()
+    ])
 
 
 def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(eps_i f)_(..s_i..) = (-1)^(s_i) P_i^(s_i) sum_g (-1)^g f_(..g..); zero on s_i = 0."""
     cuts = _cuts(f.n, cuts)
     i = axis - 1
-    out = {}
+    sums = {}
     for s in sign_strings(f.n, f.p):
         if s[i] == "0":
             continue
-        acc = None
+        image = region(cuts, {axis: s[i]})
         for g in SIGNS:
             comp = f.components.get(s[:i] + g + s[i + 1:])
-            if comp is None:
-                continue
-            piece = comp.scale(_sign_value(g))
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            continue
-        op = acc.restrict(region(cuts, {axis: s[i]}), Box.full(f.n)).scale(_sign_value(s[i]))
-        if not op.is_structurally_zero():
-            out[s] = op
-    return CubeElement(f.n, f.d, f.p, out)
+            if comp is not None:
+                sums.setdefault(s, []).append((_sign_value(s[i]) * _sign_value(g), comp, image))
+    return _assemble(f.n, f.d, f.p, sums)
 
 
 def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
@@ -240,25 +236,18 @@ def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
     and zero wherever one of s_1..s_upto is 0.
     """
     cuts = _cuts(f.n, cuts)
-    out = {}
+    sums = {}
     for s in sign_strings(f.n, f.p):
         head = s[:upto]
         if "0" in head:
             continue
-        acc = None
-        for g in itertools.product(SIGNS, repeat=upto):
-            comp = f.components.get("".join(g) + s[upto:])
-            if comp is None:
-                continue
-            piece = comp.scale(_minus_parity("".join(g)))
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            continue
-        acc = acc.restrict(region(cuts, dict(enumerate(head, 1))), Box.full(f.n))
-        acc = acc.scale(_minus_parity(head))
-        if not acc.is_structurally_zero():
-            out[s] = acc
-    return CubeElement(f.n, f.d, f.p, out)
+        image = region(cuts, dict(enumerate(head, 1)))
+        for word in sign_strings(upto, 1):
+            comp = f.components.get(word + s[upto:])
+            if comp is not None:
+                sign = _minus_parity(head) * _minus_parity(word)
+                sums.setdefault(s, []).append((sign, comp, image))
+    return _assemble(f.n, f.d, f.p, sums)
 
 
 def epsilon_all(f: CubeElement, cuts=None) -> CubeElement:
@@ -269,24 +258,16 @@ def homotopy_axis(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(H_i f)_(..0..) = (-1)^(#{j>i: s_j=0}) sum_g P_i^(-g) f_(..g..); zero on s_i != 0."""
     cuts = _cuts(f.n, cuts)
     i = axis - 1
-    out = {}
+    sums = {}
     for s in sign_strings(f.n, f.p + 1):
         if s[i] != "0":
             continue
-        acc = None
         for g in SIGNS:
             comp = f.components.get(s[:i] + g + s[i + 1:])
-            if comp is None:
-                continue
-            piece = comp.restrict(region(cuts, {axis: _flip(g)}), Box.full(f.n))
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            continue
-        sign = -1 if sum(1 for j in range(i + 1, f.n) if s[j] == "0") % 2 else 1
-        acc = acc.scale(sign)
-        if not acc.is_structurally_zero():
-            out[s] = acc
-    return CubeElement(f.n, f.d, f.p + 1, out)
+            if comp is not None:
+                image = region(cuts, {axis: _flip(g)})
+                sums.setdefault(s, []).append((_zeros_after(s, i), comp, image))
+    return _assemble(f.n, f.d, f.p + 1, sums)
 
 
 def homotopy(f: CubeElement, cuts=None) -> CubeElement:
@@ -301,26 +282,17 @@ def homotopy(f: CubeElement, cuts=None) -> CubeElement:
     cuts = _cuts(f.n, cuts)
     if f.p >= f.n + 1:
         return CubeElement.zero(f.n, f.d, f.p + 1)
-    out = {}
+    sums = {}
     for s in sign_strings(f.n, f.p + 1):
         b = s.index("0")  # 0-based slot of the leftmost zero
         head = dict(enumerate(s[:b], 1))
-        acc = None
-        for g in itertools.product(SIGNS, repeat=b + 1):
-            word = "".join(g)
+        outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
+        for word in sign_strings(b + 1, 1):
             comp = f.components.get(word + s[b + 1:])
-            if comp is None:
-                continue
-            piece = comp.restrict(region(cuts, {**head, b + 1: _flip(word[b])}), Box.full(f.n))
-            piece = piece.scale(_minus_parity(word[:b]))
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            continue
-        sign = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
-        acc = acc.scale(sign)
-        if not acc.is_structurally_zero():
-            out[s] = acc
-    return CubeElement(f.n, f.d, f.p + 1, out)
+            if comp is not None:
+                image = region(cuts, {**head, b + 1: _flip(word[b])})
+                sums.setdefault(s, []).append((outer * _minus_parity(word[:b]), comp, image))
+    return _assemble(f.n, f.d, f.p + 1, sums)
 
 
 def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:
@@ -337,13 +309,9 @@ def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:
 def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
     """N^0 -> N^1: (H^ g)_s = (-1)^(s_1+...+s_n) P_1^(s_1) ... P_n^(s_n) g."""
     cuts = _cuts(g.n, cuts)
-    out = {}
-    for combo in itertools.product(SIGNS, repeat=g.n):
-        s = "".join(combo)
-        op = g.restrict(region(cuts, dict(enumerate(s, 1))), Box.full(g.n)).scale(_minus_parity(s))
-        if not op.is_structurally_zero():
-            out[s] = op
-    return CubeElement(g.n, g.d, 1, out)
+    return _assemble(g.n, g.d, 1, {
+        s: [(_minus_parity(s), g, region(cuts, dict(enumerate(s, 1))))] for s in sign_strings(g.n, 1)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +441,10 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
         for axis in range(n, n - p, -1):  # axis n holds f_(w_1), axis n-p+1 holds f_(w_p)
             (_, plus), (_, minus) = sandwiches(fs[w_tuple[n - axis]], axis, cuts)
             inner = (plus - minus).compose(inner)
-        key = tuple(sorted(w_tuple))
-        components = heads.setdefault(key, {})
-        for g in itertools.product(SIGNS, repeat=n - p):
-            word = "".join(g)
-            op = inner.restrict(region(cuts, dict(enumerate(word, 1))), Box.full(n))
-            op = op.scale(base_sign * _minus_parity(word))
-            s = word + "0" * p
-            components[s] = components[s] + op if s in components else op
+        sums = heads.setdefault(tuple(sorted(w_tuple)), {})
+        for word in sign_strings(n - p, 1):
+            image = region(cuts, dict(enumerate(word, 1)))
+            sums.setdefault(word + "0" * p, []).append((base_sign * _minus_parity(word), inner, image))
 
-    terms = [
-        LiftTerm(key, (), CubeElement.make(n, d, p + 1, comps))
-        for key, comps in sorted(heads.items())
-    ]
+    terms = [LiftTerm(key, (), _assemble(n, d, p + 1, sums)) for key, sums in sorted(heads.items())]
     return LiftState(p + 1, n - p, terms)

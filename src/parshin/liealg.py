@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AntisymmetryViolation, DimensionMismatch, JacobiViolation, MixedAlgebras, ParshinError
-from .matrices import mat_mul, mat_trace, rank
+from .matrices import mat_mul, mat_trace, matrix, rank
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def ad(y: LieElement):
                 if v != 0:
                     col[k] += a * v
         cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
+    return matrix(zip(*cols))
 
 
 def killing_nform(*elements) -> Fraction:

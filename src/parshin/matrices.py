@@ -1,17 +1,27 @@
-"""Small exact-rational matrix helpers (tuples of tuples of Fraction)."""
+"""Small exact-rational matrix helpers (tuples of tuples of rationals).
+
+An integral entry is a plain ``int`` and any other entry a ``Fraction``.  An
+``int`` hashes and compares equal to the equal ``Fraction``, so both kinds
+of entry give the same dict keys and the same order; ints only hash faster.
+"""
 
 from fractions import Fraction
 
 Matrix = tuple
 
 
+def _entry(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def matrix(rows):
-    """Build a canonical matrix (tuple of tuples of Fraction) from nested iterables."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Build a canonical matrix (tuple of tuples, ints where integral) from nested iterables."""
+    return tuple(tuple(_entry(x) for x in row) for row in rows)
 
 
 def identity(d):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def mat_add(a, b):

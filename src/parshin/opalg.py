@@ -9,7 +9,8 @@ and composition and contains everything the residue and cocycle formulas
 generate: multiplication operators, derivations t^s d/dt_i, the half-space
 projectors P_i^+-, and their products.  A product of projectors is the
 indicator of a box (``region``) and is applied by cutting atom boxes
-(``LatticeOperator.restrict``, ``sandwiches``), not by composition.
+(``LatticeOperator.restrict``, ``sandwiches``), not by composition; a signed
+sum of such cuts is normalized once (``LatticeOperator.combine``).
 
 Operator identity is semantic.  Equality and the trace both refine the atoms
 into box-arrangement cells per axis and decide vanishing of the cell-wise
@@ -93,6 +94,12 @@ class Box:
         return tuple((lo is not None, lo or 0, hi is None, hi or 0) for lo, hi in self.bounds)
 
 
+def _check_boxes(n, *boxes):
+    for box in boxes:
+        if box.n != n:
+            raise DimensionMismatch(f"box over {box.n} axes for an operator on n={n}")
+
+
 # Weights are polynomials in lam: LaurentPolys with exponents >= 0.
 WeightPoly = LaurentPoly
 
@@ -157,6 +164,26 @@ class LatticeOperator:
 
     # -- linear structure ----------------------------------------------------
 
+    @staticmethod
+    def combine(n, d, terms) -> "LatticeOperator":
+        """The sum of c * P_image A over the (c, A, image) terms, normalized once.
+
+        ``image`` is a Box, or None for no cut.  Every atom is scaled and its
+        box cut by the image shifted back by the atom's shift, as ``restrict``
+        does, and the gathered atoms go through one ``make``.
+        """
+        atoms = []
+        for c, op, image in terms:
+            if (op.n, op.d) != (n, d):
+                raise DimensionMismatch(f"operator on (n={op.n}, d={op.d}) in a sum on (n={n}, d={d})")
+            if image is not None:
+                _check_boxes(n, image)
+            for a in op.atoms:
+                box = a.box if image is None else a.box.intersect(
+                    image.translate(tuple(-s for s in a.shift)))
+                atoms.append(KernelAtom(a.shift, a.matrix, a.weight if c == 1 else a.weight.scale(c), box))
+        return LatticeOperator.make(n, d, atoms)
+
     def __add__(self, other):
         self._check(other)
         return LatticeOperator.make(self.n, self.d, self.atoms + other.atoms)
@@ -165,15 +192,16 @@ class LatticeOperator:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return LatticeOperator.combine(self.n, self.d, [(1, self, None), (-1, other, None)])
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
             return LatticeOperator.zero(self.n, self.d)
-        return LatticeOperator(self.n, self.d, tuple(
-            KernelAtom(a.shift, a.matrix, a.weight.scale(c), a.box) for a in self.atoms
-        ))
+        # scaling keeps the form normalized but can reorder atoms by weight
+        return LatticeOperator(self.n, self.d, tuple(sorted(
+            (KernelAtom(a.shift, a.matrix, a.weight.scale(c), a.box) for a in self.atoms),
+            key=atom_key)))
 
     # -- composition ---------------------------------------------------------
 
@@ -198,6 +226,7 @@ class LatticeOperator:
 
     def restrict(self, image, domain) -> "LatticeOperator":
         """P_image after self after P_domain, where P_box is the indicator of a box."""
+        _check_boxes(self.n, image, domain)
         return LatticeOperator.make(self.n, self.d, [
             KernelAtom(a.shift, a.matrix, a.weight,
                        a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
@@ -309,9 +338,9 @@ class LatticeOperator:
 
 def _fold_scalar(d, atom):
     # for d == 1 the 1x1 matrix folds into the weight, easing merges
-    if d == 1 and atom.matrix != ((Fraction(1),),):
+    if d == 1 and atom.matrix != ((1,),):
         c = atom.matrix[0][0]
-        return KernelAtom(atom.shift, ((Fraction(1),),), atom.weight.scale(c), atom.box)
+        return KernelAtom(atom.shift, ((1,),), atom.weight.scale(c), atom.box)
     return atom
 
 
@@ -536,6 +565,8 @@ def region(cuts, signs) -> Box:
     """Where every P_axis^sign in ``signs`` (1-based axis -> sign) is 1; other axes are free."""
     bounds = [(None, None)] * len(cuts)
     for axis, sign in signs.items():
+        if sign not in ("+", "-"):
+            raise ValueError(f"projector sign must be '+' or '-', got {sign!r}")
         cut = cuts[axis - 1]
         bounds[axis - 1] = (cut, None) if sign == "+" else (None, cut)
     return Box(tuple(bounds))
@@ -558,7 +589,7 @@ def mul_operator(f) -> LatticeOperator:
     """Multiplication by a LaurentPoly (d=1) or by a GLaurent via ad (d=dim g)."""
     if isinstance(f, LaurentPoly):
         atoms = [
-            KernelAtom(exp, ((Fraction(1),),), LaurentPoly.monomial(f.n, (0,) * f.n, c), Box.full(f.n))
+            KernelAtom(exp, ((1,),), LaurentPoly.monomial(f.n, (0,) * f.n, c), Box.full(f.n))
             for exp, c in f.terms
         ]
         return LatticeOperator.make(f.n, 1, atoms)
@@ -581,5 +612,5 @@ def derivation_operator(n, s, axis) -> LatticeOperator:
         raise DimensionMismatch(f"shift {s} has length {len(s)}, expected {n}")
     shift = tuple(x - (1 if i == axis - 1 else 0) for i, x in enumerate(s))
     return LatticeOperator.make(n, 1, [
-        KernelAtom(shift, ((Fraction(1),),), LaurentPoly.variable(n, axis), Box.full(n))
+        KernelAtom(shift, ((1,),), LaurentPoly.variable(n, axis), Box.full(n))
     ])

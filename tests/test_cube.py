@@ -26,7 +26,7 @@ from parshin.cube import (
 )
 from parshin.errors import IdealViolation, RepeatedIndex
 from parshin.laurent import LaurentPoly, parse_poly
-from parshin.opalg import mul_operator, projector
+from parshin.opalg import Box, LatticeOperator, mul_operator, projector, region
 from parshin.residue import raw_sum
 from parshin.sampling import random_cube_element, random_exponent, random_nonzero_fraction, random_operator
 
@@ -47,6 +47,12 @@ def test_sign_string_counts():
         for p in range(1, n + 2):
             zeros = p - 1
             assert len(sign_strings(n, p)) == comb(n, zeros) * 2 ** (n - zeros)
+
+
+def test_sign_strings_are_a_cached_tuple():
+    strings = sign_strings(3, 2)
+    assert isinstance(strings, tuple) and sign_strings(3, 2) is strings
+    assert strings == tuple(sorted(strings, key=lambda s: ["+-0".index(c) for c in s]))
 
 
 def test_rho_values():
@@ -143,6 +149,51 @@ def test_epsilon_idempotent_and_product_formula():
             acc = epsilon(acc, axis)
         assert (acc - epsilon_prefix(f, n)).is_zero()
         assert (acc - epsilon_all(f)).is_zero()
+
+
+def _sign(ch):
+    return 1 if ch == "+" else -1
+
+
+def _epsilon_by_chain(f, axis, cuts):
+    """epsilon as a chain per component: scale each piece, add, restrict, scale."""
+    i, out = axis - 1, {}
+    for s in sign_strings(f.n, f.p):
+        if s[i] != "0":
+            acc = LatticeOperator.zero(f.n, f.d)
+            for g in "+-":
+                acc = acc + f.component(s[:i] + g + s[i + 1:]).scale(_sign(g))
+            out[s] = acc.restrict(region(cuts, {axis: s[i]}), Box.full(f.n)).scale(_sign(s[i]))
+    return CubeElement.make(f.n, f.d, f.p, out)
+
+
+def _homotopy_axis_by_chain(f, axis, cuts):
+    """H_axis as a chain per component: restrict each piece, add, scale."""
+    i, out = axis - 1, {}
+    for s in sign_strings(f.n, f.p + 1):
+        if s[i] == "0":
+            acc = LatticeOperator.zero(f.n, f.d)
+            for g in "+-":
+                acc = acc + f.component(s[:i] + g + s[i + 1:]).restrict(
+                    region(cuts, {axis: "-" if g == "+" else "+"}), Box.full(f.n))
+            out[s] = acc.scale(-1 if s[i + 1:].count("0") % 2 else 1)
+    return CubeElement.make(f.n, f.d, f.p + 1, out)
+
+
+def test_one_normalization_per_component_matches_the_chains():
+    rng = random.Random(12)
+    for _ in range(40):
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-2, 2) for _ in range(n))
+        f = random_cube_element(rng, n, rng.randint(1, n + 1), d)
+        g = random_cube_element(rng, n, f.p, d)
+        axis = rng.randint(1, n)
+        for got, want in ((epsilon(f, axis, cuts), _epsilon_by_chain(f, axis, cuts)),
+                          (homotopy_axis(f, axis, cuts), _homotopy_axis_by_chain(f, axis, cuts)),
+                          (f - g, f + g.scale(-1))):
+            assert got.components.keys() == want.components.keys()
+            for s, op in got.components.items():
+                assert op.atoms == want.components[s].atoms
 
 
 def test_homotopy_closed_form_matches_definition():

@@ -1,0 +1,128 @@
+"""The exact ``--json`` text of a dozen CLI commands.
+
+Speed work on the operator kernel and the cube complex must leave every
+printed byte unchanged.  The strings below were recorded from the CLI and
+are compared verbatim, so a change in any value, key order, spacing or exit
+code fails here.  The commands cover residue forms at n = 1..3 with and
+without ``--cuts``, scalar and sl2 multiloop cocycle chains, the n = 2 cube
+and lift suites, the Virasoro table and one error payload.
+"""
+
+import json
+
+import pytest
+
+from parshin.cli import main
+from parshin.liealg import sl2, to_json_dict
+
+SL2_CHAIN = {
+    "n": 2,
+    "terms": [
+        {"coeff": "1",
+         "factors": [{"Y": "E", "exp": [1, 0]}, {"Y": "F", "exp": [-1, 1]},
+                     {"Y": "H", "exp": [0, -1]}]},
+        {"coeff": "-2/3",
+         "factors": [{"Y": "H", "exp": [2, -1]}, {"Y": "E", "exp": [-1, 1]},
+                     {"Y": "F", "exp": [-1, 0], "coeff": "3"}]},
+    ],
+}
+
+SCALAR_CHAIN = {
+    "n": 1,
+    "algebra": "scalar",
+    "terms": [
+        {"coeff": "5/2", "factors": [{"exp": [-3]}, {"exp": [3]}]},
+        {"factors": [{"exp": [-1]}, {"exp": [1]}]},
+    ],
+}
+
+# name -> (argv, exit code, stdout); "{sl2_chain}" and "{scalar_chain}" name
+# chain files written for the test
+GOLDEN = {
+    "residue_n1": (
+        ("residue", "--form", "t1^-1 ; t1", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 1,\n  "oracle": "1",\n  "paper_res_star": "1",\n'
+        '  "raw": "-1",\n  "residue": "1"\n}\n',
+    ),
+    "residue_n1_poly": (
+        ("residue", "--form", "3/7*t1^-2 - t1^-1 + 2 ; t1^2 + 5*t1", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 1,\n  "oracle": "-29/7",\n'
+        '  "paper_res_star": "-29/7",\n  "raw": "29/7",\n  "residue": "-29/7"\n}\n',
+    ),
+    "residue_n1_cuts": (
+        ("residue", "--form", "t1^-3 ; t1^3", "--cuts=5", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 1,\n  "oracle": "3",\n  "paper_res_star": "3",\n'
+        '  "raw": "-3",\n  "residue": "3"\n}\n',
+    ),
+    "residue_n2": (
+        ("residue", "--form", "t1^-2*t2^-3 ; t1*t2 ; t1*t2^2", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 2,\n  "oracle": "1",\n  "paper_res_star": "1",\n'
+        '  "raw": "1",\n  "residue": "1"\n}\n',
+    ),
+    "residue_n2_cuts": (
+        ("residue", "--form", "t1^-2*t2^-3 ; t1*t2 ; t1*t2^2", "--cuts=-2,3", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 2,\n  "oracle": "1",\n  "paper_res_star": "1",\n'
+        '  "raw": "1",\n  "residue": "1"\n}\n',
+    ),
+    "residue_n3": (
+        ("residue", "--form", "t1^-1*t2^-1*t3^-2 ; t1 + t2 ; t2 ; t3^2", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "2",\n  "paper_res_star": "-2",\n'
+        '  "raw": "-2",\n  "residue": "2"\n}\n',
+    ),
+    "residue_n3_cuts": (
+        ("residue", "--form", "t1^-1*t2^-1*t3^-2 ; t1 ; t2 ; t3^2", "--cuts=1", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "2",\n  "paper_res_star": "-2",\n'
+        '  "raw": "-2",\n  "residue": "2"\n}\n',
+    ),
+    "cocycle_sl2_n2": (
+        ("cocycle", "--input", "{sl2_chain}", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
+    ),
+    "cocycle_sl2_n2_cuts": (
+        ("cocycle", "--input", "{sl2_chain}", "--cuts=1,-1", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
+    ),
+    "cocycle_scalar_n1": (
+        ("cocycle", "--input", "{scalar_chain}", "--json"), 0,
+        '{\n  "flavor": "scalar",\n  "n": 1,\n  "value": "-17/2"\n}\n',
+    ),
+    "verify_cube_n2": (
+        ("verify", "--suite", "cube", "--n", "2", "--seed", "7", "--trials", "2", "--json"), 0,
+        '{\n  "checks": 131,\n  "details": {},\n  "failures": [],\n'
+        '  "name": "cube_identities_n2",\n  "passed": true\n}\n',
+    ),
+    "verify_lift_n2": (
+        ("verify", "--suite", "lift", "--n", "2", "--seed", "3", "--trials", "2", "--json"), 0,
+        '{\n  "checks": 26,\n  "details": {},\n  "failures": [],\n'
+        '  "name": "lift_equivalence_n2",\n  "passed": true\n}\n',
+    ),
+    "virasoro": (
+        ("virasoro", "--max-m", "3", "--json"), 0,
+        '{\n  "rows": [\n    {\n      "m": 1,\n      "phi": "0"\n    },\n    {\n'
+        '      "m": 2,\n      "phi": "-1"\n    },\n    {\n      "m": 3,\n'
+        '      "phi": "-4"\n    }\n  ]\n}\n',
+    ),
+    "residue_arity_error": (
+        ("residue", "--form", "t1^-1 ; t1 ; t1", "--json"), 1,
+        '{"error": {"message": "form mentions t1 so it needs 2 polynomials, got 3", "type": "ArityError"}}\n',
+    ),
+}
+
+
+@pytest.fixture
+def chain_files(tmp_path):
+    algebra = tmp_path / "sl2.json"
+    algebra.write_text(json.dumps(to_json_dict(sl2())))
+    sl2_chain = tmp_path / "sl2_chain.json"
+    sl2_chain.write_text(json.dumps({**SL2_CHAIN, "algebra": str(algebra)}))
+    scalar_chain = tmp_path / "scalar_chain.json"
+    scalar_chain.write_text(json.dumps(SCALAR_CHAIN))
+    return {"sl2_chain": str(sl2_chain), "scalar_chain": str(scalar_chain)}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_is_unchanged(name, chain_files, capsys):
+    argv, code, expected = GOLDEN[name]
+    argv = [arg.format(**chain_files) for arg in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected

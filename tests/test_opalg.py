@@ -8,11 +8,12 @@ import pytest
 from parshin.errors import DimensionMismatch, NotTraceClass
 from parshin.laurent import LaurentPoly, parse_poly
 from parshin.liealg import ad, sl2
-from parshin.matrices import matrix
+from parshin.matrices import identity, matrix
 from parshin.opalg import (
     Box,
     KernelAtom,
     LatticeOperator,
+    atom_key,
     derivation_operator,
     mul_operator,
     projector,
@@ -250,6 +251,102 @@ def test_restrict_matches_projector_composition():
         for axis in range(n, 0, -1):
             composed = projector(n, axis, word[axis - 1], d, cuts[axis - 1]).compose(composed)
         assert op.restrict(region(cuts, dict(enumerate(word, 1))), Box.full(n)).atoms == composed.atoms
+
+
+def _random_component(rng, n, d):
+    if rng.random() < 0.5:
+        return random_operator(rng, n, d)
+    element = random_cube_element(rng, n, rng.randint(1, n + 1), d)
+    return rng.choice(list(element.components.values()) or [LatticeOperator.zero(n, d)])
+
+
+def _random_region(rng, cuts):
+    return region(cuts, {a: rng.choice("+-") for a in range(1, len(cuts) + 1) if rng.random() < 0.6})
+
+
+def test_combine_matches_the_scale_add_restrict_chain():
+    rng = random.Random(17)
+    for _ in range(150):
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-2, 2) for _ in range(n))
+        ops = [_random_component(rng, n, d) for _ in range(rng.randint(1, 4))]
+        coeffs = [rng.choice((1, -1, 2, Fraction(-1, 3))) for _ in ops]
+        outer = rng.choice((1, -1))
+        # one cut for the whole sum, as epsilon makes it: scale, +, restrict, scale
+        image = _random_region(rng, cuts)
+        chain = LatticeOperator.zero(n, d)
+        for op, c in zip(ops, coeffs):
+            chain = chain + op.scale(c)
+        chain = chain.restrict(image, Box.full(n)).scale(outer)
+        combined = LatticeOperator.combine(n, d, [(outer * c, op, image) for op, c in zip(ops, coeffs)])
+        assert combined == chain and combined.atoms == chain.atoms
+        # one cut per term, as the homotopies make it; None leaves a term uncut
+        images = [_random_region(rng, cuts) if rng.random() < 0.8 else None for _ in ops]
+        chain = LatticeOperator.zero(n, d)
+        for op, c, im in zip(ops, coeffs, images):
+            chain = chain + (op if im is None else op.restrict(im, Box.full(n))).scale(c)
+        chain = chain.scale(outer)
+        combined = LatticeOperator.combine(n, d, [(outer * c, op, im)
+                                                  for op, c, im in zip(ops, coeffs, images)])
+        assert combined == chain and combined.atoms == chain.atoms
+
+
+def test_combine_and_restrict_check_dimensions():
+    two = LatticeOperator.identity(2)
+    with pytest.raises(DimensionMismatch):
+        two.restrict(Box.of([(0, None)]), Box.full(2))
+    with pytest.raises(DimensionMismatch):
+        two.restrict(Box.full(2), Box.full(1))
+    with pytest.raises(DimensionMismatch):
+        LatticeOperator.combine(2, 1, [(1, two, Box.full(3))])
+    with pytest.raises(DimensionMismatch):
+        LatticeOperator.combine(2, 1, [(1, two, None), (1, LatticeOperator.identity(2, 3), None)])
+    with pytest.raises(DimensionMismatch):
+        two - LatticeOperator.identity(1)
+
+
+def test_region_and_projector_reject_unknown_signs():
+    for sign in ("0", "", "+-", None):
+        with pytest.raises(ValueError):
+            region((0,), {1: sign})
+        with pytest.raises(ValueError):
+            projector(1, 1, sign)
+
+
+def test_scale_keeps_atoms_in_canonical_order():
+    one, full = LaurentPoly.one(1), Box.full(1)
+    op = LatticeOperator.make(1, 2, [
+        KernelAtom((0,), matrix([[1, 0], [0, 0]]), one, full),
+        KernelAtom((0,), matrix([[0, 1], [0, 0]]), one.scale(2), full),
+    ])
+    for c in (-1, 3, Fraction(-1, 2)):
+        scaled = op.scale(c)
+        assert list(scaled.atoms) == sorted(scaled.atoms, key=atom_key)
+        assert scaled.atoms == LatticeOperator.make(1, 2, scaled.atoms).atoms
+        assert (-op).atoms == LatticeOperator.combine(1, 2, [(-1, op, None)]).atoms
+
+
+def test_integral_matrix_entries_are_ints():
+    m = matrix([[1, Fraction(4, 2)], [Fraction(1, 2), "-3"]])
+    assert [type(x) for row in m for x in row] == [int, int, Fraction, int]
+    assert m == ((1, 2), (Fraction(1, 2), -3))
+    assert all(type(x) is int for row in identity(3) for x in row)
+    alg = sl2()
+    for y in alg.basis() + [alg.element((2, -1, 3))]:
+        assert all(type(x) is int for row in ad(y) for x in row)
+    assert Fraction(1, 2) in ad(alg.element((Fraction(1, 4), 0, 0)))[1]
+
+
+def test_fraction_and_int_matrix_atoms_merge():
+    one, full = LaurentPoly.one(1), Box.full(1)
+    ints = KernelAtom((1,), matrix([[2, 0], [0, 1]]), one, full)
+    fractions = KernelAtom((1,), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))), one.scale(3), full)
+    merged = LatticeOperator.make(1, 2, [ints, fractions])
+    assert len(merged.atoms) == 1 and merged.atoms[0].weight == one.scale(4)
+    assert LatticeOperator.make(1, 2, [ints, fractions]).atoms == LatticeOperator.make(1, 2, [fractions, ints]).atoms
+    scalar = KernelAtom((0,), ((Fraction(1),),), one, full)
+    assert LatticeOperator.make(1, 1, [scalar]) == LatticeOperator.identity(1)
+    assert (LatticeOperator.make(1, 1, [scalar]) - LatticeOperator.identity(1)).atoms == ()
 
 
 def test_cut_parameter():
