@@ -23,6 +23,11 @@ from .residue import residue
 MAX_N = 4
 
 
+def _check_n(n):
+    if n > MAX_N:
+        raise ArityError(f"n = {n} exceeds the cap n <= {MAX_N}")
+
+
 def parse_form(text):
     """Parse "f0 ; f1 ; ... ; fn" into (f0, [f1..fn]) with a shared variable count."""
     segments = text.split(";")
@@ -72,8 +77,7 @@ def _cuts_arg(args, n):
 
 def cmd_residue(args) -> int:
     f0, fs = parse_form(_read_form(args))
-    if f0.n > MAX_N:
-        raise ArityError(f"n = {f0.n} exceeds the cap n <= {MAX_N}")
+    _check_n(f0.n)
     report = residue(f0, fs, _cuts_arg(args, f0.n))
     payload = report.to_json_dict()
     _emit(payload, args.json, [
@@ -99,6 +103,7 @@ def cmd_cocycle(args) -> int:
     elif algebra_ref and algebra_ref != "scalar":
         algebra = load_algebra(algebra_ref)
     n = int(doc["n"])
+    _check_n(n)
     # the first factor is the distinguished f0 slot; order is preserved
     wedges = [_cocycle.CocycleInput.classify(term_factors(term, n, algebra))
               for term in doc["terms"]]
@@ -129,8 +134,13 @@ FIXTURE_SUITES = ("residue-fixtures", "heisenberg", "kac-moody", "virasoro")
 
 
 def cmd_verify(args) -> int:
+    suites = ("all", "fixtures", *sorted(_verify.SUITES))
+    if args.suite not in suites:
+        raise ArityError(f"unknown suite {args.suite!r}; choose from {', '.join(suites)}")
     if args.trials < 1:
         raise ArityError("--trials must be at least 1")
+    if args.degree_bound < 0:
+        raise ArityError("--degree-bound must be at least 0")
     if args.suite == "fixtures":
         report = _verify._merge(
             _verify.check_classical_residue(),

@@ -198,13 +198,20 @@ def _perm_sign(perm):
 
 
 def parshin_oracle(f0: LaurentPoly, fs) -> Fraction:
-    """Coefficient of t_1^-1 ... t_n^-1 in f0 * det(d f_i / d t_j)."""
+    """Coefficient of t_1^-1 ... t_n^-1 in f0 * det(d f_i / d t_j).
+
+    Only that coefficient is formed: the sum over the terms c t^e of f0 of
+    c times the Jacobian's coefficient of t^((-1, ..., -1) - e).
+    """
     n = f0.n
     for f in fs:
         if f.n != n:
             raise DimensionMismatch("oracle inputs have mismatched variable counts")
-    product = f0 * jacobian_det(list(fs))
-    return product.coefficient((-1,) * n)
+    jacobian = dict(jacobian_det(list(fs)).terms)
+    total = Fraction(0)
+    for exp, c in f0.terms:
+        total += c * jacobian.get(tuple(-1 - e for e in exp), 0)
+    return total
 
 
 # ---------------------------------------------------------------------------

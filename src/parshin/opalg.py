@@ -376,13 +376,14 @@ def _normalize(n, d, atoms):
                 merged[key] = atom.matrix
         pending = [KernelAtom(s, m, w, b) for (s, b, w), m in merged.items() if not is_zero_matrix(m)]
 
-        # glue boxes abutting along exactly one axis (equal shift/weight/matrix)
+        # glue boxes abutting along exactly one axis (equal shift/weight/matrix);
+        # gluing is greedy, so each group is glued in box order, not input order
         groups = {}
         for atom in pending:
             groups.setdefault((atom.shift, atom.weight, atom.matrix), []).append(atom.box)
         glued = []
         for (shift, weight, mat), boxes in groups.items():
-            boxes = list(boxes)
+            boxes = sorted(boxes, key=Box.sort_key)
             merged_any = True
             while merged_any:
                 merged_any = False

@@ -11,10 +11,11 @@ alternative global sign ``paper_res_star``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import ArityError, DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, parshin_oracle
 from .matrices import det
 from .opalg import LatticeOperator, _cuts, mul_operator, projector, sandwiches
@@ -40,6 +41,13 @@ def raw_sum(operators, cuts=None) -> Fraction:
     Composition is associative and exact, so the value equals the
     word-by-word sum.  Every surviving word is traced on its own and must
     be trace-class; NotTraceClass propagates.
+
+    Only shift-0 atoms reach a trace, and atoms merge only with atoms of
+    equal shift, so an atom of a prefix whose shift the unplaced f_j cannot
+    cancel changes no trace and is dropped.  Before any sandwich is built,
+    f_0 keeps only the atoms some word can bring back to shift 0, and the
+    sum is 0 when none is left.  When every f_j has a single shift this
+    root test decides everything and the walk filters nothing.
     """
     operators = list(operators)
     n, d = operators[0].n, operators[0].d
@@ -50,6 +58,24 @@ def raw_sum(operators, cuts=None) -> Fraction:
         raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
     cuts = _cuts(n, cuts)
 
+    # cancel[mask]: the negated shifts that a product of the f_j with j - 1
+    # in the bit set ``mask`` can take (their atom shifts' Minkowski sum)
+    shifts = [{a.shift for a in op.atoms} for op in operators]
+    cancel = [{(0,) * n}]
+    for mask in range(1, 1 << n):
+        j = mask.bit_length()
+        cancel.append({tuple(r - s for r, s in zip(rest, shift))
+                       for rest in cancel[mask ^ (1 << (j - 1))] for shift in shifts[j]})
+
+    def reachable(op, mask):
+        return LatticeOperator(n, d, tuple(a for a in op.atoms if a.shift in cancel[mask]))
+
+    full = (1 << n) - 1
+    f0 = reachable(operators[0], full)
+    if f0.is_structurally_zero():
+        return Fraction(0)
+    prune = any(len(s) > 1 for s in shifts[1:])
+
     # (axis, j) -> [(sign of g, S(axis, j, g))] over the nonzero sandwiches
     surviving = {
         (axis, j): [(g, s) for g, s in sandwiches(operators[j], axis, cuts)
@@ -58,22 +84,25 @@ def raw_sum(operators, cuts=None) -> Fraction:
     }
 
     def walk(axis, prefix, sign, placed):
+        if prune:
+            prefix = reachable(prefix, full ^ placed)
         if prefix.is_structurally_zero():
             return Fraction(0)
         if axis == 0:
             return sign * prefix.trace()
         total = Fraction(0)
         for j in range(1, n + 1):
-            if j in placed:
+            bit = 1 << (j - 1)
+            if placed & bit:
                 continue
-            inversions = sum(1 for k in placed if k < j)
+            inversions = bin(placed & (bit - 1)).count("1")
             perm_sign = -sign if inversions % 2 else sign
             for g_sign, sandwich in surviving[axis, j]:
                 total += walk(axis - 1, sandwich.compose(prefix), perm_sign * g_sign,
-                              placed + (j,))
+                              placed | bit)
         return total
 
-    return walk(n, operators[0], 1, ())
+    return walk(n, f0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -110,26 +139,52 @@ def _global_signs(n, raw):
     return residue, star
 
 
+# n! * prod_(j >= 1) |terms(f_j)| bounds the words a residue traces (at most
+# that many balanced monomial tuples, at most n! surviving words each) and
+# the products of the oracle's Jacobian expansion; forms over it are refused
+MAX_WORK = 3_000_000
+
+
 def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
     """raw_sum of the multiplication operators, expanded over monomial tuples.
 
     Multilinear expansion keeps every factor a single-atom operator, so each
-    projector word cuts an exact interval per axis.
+    projector word cuts an exact interval per axis.  Every composite of a
+    monomial tuple shifts by the exponents' column sum, so only balanced
+    tuples (column sums 0) can contribute: for each choice of terms of
+    f_1..f_n, the one term of f_0 that balances it is looked up, and the
+    choice skipped when f_0 has none.  Each monomial's operator is built
+    once, on first use.  Raises ArityError before any operator is built
+    when the form's work exceeds MAX_WORK.
     """
     n = f0.n
-    polys = [f0] + list(fs)
-    for f in polys:
+    fs = list(fs)
+    for f in fs:
         if f.n != n:
             raise DimensionMismatch("residue inputs with mismatched variable counts")
-    if len(polys) != n + 1:
-        raise DimensionMismatch(f"need n+1 = {n + 1} polynomials, got {len(polys)}")
+    if len(fs) != n:
+        raise DimensionMismatch(f"need n+1 = {n + 1} polynomials, got {len(fs) + 1}")
+    work = math.factorial(n) * math.prod(len(f.terms) for f in fs)
+    if work > MAX_WORK:
+        raise ArityError(f"work n! * |f1| * ... * |fn| = {work} exceeds the limit {MAX_WORK}")
+
+    operators = {}  # exponent -> multiplication by its monomial, built on first use
+
+    def operator(exp):
+        if exp not in operators:
+            operators[exp] = mul_operator(LaurentPoly.monomial(n, exp, 1))
+        return operators[exp]
+
+    f0_terms = dict(f0.terms)
     total = Fraction(0)
-    for combo in itertools.product(*(f.terms for f in polys)):
-        coeff = Fraction(1)
+    for combo in itertools.product(*(f.terms for f in fs)):
+        exp0 = tuple(-sum(col) for col in zip(*(exp for exp, _ in combo)))
+        coeff = f0_terms.get(exp0)
+        if coeff is None:
+            continue
         for _, c in combo:
             coeff *= c
-        ops = [mul_operator(LaurentPoly.monomial(n, exp, 1)) for exp, _ in combo]
-        total += coeff * raw_sum(ops, cuts)
+        total += coeff * raw_sum([operator(exp0)] + [operator(exp) for exp, _ in combo], cuts)
     return total
 
 

@@ -27,6 +27,27 @@ SL2_CHAIN = {
     ],
 }
 
+# the second term's exponent columns sum to (1, 2): it contributes 0
+SL2_UNBALANCED_CHAIN = {
+    "n": 2,
+    "terms": [SL2_CHAIN["terms"][0],
+              {"coeff": "5",
+               "factors": [{"Y": "H", "exp": [1, 1]}, {"Y": "E", "exp": [-1, 1]},
+                           {"Y": "F", "exp": [1, 0]}]},
+              SL2_CHAIN["terms"][1]],
+}
+
+SCALAR_N5_CHAIN = {
+    "n": 5,
+    "algebra": "scalar",
+    "terms": [{"factors": [{"exp": [-1] * 5}] + [{"exp": [int(i == j) for i in range(5)]}
+                                                 for j in range(5)]}],
+}
+
+# n = 4 with 19 terms in each of f1..f4: 4! * 19^4 = 3127704 > MAX_WORK
+OVER_THE_BOUND = " ; ".join(["t1^-1*t2^-1*t3^-1*t4^-1"] + [
+    " + ".join(f"t{j}^{e}" for e in range(1, 20)) for j in range(1, 5)])
+
 SCALAR_CHAIN = {
     "n": 1,
     "algebra": "scalar",
@@ -36,8 +57,8 @@ SCALAR_CHAIN = {
     ],
 }
 
-# name -> (argv, exit code, stdout); "{sl2_chain}" and "{scalar_chain}" name
-# chain files written for the test
+# name -> (argv, exit code, stdout); "{sl2_chain}" and the other braced
+# names are chain files written for the test
 GOLDEN = {
     "residue_n1": (
         ("residue", "--form", "t1^-1 ; t1", "--json"), 0,
@@ -74,12 +95,28 @@ GOLDEN = {
         '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "2",\n  "paper_res_star": "-2",\n'
         '  "raw": "-2",\n  "residue": "2"\n}\n',
     ),
+    "residue_n2_unbalanced": (
+        ("residue", "--form", "2*t1^-2*t2 ; t1*t2^-1 ; t2^2", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 2,\n  "oracle": "0",\n  "paper_res_star": "0",\n'
+        '  "raw": "0",\n  "residue": "0"\n}\n',
+    ),
+    "residue_n3_terms_cuts": (
+        ("residue", "--form",
+         "t1^-1*t2^-1*t3^-1 + 2*t1^-2*t2^-1*t3^-1 - t3^-2 ; t1 + t1^2 ; "
+         "t2 - 3*t2*t3 + t3^-1 ; t3 + 1/2*t1*t3", "--cuts=1,-2,0", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "6",\n  "paper_res_star": "-6",\n'
+        '  "raw": "-6",\n  "residue": "6"\n}\n',
+    ),
     "cocycle_sl2_n2": (
         ("cocycle", "--input", "{sl2_chain}", "--json"), 0,
         '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
     ),
     "cocycle_sl2_n2_cuts": (
         ("cocycle", "--input", "{sl2_chain}", "--cuts=1,-1", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
+    ),
+    "cocycle_sl2_n2_unbalanced_term": (
+        ("cocycle", "--input", "{sl2_unbalanced_chain}", "--json"), 0,
         '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
     ),
     "cocycle_scalar_n1": (
@@ -106,6 +143,24 @@ GOLDEN = {
         ("residue", "--form", "t1^-1 ; t1 ; t1", "--json"), 1,
         '{"error": {"message": "form mentions t1 so it needs 2 polynomials, got 3", "type": "ArityError"}}\n',
     ),
+    "residue_work_refused": (
+        ("residue", "--form", OVER_THE_BOUND, "--json"), 1,
+        '{"error": {"message": "work n! * |f1| * ... * |fn| = 3127704 exceeds the limit 3000000", '
+        '"type": "ArityError"}}\n',
+    ),
+    "cocycle_n5_refused": (
+        ("cocycle", "--input", "{scalar_n5_chain}", "--json"), 1,
+        '{"error": {"message": "n = 5 exceeds the cap n <= 4", "type": "ArityError"}}\n',
+    ),
+    "verify_unknown_suite": (
+        ("verify", "--suite", "bogus", "--json"), 1,
+        '{"error": {"message": "unknown suite \'bogus\'; choose from all, fixtures, chains, cocycle, '
+        'cube, independence, laurent, liealg, lift, opalg, residue, rho", "type": "ArityError"}}\n',
+    ),
+    "verify_negative_degree_bound": (
+        ("verify", "--degree-bound", "-1", "--json"), 1,
+        '{"error": {"message": "--degree-bound must be at least 0", "type": "ArityError"}}\n',
+    ),
 }
 
 
@@ -115,9 +170,13 @@ def chain_files(tmp_path):
     algebra.write_text(json.dumps(to_json_dict(sl2())))
     sl2_chain = tmp_path / "sl2_chain.json"
     sl2_chain.write_text(json.dumps({**SL2_CHAIN, "algebra": str(algebra)}))
-    scalar_chain = tmp_path / "scalar_chain.json"
-    scalar_chain.write_text(json.dumps(SCALAR_CHAIN))
-    return {"sl2_chain": str(sl2_chain), "scalar_chain": str(scalar_chain)}
+    files = {"sl2_chain": str(sl2_chain)}
+    for name, doc in (("sl2_unbalanced_chain", {**SL2_UNBALANCED_CHAIN, "algebra": str(algebra)}),
+                      ("scalar_chain", SCALAR_CHAIN), ("scalar_n5_chain", SCALAR_N5_CHAIN)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files[name] = str(path)
+    return files
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

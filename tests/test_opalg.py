@@ -232,6 +232,19 @@ def test_atom_order_is_independent_of_input_order():
         assert LatticeOperator.make(1, 1, [a, b]).atoms == LatticeOperator.make(1, 1, [b, a]).atoms
 
 
+def test_glued_atoms_are_independent_of_input_order():
+    # unit squares of a 3x3 grid glue into the same boxes however they arrive
+    one = LaurentPoly.one(2)
+    for seed in range(300):
+        rng = random.Random(seed)
+        cells = [(x, y) for x in range(3) for y in range(3) if rng.random() < 0.6]
+        atoms = [KernelAtom((0, 0), matrix([[1]]), one, Box.of([(x, x + 1), (y, y + 1)]))
+                 for x, y in cells]
+        shuffled = atoms[:]
+        rng.shuffle(shuffled)
+        assert LatticeOperator.make(2, 1, atoms).atoms == LatticeOperator.make(2, 1, shuffled).atoms, cells
+
+
 def test_restrict_matches_projector_composition():
     rng = random.Random(11)
     for trial in range(200):

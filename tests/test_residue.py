@@ -1,16 +1,27 @@
 """Operator-trace residues against the coefficient-extraction oracle."""
 
+import importlib
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from parshin.errors import ShapeMismatch
+from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
 from parshin.liealg import sl2
-from parshin.opalg import derivation_operator, mul_operator, projector
+from parshin.opalg import (
+    Box,
+    KernelAtom,
+    LatticeOperator,
+    derivation_operator,
+    mul_operator,
+    projector,
+)
 from parshin.residue import (
+    MAX_WORK,
     ResidueReport,
     ack_residue_n1,
     raw_sum,
@@ -18,7 +29,13 @@ from parshin.residue import (
     residue,
     residue_det_monomial,
 )
-from parshin.sampling import random_laurent, random_lie_element
+from parshin.sampling import (
+    random_cube_element,
+    random_laurent,
+    random_lie_element,
+    random_matrix,
+    random_operator,
+)
 
 
 def mono(n, exp, c=1):
@@ -138,6 +155,110 @@ def test_walk_matches_enumeration_polynomials():
     for cuts in (None, (-1, 2)):
         value = raw_sum(ops, cuts)
         assert value != 0 and value == brute_raw_sum(ops, cuts)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotTraceClass:
+        return NotTraceClass
+
+
+def random_multi_atom_operator(rng, n, d):
+    """Bounded boxes, multi-term multiplications or half-space cube components."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_operator(rng, n, d, atoms=rng.randint(2, 3), shift_bound=1)
+    if kind == 1:
+        if d == 1:
+            return mul_operator(random_laurent(rng, n, max_terms=3, exp_bound=1))
+        return mul_operator(GLaurent.make(n, sl2(), {
+            tuple(rng.randint(-1, 1) for _ in range(n)): random_lie_element(rng, sl2())
+            for _ in range(rng.randint(1, 3))}))
+    element = random_cube_element(rng, n, rng.randint(1, n), d, shift_bound=1)
+    return rng.choice(list(element.components.values()))
+
+
+def balancing_operator(rng, ops):
+    """Atoms on full boxes, most of them cancelling the shifts of one atom of each op."""
+    n, d = ops[0].n, ops[0].d
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7 and all(op.atoms for op in ops):
+            shift = tuple(-sum(col) for col in zip(*(rng.choice(op.atoms).shift for op in ops)))
+        else:
+            shift = tuple(rng.randint(-1, 1) for _ in range(n))
+        atoms.append(KernelAtom(shift, random_matrix(rng, d),
+                                LaurentPoly.one(n).scale(random_nonzero(rng)), Box.full(n)))
+    return LatticeOperator.make(n, d, atoms)
+
+
+def test_pruned_walk_matches_enumeration_multi_atom():
+    rng = random.Random(19)
+    nonzero = 0
+    for n, d, trials in ((1, 1, 30), (2, 1, 30), (2, 3, 10), (3, 1, 10)):
+        for _ in range(trials):
+            fs = [random_multi_atom_operator(rng, n, d) for _ in range(n)]
+            ops = [balancing_operator(rng, fs)] + fs
+            cuts = random_cuts(rng, n)
+            expected = outcome(brute_raw_sum, ops, cuts)
+            assert outcome(raw_sum, ops, cuts) == expected, (ops, cuts)
+            nonzero += expected != 0 and any(len({a.shift for a in f.atoms}) > 1 for f in fs)
+    assert nonzero >= 10  # the per-prefix filter ran on words that reach the trace
+
+
+# -- monomial tuples: only balanced ones are traced -----------------------------
+
+def product_raw_sum_polys(f0, fs, cuts=None):
+    """Reference: raw_sum on every monomial tuple of f_0..f_n, balanced or not."""
+    n = f0.n
+    total = Fraction(0)
+    for combo in itertools.product(*(f.terms for f in [f0] + fs)):
+        coeff = math.prod(c for _, c in combo)
+        total += coeff * raw_sum([mul_operator(mono(n, exp)) for exp, _ in combo], cuts)
+    return total
+
+
+def random_poly_with_balancing_terms(rng, fs, terms):
+    """Up to ``terms`` terms, most of them balancing some tuple of terms of fs."""
+    n = len(fs)
+    out = {}
+    for _ in range(terms):
+        if rng.random() < 0.7:
+            combo = [rng.choice(f.terms)[0] for f in fs]
+            exp = tuple(-sum(col) for col in zip(*combo))
+        else:
+            exp = tuple(rng.randint(-3, 3) for _ in range(n))
+        out[exp] = random_nonzero(rng)
+    return LaurentPoly.make(n, out)
+
+
+def test_balanced_tuples_match_the_tuple_expansion():
+    rng = random.Random(23)
+    nonzero = 0
+    for n, trials in ((1, 15), (2, 15), (3, 8)):
+        for _ in range(trials):
+            fs = [random_laurent(rng, n, max_terms=3, exp_bound=3) for _ in range(n)]
+            f0 = random_poly_with_balancing_terms(rng, fs, rng.randint(1, 3))
+            cuts = random_cuts(rng, n)
+            value = raw_sum_polys(f0, fs, cuts)
+            assert value == product_raw_sum_polys(f0, fs, cuts), (f0, fs, cuts)
+            nonzero += value != 0
+    assert nonzero >= 10
+
+
+def test_work_over_the_bound_is_refused_before_any_operator(monkeypatch):
+    def no_operators(f):
+        raise AssertionError("an operator was built for a refused form")
+
+    monkeypatch.setattr(importlib.import_module("parshin.residue"), "mul_operator", no_operators)
+    k = next(k for k in range(1, 100) if 24 * k ** 4 > MAX_WORK)
+    fs = [LaurentPoly.make(4, {tuple(e if i == j else 0 for i in range(4)): 1
+                               for e in range(1, k + 1)}) for j in range(4)]
+    start = time.perf_counter()
+    with pytest.raises(ArityError, match=str(MAX_WORK)):
+        residue(mono(4, (-1, -1, -1, -1)), fs)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the residue and its report ------------------------------------------------
