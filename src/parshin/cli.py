@@ -130,28 +130,13 @@ def cmd_virasoro(args) -> int:
     return 0
 
 
-FIXTURE_SUITES = ("residue-fixtures", "heisenberg", "kac-moody", "virasoro")
-
-
 def cmd_verify(args) -> int:
-    suites = ("all", "fixtures", *sorted(_verify.SUITES))
-    if args.suite not in suites:
-        raise ArityError(f"unknown suite {args.suite!r}; choose from {', '.join(suites)}")
     if args.trials < 1:
         raise ArityError("--trials must be at least 1")
     if args.degree_bound < 0:
         raise ArityError("--degree-bound must be at least 0")
-    if args.suite == "fixtures":
-        report = _verify._merge(
-            _verify.check_classical_residue(),
-            _verify.check_heisenberg(),
-            _verify.check_kac_moody(),
-            _verify.check_virasoro(),
-            _verify.check_rho(trials=100, seed=0),
-        )
-    else:
-        report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
-                                   trials=args.trials, degree_bound=args.degree_bound)
+    report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
+                               trials=args.trials, degree_bound=args.degree_bound)
     payload = report.to_json_dict()
     lines = [f"suite   = {report.name}",
              f"checks  = {report.checks}",

@@ -43,11 +43,10 @@ def raw_sum(operators, cuts=None) -> Fraction:
     be trace-class; NotTraceClass propagates.
 
     Only shift-0 atoms reach a trace, and atoms merge only with atoms of
-    equal shift, so an atom of a prefix whose shift the unplaced f_j cannot
-    cancel changes no trace and is dropped.  Before any sandwich is built,
-    f_0 keeps only the atoms some word can bring back to shift 0, and the
-    sum is 0 when none is left.  When every f_j has a single shift this
-    root test decides everything and the walk filters nothing.
+    equal shift, so an atom of f_0 whose shift no product of the f_j can
+    cancel changes no trace.  Before any sandwich is built, f_0 keeps only
+    the atoms some word can bring back to shift 0, and the sum is 0 when
+    none is left.
     """
     operators = list(operators)
     n, d = operators[0].n, operators[0].d
@@ -58,23 +57,15 @@ def raw_sum(operators, cuts=None) -> Fraction:
         raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
     cuts = _cuts(n, cuts)
 
-    # cancel[mask]: the negated shifts that a product of the f_j with j - 1
-    # in the bit set ``mask`` can take (their atom shifts' Minkowski sum)
-    shifts = [{a.shift for a in op.atoms} for op in operators]
-    cancel = [{(0,) * n}]
-    for mask in range(1, 1 << n):
-        j = mask.bit_length()
-        cancel.append({tuple(r - s for r, s in zip(rest, shift))
-                       for rest in cancel[mask ^ (1 << (j - 1))] for shift in shifts[j]})
-
-    def reachable(op, mask):
-        return LatticeOperator(n, d, tuple(a for a in op.atoms if a.shift in cancel[mask]))
-
-    full = (1 << n) - 1
-    f0 = reachable(operators[0], full)
+    # the negated shifts a product of f_1..f_n can take (the Minkowski sum
+    # of their atom shifts)
+    cancel = {(0,) * n}
+    for op in operators[1:]:
+        cancel = {tuple(r - s for r, s in zip(rest, shift))
+                  for rest in cancel for shift in {a.shift for a in op.atoms}}
+    f0 = LatticeOperator(n, d, tuple(a for a in operators[0].atoms if a.shift in cancel))
     if f0.is_structurally_zero():
         return Fraction(0)
-    prune = any(len(s) > 1 for s in shifts[1:])
 
     # (axis, j) -> [(sign of g, S(axis, j, g))] over the nonzero sandwiches
     surviving = {
@@ -84,25 +75,22 @@ def raw_sum(operators, cuts=None) -> Fraction:
     }
 
     def walk(axis, prefix, sign, placed):
-        if prune:
-            prefix = reachable(prefix, full ^ placed)
         if prefix.is_structurally_zero():
             return Fraction(0)
         if axis == 0:
             return sign * prefix.trace()
         total = Fraction(0)
         for j in range(1, n + 1):
-            bit = 1 << (j - 1)
-            if placed & bit:
+            if j in placed:
                 continue
-            inversions = bin(placed & (bit - 1)).count("1")
+            inversions = sum(1 for k in placed if k < j)
             perm_sign = -sign if inversions % 2 else sign
             for g_sign, sandwich in surviving[axis, j]:
                 total += walk(axis - 1, sandwich.compose(prefix), perm_sign * g_sign,
-                              placed | bit)
+                              placed + (j,))
         return total
 
-    return walk(n, f0, 1, 0)
+    return walk(n, f0, 1, ())
 
 
 @dataclass(frozen=True)

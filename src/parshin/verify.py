@@ -16,6 +16,7 @@ from . import cocycle as _cocycle
 from . import cube as _cube
 from . import liealg as _liealg
 from .chains import TensorChain, WedgeChain
+from .errors import ArityError
 from .laurent import GLaurent, LaurentPoly, _perm_sign, parshin_oracle, partial
 from .opalg import mul_operator
 from .residue import ack_residue_n1, raw_sum, residue, residue_det_monomial
@@ -515,8 +516,13 @@ def _merge(*reports) -> CheckReport:
 
 
 def run_suite(name, n=2, seed=1, trials=25, degree_bound=2) -> CheckReport:
+    """One seeded suite, ``"all"`` of them, or the seedless ``"fixtures"``."""
+    if name == "fixtures":
+        return _merge(check_classical_residue(), check_heisenberg(), check_kac_moody(),
+                      check_virasoro(), check_rho(trials=100, seed=0))
     if name == "all":
         return _merge(*(SUITES[key](n, seed, trials, degree_bound) for key in SUITES))
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        names = ", ".join(("all", "fixtures", *sorted(SUITES)))
+        raise ArityError(f"unknown suite {name!r}; choose from {names}")
     return SUITES[name](n, seed, trials, degree_bound)

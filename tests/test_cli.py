@@ -233,19 +233,9 @@ def test_virasoro_rejects_max_m_below_one(capsys):
         assert_error(capsys, ["virasoro", "--max-m", max_m, "--json"], "ArityError", "--max-m")
 
 
-def test_residue_refuses_work_over_the_bound(capsys):
-    from parshin.residue import MAX_WORK
-
-    # f_j = t_j + t_j^2 + ... + t_j^k: n! * k^n words at n = 4
-    k = next(k for k in range(1, 100) if 24 * k ** 4 > MAX_WORK)
-    slots = [" + ".join(f"t{j}^{e}" for e in range(1, k + 1)) for j in range(1, 5)]
-    form = " ; ".join(["t1^-1*t2^-1*t3^-1*t4^-1"] + slots)
-    assert_error(capsys, ["residue", "--form", form, "--json"], "ArityError",
-                 str(24 * k ** 4), str(MAX_WORK))
-
-
 def test_cocycle_caps_n(tmp_path, capsys):
-    for n, code in ((4, 0), (5, 1), (6, 1)):
+    # n = 5 is pinned in tests/test_golden_outputs.py
+    for n, code in ((4, 0), (6, 1)):
         exps = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
         path = tmp_path / f"chain{n}.json"
         path.write_text(json.dumps({"n": n, "algebra": "scalar",
@@ -255,10 +245,3 @@ def test_cocycle_caps_n(tmp_path, capsys):
         else:
             assert_error(capsys, ["cocycle", "--input", str(path), "--json"],
                          "ArityError", f"n = {n}", "n <= 4")
-
-
-def test_verify_rejects_unknown_suites_and_negative_degree_bounds(capsys):
-    assert_error(capsys, ["verify", "--suite", "bogus", "--json"], "ArityError",
-                 "'bogus'", "all, fixtures, chains, cocycle, cube")
-    assert_error(capsys, ["verify", "--suite", "cocycle", "--degree-bound", "-1", "--json"],
-                 "ArityError", "--degree-bound")

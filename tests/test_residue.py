@@ -204,7 +204,7 @@ def test_pruned_walk_matches_enumeration_multi_atom():
             expected = outcome(brute_raw_sum, ops, cuts)
             assert outcome(raw_sum, ops, cuts) == expected, (ops, cuts)
             nonzero += expected != 0 and any(len({a.shift for a in f.atoms}) > 1 for f in fs)
-    assert nonzero >= 10  # the per-prefix filter ran on words that reach the trace
+    assert nonzero >= 10  # multi-shift f_j whose words reach the trace
 
 
 # -- monomial tuples: only balanced ones are traced -----------------------------
