@@ -10,15 +10,7 @@ arithmetic.
 """
 
 from .chains import TensorChain, WedgeChain
-from .cocycle import (
-    CocycleInput,
-    operator_vs_closed_form,
-    phi,
-    phi_closed_form,
-    verify_cocycle,
-    virasoro_phi,
-    virasoro_table,
-)
+from .cocycle import CocycleInput, phi, phi_closed_form, virasoro_phi, virasoro_table
 from .cube import (
     CubeElement,
     boundary,
@@ -43,6 +35,7 @@ from .opalg import (
     projector,
 )
 from .residue import ResidueReport, ack_residue_n1, raw_sum, residue, residue_det_monomial
+from .verify import operator_vs_closed_form, verify_cocycle
 
 __version__ = "0.1.0"
 

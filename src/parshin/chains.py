@@ -6,10 +6,13 @@ combinations of pure wedges f_0 ^ ... ^ f_r.  Tails are formal wedges kept in
 a canonical sorted order with sign tracking; terms with a repeated factor are
 dropped.
 
-Every participating element type exposes ``bracket``, ``scale``, ``__add__``
-and ``is_zero``; Laurent polynomials bracket to zero (abelian), lattice
-operators bracket by commutator, and cube elements by componentwise
-commutator, which is how the spectral-sequence lift reuses this module.
+Every participating element type exposes ``scale``, ``__add__`` and
+``is_zero``, and ``bracket_of`` brackets two elements of one type: Laurent
+polynomials to zero (abelian), lattice operators by commutator, Lie and
+loop elements by their own ``bracket``.  A head is acted on by the same
+bracket, so heads and tail factors share one type.  The spectral-sequence
+lift (``cube.lift_iterative``) keeps its own bookkeeping and does not use
+these chains.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModuleActionUndefined
+from .errors import ArityError, ModuleActionUndefined
 from .laurent import GLaurent, LaurentPoly
 from .liealg import LieElement
-from .opalg import LatticeOperator, atom_key
+from .opalg import LatticeOperator, atom_key, derivation_operator
 
 
 def bracket_of(a, b):
@@ -34,23 +37,6 @@ def bracket_of(a, b):
         return a.bracket(b)
     raise ModuleActionUndefined(
         f"no bracket between {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def module_action(head, f):
-    """[head, f]: the action of the algebra element f on the module element head."""
-    if isinstance(head, LatticeOperator) and isinstance(f, LatticeOperator):
-        return head.commutator(f)
-    if isinstance(head, LaurentPoly) and isinstance(f, LaurentPoly):
-        head._check(f)
-        return LaurentPoly.zero(head.n)
-    if hasattr(head, "bracket"):
-        try:
-            return head.bracket(f)
-        except TypeError as exc:
-            raise ModuleActionUndefined(str(exc)) from exc
-    raise ModuleActionUndefined(
-        f"no action of {type(f).__name__} on {type(head).__name__}"
     )
 
 
@@ -191,7 +177,7 @@ class TensorChain:
         for head, tail in self.terms:
             r = len(tail)
             for i in range(1, r + 1):
-                new_head = module_action(head, tail[i - 1]).scale((-1) ** i)
+                new_head = bracket_of(head, tail[i - 1]).scale((-1) ** i)
                 new_tail = tail[:i - 1] + tail[i:]
                 d1_items.append((new_head, new_tail))
             for i in range(1, r + 1):
@@ -300,8 +286,6 @@ class WedgeChain:
 # use {"s": [2], "i": 1} for t^s d/dt_i.
 
 def factor_from_json(doc, n, algebra=None):
-    from .opalg import derivation_operator
-
     if not isinstance(doc, dict):
         raise ValueError(f"a chain factor must be an object, got {doc!r}")
     if "Y" in doc:
@@ -309,35 +293,46 @@ def factor_from_json(doc, n, algebra=None):
             raise ValueError("Lie-algebra factors need an algebra")
         element = algebra.by_name(doc["Y"])
         if "coeff" in doc:
-            element = element.scale(Fraction(doc["coeff"]))
-        return GLaurent.monomial(n, element, _list_field(doc, "exp", "chain factor"))
+            element = element.scale(_fraction(doc["coeff"], "chain factor"))
+        return GLaurent.monomial(n, element, _int_list(doc, "exp"))
     if "s" in doc:
-        return derivation_operator(n, _list_field(doc, "s", "chain factor"), int(doc.get("i", 1)))
-    coeff = Fraction(doc.get("coeff", 1))
-    return LaurentPoly.monomial(n, _list_field(doc, "exp", "chain factor"), coeff)
+        axis = doc.get("i", 1)
+        if type(axis) is not int:
+            raise ValueError(f"chain factor {doc!r} needs an integer 'i'")
+        return derivation_operator(n, _int_list(doc, "s"), axis)
+    return LaurentPoly.monomial(n, _int_list(doc, "exp"), _fraction(doc.get("coeff", 1), "chain factor"))
 
 
-def _list_field(doc, key, what):
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, list):
-        raise ValueError(f"{what} {doc!r} needs a {key!r} list")
+def _int_list(doc, key):
+    value = doc.get(key)
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"chain factor {doc!r} needs {key!r} as a list of integers")
     return tuple(value)
 
 
-def term_factors(term, n, algebra=None) -> tuple:
-    """The factors of one chain-JSON term, f_0 first."""
-    return tuple(factor_from_json(f, n, algebra)
-                 for f in _list_field(term, "factors", "chain term"))
+def _fraction(value, what):
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"{what} coefficient {value!r} is not a rational") from None
+
+
+def read_chain(doc, algebra=None) -> tuple:
+    """(n, [(coeff, factors), ...]) of a chain document, f_0 first in each term."""
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int or not isinstance(doc.get("terms"), list):
+        raise ArityError("a chain document needs an integer 'n' and a 'terms' list")
+    terms = []
+    for term in doc["terms"]:
+        factors = term.get("factors") if isinstance(term, dict) else None
+        if not isinstance(factors, list):
+            raise ValueError(f"chain term {term!r} needs a 'factors' list")
+        terms.append((_fraction(term.get("coeff", 1), "chain term"),
+                      tuple(factor_from_json(f, doc["n"], algebra) for f in factors)))
+    return doc["n"], terms
 
 
 def wedge_from_json(doc, algebra=None) -> WedgeChain:
-    n = int(doc["n"])
-    items = []
-    length = None
-    for term in doc["terms"]:
-        factors = term_factors(term, n, algebra)
-        length = len(factors) if length is None else length
-        items.append((Fraction(term.get("coeff", 1)), factors))
-    if length is None:
+    _, terms = read_chain(doc, algebra)
+    if not terms:
         raise ValueError("chain document has no terms")
-    return WedgeChain.make(length, items)
+    return WedgeChain.make(len(terms[0][1]), terms)

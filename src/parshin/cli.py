@@ -13,13 +13,13 @@ from fractions import Fraction
 
 from . import cocycle as _cocycle
 from . import verify as _verify
-from .chains import term_factors
+from .chains import read_chain
 from .errors import ArityError, MixedFlavors, ParseError, ParshinError
 from .laurent import _from_sparse, _parse_sparse
 from .liealg import load_algebra
 from .residue import residue
 
-# the trace sum walks up to n! * 2^n words per monomial tuple
+# the trace sum walks up to n! words per monomial tuple
 MAX_N = 4
 
 
@@ -94,19 +94,16 @@ def cmd_residue(args) -> int:
 def cmd_cocycle(args) -> int:
     with open(args.input) as handle:
         doc = json.load(handle)
-    if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("terms"), list):
-        raise ArityError("chain file needs 'n' and 'terms' fields")
     algebra = None
-    algebra_ref = doc.get("algebra")
+    algebra_ref = doc.get("algebra") if isinstance(doc, dict) else None
     if args.algebra:
         algebra = load_algebra(args.algebra)
-    elif algebra_ref and algebra_ref != "scalar":
+    elif isinstance(algebra_ref, str) and algebra_ref != "scalar":
         algebra = load_algebra(algebra_ref)
-    n = int(doc["n"])
+    n, terms = read_chain(doc, algebra)
     _check_n(n)
     # the first factor is the distinguished f0 slot; order is preserved
-    wedges = [_cocycle.CocycleInput.classify(term_factors(term, n, algebra))
-              for term in doc["terms"]]
+    wedges = [_cocycle.CocycleInput.classify(factors) for _, factors in terms]
     flavors = sorted({wedge.flavor for wedge in wedges})
     if len(flavors) != 1:
         raise MixedFlavors(f"chain terms must share one flavor, got {flavors or 'no terms'}")
@@ -114,8 +111,8 @@ def cmd_cocycle(args) -> int:
     if args.flavor is not None and args.flavor != flavor:
         raise MixedFlavors(f"--flavor {args.flavor} given, but the chain's entries are {flavor}")
     total = Fraction(0)
-    for term, wedge in zip(doc["terms"], wedges):
-        total += Fraction(term.get("coeff", 1)) * _cocycle.phi(wedge, cuts=_cuts_arg(args, n))
+    for (coeff, _), wedge in zip(terms, wedges):
+        total += coeff * _cocycle.phi(wedge, cuts=_cuts_arg(args, n))
     payload = {"flavor": flavor, "n": n, "value": str(total)}
     _emit(payload, args.json, [f"flavor = {flavor}", f"n      = {n}", f"value  = {total}"])
     return 0

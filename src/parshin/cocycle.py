@@ -12,14 +12,14 @@ n = 1 specializations below fix this normalization) on three input flavors:
   is the Virasoro cocycle  phi(L_m ^ L_-m) = -(m^3 - m)/6.
 
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
-multiloop wedges; ``verify_cocycle`` machine-checks the cocycle identity by
-evaluating phi on boundaries of random wedges.
+multiloop wedges.  The seeded checks of the cocycle identity and of the
+closed form live in :mod:`parshin.verify`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import TensorChain, WedgeChain
@@ -173,171 +173,3 @@ def virasoro_phi(m, cut=0) -> Fraction:
 def virasoro_table(max_m, cut=0):
     return [(m, virasoro_phi(m, cut)) for m in range(1, max_m + 1)]
 
-
-# ---------------------------------------------------------------------------
-# Machine verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CocycleReport:
-    """Result of evaluating phi on boundaries of random wedges."""
-
-    flavor: str
-    n: int
-    trials: int
-    seed: int
-    degree_bound: int
-    nonzero: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.nonzero
-
-    def to_json_dict(self):
-        return {
-            "flavor": self.flavor,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "degree_bound": self.degree_bound,
-            "passed": self.passed,
-            "nonzero": self.nonzero,
-        }
-
-
-def _random_entry(rng, flavor, n, degree_bound, algebra, zero_sum_exponent=None):
-    from .sampling import random_lie_element
-
-    exp = tuple(rng.randint(-degree_bound, degree_bound) for _ in range(n)) \
-        if zero_sum_exponent is None else zero_sum_exponent
-    if flavor == "multiloop":
-        return GLaurent.monomial(n, random_lie_element(rng, algebra), exp)
-    if flavor == "scalar":
-        return LaurentPoly.monomial(n, exp, 1)
-    return virasoro_generator(exp[0])
-
-
-def verify_cocycle(flavor, n, degree_bound=2, trials=50, seed=1, algebra=None, cuts=None) -> CocycleReport:
-    """Evaluate phi on boundaries of random (n+2)-wedges; report any nonzero value.
-
-    A boundary of f_0 ^ ... ^ f_(n+1) is a cycle with canonical lift
-    delta(f_0 (x) f_1 ^ ... ^ f_(n+1)), and phi on a lifted cycle is by
-    definition the trace formula on the lift.  The evaluation therefore goes
-    through the tensor differential, which keeps the distinguished f_0 slot
-    in place.  (Reading the raw wedge boundary with brackets in the first
-    slot instead is *not* equivalent for n >= 2: the formula is not slot-0
-    alternating off cycles; see :func:`naive_wedge_coboundary`.)
-
-    The cocycle identity predicts zero on every trial; a nonzero value is
-    surfaced as a finding, not an exception.
-    """
-    import random
-
-    if flavor not in FLAVORS:
-        raise MixedFlavors(f"unknown flavor {flavor!r}")
-    if flavor == "multiloop" and algebra is None:
-        from .liealg import sl2
-
-        algebra = sl2()
-    rng = random.Random(seed)
-    report = CocycleReport(flavor, n, trials, seed, degree_bound)
-    for trial in range(trials):
-        entries = _boundary_trial_entries(rng, flavor, n, degree_bound, algebra)
-        chain = TensorChain.single(entries[0], tuple(entries[1:]))
-        value = phi_tensor_chain(chain.ce_diff(), cuts)
-        if value != 0:
-            report.nonzero.append({
-                "trial": trial,
-                "value": str(value),
-            })
-    return report
-
-
-def _boundary_trial_entries(rng, flavor, n, degree_bound, algebra):
-    exps = [tuple(rng.randint(-degree_bound, degree_bound) for _ in range(n))
-            for _ in range(n + 2)]
-    if rng.random() < 0.5:
-        # force total exponent zero per axis so individual phi terms are nonzero
-        for j in range(n):
-            last = list(exps[-1])
-            last[j] = -sum(e[j] for e in exps[:-1])
-            exps[-1] = tuple(last)
-    entries = [_random_entry(rng, flavor, n, degree_bound, algebra, exp) for exp in exps]
-    if flavor == "vectorfield":
-        # wedge the operators themselves so the differential brackets by commutator
-        entries = [entry_operator(e) for e in entries]
-    return entries
-
-
-def naive_wedge_coboundary(flavor, n, degree_bound=2, trials=10, seed=1, algebra=None, cuts=None):
-    """Diagnostic: phi of raw wedge boundaries, first factor in the f_0 slot.
-
-    For n = 1 this agrees with :func:`verify_cocycle` (the formula is fully
-    alternating there); for n >= 2 it measures the slot-0 defect of the
-    formula off cycles, and nonzero values are expected findings.
-    """
-    import random
-
-    if flavor == "multiloop" and algebra is None:
-        from .liealg import sl2
-
-        algebra = sl2()
-    rng = random.Random(seed)
-    values = []
-    for _ in range(trials):
-        entries = _boundary_trial_entries(rng, flavor, n, degree_bound, algebra)
-        wedge = WedgeChain.single(tuple(entries))
-        values.append(phi_wedge_chain(wedge.ce_diff_trivial(), cuts))
-    return values
-
-
-@dataclass
-class ComparisonReport:
-    n: int
-    trials: int
-    seed: int
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.mismatches
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "passed": self.passed,
-            "mismatches": self.mismatches,
-        }
-
-
-def operator_vs_closed_form(n, trials=25, seed=1, algebra=None, cuts=None) -> ComparisonReport:
-    """Compare the operator-trace phi with the Killing-form closed form."""
-    import random
-
-    from .sampling import random_lie_element
-
-    if algebra is None:
-        from .liealg import sl2
-
-        algebra = sl2()
-    rng = random.Random(seed)
-    report = ComparisonReport(n, trials, seed)
-    for trial in range(trials):
-        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + 1)]
-        if trial % 2 == 0:
-            for j in range(n):
-                rows[0][j] = -sum(rows[i][j] for i in range(1, n + 1))
-        elements = [random_lie_element(rng, algebra) for _ in range(n + 1)]
-        entries = [GLaurent.monomial(n, el, tuple(row)) for el, row in zip(elements, rows)]
-        direct = phi(entries, cuts)
-        closed = phi_closed_form(elements, rows)
-        if direct != closed:
-            report.mismatches.append({
-                "trial": trial,
-                "operator": str(direct),
-                "closed_form": str(closed),
-                "exponents": rows,
-            })
-    return report

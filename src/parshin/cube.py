@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
-from .opalg import LatticeOperator, _cuts, region, sandwiches
+from .opalg import LatticeOperator, _cuts, projector_commutator, region
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -439,8 +439,7 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
         base_sign = prefactor * ((-1) ** sum(w_tuple)) * rho(w_tuple)
         inner = fs[0]
         for axis in range(n, n - p, -1):  # axis n holds f_(w_1), axis n-p+1 holds f_(w_p)
-            (_, plus), (_, minus) = sandwiches(fs[w_tuple[n - axis]], axis, cuts)
-            inner = (plus - minus).compose(inner)
+            inner = projector_commutator(fs[w_tuple[n - axis]], axis, cuts).compose(inner)
         sums = heads.setdefault(tuple(sorted(w_tuple)), {})
         for word in sign_strings(n - p, 1):
             image = region(cuts, dict(enumerate(word, 1)))

@@ -66,4 +66,9 @@ class ParseError(ParshinError):
 
 
 class ArityError(ParshinError):
-    """A residue form with the wrong number of polynomials."""
+    """A CLI input out of the accepted range.
+
+    A residue form with the wrong number of polynomials, n over the cap,
+    work over the limit, a chain document without an integer n or a terms
+    list, an unknown suite, or a count or bound below its minimum.
+    """

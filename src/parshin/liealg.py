@@ -229,15 +229,22 @@ def sl2() -> LieAlgebra:
 # 0-based and only i < j entries are allowed (antisymmetry fills the rest).
 
 def from_json_dict(doc) -> LieAlgebra:
-    dim = int(doc["dim"])
+    if not isinstance(doc, dict) or type(doc.get("dim")) is not int:
+        raise ValueError("a Lie-algebra document needs an integer 'dim'")
+    dim = doc["dim"]
     basis = tuple(doc.get("basis") or (f"e{i}" for i in range(dim)))
     structure = {}
     for entry in doc.get("brackets", ()):
-        i, j = int(entry["i"]), int(entry["j"])
-        if not i < j:
-            raise ParshinError(f"bracket entry must have i < j, got ({i}, {j})")
+        if (not isinstance(entry, dict) or type(entry.get("i")) is not int
+                or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
+            raise ValueError(f"bracket entry {entry!r} needs integer 'i', 'j' and a 'coeffs' object")
+        i, j = entry["i"], entry["j"]
+        if not 0 <= i < j < dim:
+            raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
         vec = [Fraction(0)] * dim
         for k, c in entry["coeffs"].items():
+            if not 0 <= int(k) < dim or type(c) not in (int, str):
+                raise ValueError(f"bracket coefficient {k!r}: {c!r} is not an index and a rational")
             vec[int(k)] = Fraction(c)
         structure[(i, j)] = tuple(vec)
         structure[(j, i)] = tuple(-c for c in vec)

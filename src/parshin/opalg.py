@@ -9,8 +9,9 @@ and composition and contains everything the residue and cocycle formulas
 generate: multiplication operators, derivations t^s d/dt_i, the half-space
 projectors P_i^+-, and their products.  A product of projectors is the
 indicator of a box (``region``) and is applied by cutting atom boxes
-(``LatticeOperator.restrict``, ``sandwiches``), not by composition; a signed
-sum of such cuts is normalized once (``LatticeOperator.combine``).
+(``LatticeOperator.restrict``, ``projector_commutator``), not by
+composition; a signed sum of such cuts is normalized once
+(``LatticeOperator.combine``).
 
 Operator identity is semantic.  Equality and the trace both refine the atoms
 into box-arrangement cells per axis and decide vanishing of the cell-wise
@@ -580,10 +581,19 @@ def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     return LatticeOperator.identity(n, d).restrict(region((cut,) * n, {axis: sign}), Box.full(n))
 
 
-def sandwiches(f, axis, cuts):
-    """((+1, P_axis^- f P_axis^+), (-1, P_axis^+ f P_axis^-)): the terms (-1)^g P^(-g) f P^(g)."""
+def projector_commutator(f, axis, cuts) -> LatticeOperator:
+    """[f, P_axis^+] = P_axis^- f P_axis^+ - P_axis^+ f P_axis^-, Tate's commutator.
+
+    Both cuts of every atom go through one ``make``; each resulting atom is
+    bounded on the axis.
+    """
     plus, minus = region(cuts, {axis: "+"}), region(cuts, {axis: "-"})
-    return ((1, f.restrict(minus, plus)), (-1, f.restrict(plus, minus)))
+    return LatticeOperator.make(f.n, f.d, [
+        KernelAtom(a.shift, a.matrix, a.weight if c == 1 else a.weight.scale(c),
+                   a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
+        for c, image, domain in ((1, minus, plus), (-1, plus, minus))
+        for a in f.atoms
+    ])
 
 
 def mul_operator(f) -> LatticeOperator:

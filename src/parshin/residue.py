@@ -18,33 +18,34 @@ from fractions import Fraction
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, parshin_oracle
 from .matrices import det
-from .opalg import LatticeOperator, _cuts, mul_operator, projector, sandwiches
+from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
 def raw_sum(operators, cuts=None) -> Fraction:
-    """tau sum over pi in S_n, g in {+,-}^n of sgn(pi) (-1)^(g_1+...+g_n)
-    (P_1^(-g_1) f_pi(1) P_1^(g_1)) ... (P_n^(-g_n) f_pi(n) P_n^(g_n)) f_0.
+    """tau sum over pi in S_n of sgn(pi) [f_pi(1), P_1^+] ... [f_pi(n), P_n^+] f_0.
 
-    The conjugations are plain multiplications: sandwiched between opposite
-    projectors, the second commutator term of an adjoint action dies.
+    Each commutator [f, P_axis^+] = P_axis^- f P_axis^+ - P_axis^+ f P_axis^-
+    is Tate's.  The conjugations are plain multiplications: sandwiched
+    between opposite projectors, the second commutator term of an adjoint
+    action dies.  Summing the two signs before the trace is exact: every
+    commutator atom is bounded on its axis, so every word is finitely
+    supported.
 
     The words share prefixes, so they are walked as a tree rather than built
-    one by one.  The 2n^2 sandwiches S(axis, j, g) = P_axis^(-g) f_j
-    P_axis^(g) are built once, and the structurally zero ones dropped (a
-    monomial keeps at most one sign per (axis, j), none when its exponent on
-    that axis is 0).  The walk starts from f_0 and goes depth first from
-    axis n down to axis 1, at each level composing one unused f_j's
-    surviving sandwiches onto the current prefix.  A structurally zero
-    prefix is pruned with every word that extends it.  The sign travels
-    down the walk: each placement of j adds as many inversions of pi as
-    there are smaller indices already placed, and each "-" flips it.
-    Composition is associative and exact, so the value equals the
-    word-by-word sum.  Every surviving word is traced on its own and must
-    be trace-class; NotTraceClass propagates.
+    one by one.  The n^2 commutators C(axis, j) = [f_j, P_axis^+] are built
+    once, and the structurally zero ones dropped (a monomial's is zero when
+    its exponent on that axis is 0).  The walk starts from f_0 and goes depth
+    first from axis n down to axis 1, at each level composing one unused
+    f_j's commutator onto the current prefix.  A structurally zero prefix is
+    pruned with every word that extends it.  The sign travels down the walk:
+    each placement of j adds as many inversions of pi as there are smaller
+    indices already placed.  Composition is associative and exact, so the
+    value equals the word-by-word sum.  Every surviving word is traced on
+    its own.
 
     Only shift-0 atoms reach a trace, and atoms merge only with atoms of
     equal shift, so an atom of f_0 whose shift no product of the f_j can
-    cancel changes no trace.  Before any sandwich is built, f_0 keeps only
+    cancel changes no trace.  Before any commutator is built, f_0 keeps only
     the atoms some word can bring back to shift 0, and the sum is 0 when
     none is left.
     """
@@ -67,12 +68,13 @@ def raw_sum(operators, cuts=None) -> Fraction:
     if f0.is_structurally_zero():
         return Fraction(0)
 
-    # (axis, j) -> [(sign of g, S(axis, j, g))] over the nonzero sandwiches
-    surviving = {
-        (axis, j): [(g, s) for g, s in sandwiches(operators[j], axis, cuts)
-                    if not s.is_structurally_zero()]
-        for axis in range(1, n + 1) for j in range(1, n + 1)
-    }
+    # (axis, j) -> C(axis, j) over the nonzero commutators
+    commutators = {}
+    for axis in range(1, n + 1):
+        for j in range(1, n + 1):
+            c = projector_commutator(operators[j], axis, cuts)
+            if not c.is_structurally_zero():
+                commutators[axis, j] = c
 
     def walk(axis, prefix, sign, placed):
         if prefix.is_structurally_zero():
@@ -81,13 +83,11 @@ def raw_sum(operators, cuts=None) -> Fraction:
             return sign * prefix.trace()
         total = Fraction(0)
         for j in range(1, n + 1):
-            if j in placed:
+            if j in placed or (axis, j) not in commutators:
                 continue
             inversions = sum(1 for k in placed if k < j)
-            perm_sign = -sign if inversions % 2 else sign
-            for g_sign, sandwich in surviving[axis, j]:
-                total += walk(axis - 1, sandwich.compose(prefix), perm_sign * g_sign,
-                              placed + (j,))
+            total += walk(axis - 1, commutators[axis, j].compose(prefix),
+                          -sign if inversions % 2 else sign, placed + (j,))
         return total
 
     return walk(n, f0, 1, ())

@@ -9,9 +9,10 @@ import time
 from fractions import Fraction
 
 from parshin import verify as V
-from parshin.cocycle import phi, verify_cocycle, virasoro_phi
+from parshin.cocycle import phi, virasoro_phi
 from parshin.laurent import GLaurent, LaurentPoly
 from parshin.liealg import killing_nform, sl2
+from parshin.verify import verify_cocycle
 
 
 def _report(number, name, passed, elapsed=None):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parshin.chains import TensorChain, WedgeChain, bracket_of, module_action, wedge_from_json
+from parshin.chains import TensorChain, WedgeChain, bracket_of, wedge_from_json
 from parshin.errors import ModuleActionUndefined
 from parshin.laurent import GLaurent, LaurentPoly
 from parshin.liealg import abelian, heisenberg3, sl2
@@ -101,7 +101,6 @@ def test_scalar_action_is_abelian():
     f = LaurentPoly.monomial(1, (2,), 1)
     g = LaurentPoly.monomial(1, (-1,), 3)
     assert bracket_of(f, g).is_zero()
-    assert module_action(f, g).is_zero()
 
 
 def test_action_undefined():

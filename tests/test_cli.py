@@ -201,6 +201,57 @@ def test_cocycle_factor_without_exp(tmp_path, capsys):
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'exp'")
 
 
+def test_cocycle_term_coeff_must_be_rational(tmp_path, capsys):
+    chain = write_chain(tmp_path, [{"coeff": [1], "factors": [{"exp": [-1]}, {"exp": [1]}]}])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "[1]", "rational")
+
+
+def test_cocycle_factor_exp_must_hold_integers(tmp_path, capsys):
+    # string and float exponents used to give a wrong value, not an error
+    for exp in ([[1]], ["1"], [1.5]):
+        chain = write_chain(tmp_path, [{"factors": [{"exp": exp}, {"exp": [-1]}]}])
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'exp'", "integers")
+    chain = write_chain(tmp_path, [{"factors": [{"s": [2], "i": [1]}, {"s": [0]}]}])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'i'")
+
+
+def test_cocycle_chain_n_must_be_an_integer(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": [1], "algebra": "scalar",
+                                "terms": [{"factors": [{"exp": [-1]}, {"exp": [1]}]}]}))
+    assert_error(capsys, ["cocycle", "--input", str(path), "--json"], "ArityError", "'n'")
+
+
+def algebra_chain(tmp_path, algebra_doc):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra_doc))
+    return write_chain(tmp_path, [{"factors": [{"Y": "e0", "exp": [1]}, {"Y": "e1", "exp": [-1]}]}],
+                       algebra=str(path))
+
+
+def test_cocycle_algebra_file_without_dim(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, {})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'dim'")
+
+
+def test_cocycle_algebra_bracket_without_coeffs(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [{"i": 0, "j": 1}]})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'coeffs'")
+    for entry, error_type in (({"i": 0, "j": 5, "coeffs": {}}, "ParshinError"),
+                              ({"i": 0, "j": 1, "coeffs": {"-1": "1"}}, "ValueError"),
+                              ({"i": 0, "j": 1, "coeffs": {"0": [1]}}, "ValueError")):
+        chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [entry]})
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], error_type)
+
+
+def test_cocycle_algebra_file_that_is_a_list(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, [2, 0])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'dim'")
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [1]}, {"Y": "F", "exp": [-1]}]}],
+                        algebra=[2, 0])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "need an algebra")
+
+
 def test_cocycle_unknown_basis_name(tmp_path, capsys):
     chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [1]}, {"Y": "G", "exp": [-1]}]}],
                         algebra=sl2_path(tmp_path))

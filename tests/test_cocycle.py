@@ -8,12 +8,9 @@ import pytest
 from parshin.chains import TensorChain
 from parshin.cocycle import (
     CocycleInput,
-    naive_wedge_coboundary,
-    operator_vs_closed_form,
     phi,
     phi_closed_form,
     phi_tensor_chain,
-    verify_cocycle,
     virasoro_generator,
     virasoro_phi,
     virasoro_table,
@@ -22,6 +19,7 @@ from parshin.errors import MixedFlavors, NotCentreless
 from parshin.laurent import GLaurent, LaurentPoly
 from parshin.liealg import abelian, killing_nform, sl2
 from parshin.sampling import random_lie_element
+from parshin.verify import naive_wedge_coboundary, operator_vs_closed_form, verify_cocycle
 
 
 def gl(alg, name, exp):

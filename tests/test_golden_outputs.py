@@ -1,11 +1,12 @@
-"""The exact ``--json`` text of a dozen CLI commands.
+"""The exact ``--json`` text of CLI commands.
 
 Speed work on the operator kernel and the cube complex must leave every
 printed byte unchanged.  The strings below were recorded from the CLI and
 are compared verbatim, so a change in any value, key order, spacing or exit
 code fails here.  The commands cover residue forms at n = 1..3 with and
 without ``--cuts``, scalar and sl2 multiloop cocycle chains, the n = 2 cube
-and lift suites, the Virasoro table and one error payload.
+and lift suites, the cocycle suite at n = 1 and 2, the Virasoro table and
+the error payloads.
 """
 
 import json
@@ -132,6 +133,28 @@ GOLDEN = {
         ("verify", "--suite", "lift", "--n", "2", "--seed", "3", "--trials", "2", "--json"), 0,
         '{\n  "checks": 26,\n  "details": {},\n  "failures": [],\n'
         '  "name": "lift_equivalence_n2",\n  "passed": true\n}\n',
+    ),
+    "verify_cocycle_n1": (
+        ("verify", "--suite", "cocycle", "--n", "1", "--seed", "3", "--trials", "2", "--json"), 0,
+        '{\n  "checks": 182,\n  "details": {\n    "cocycle_property_multiloop_n1": {\n'
+        '      "degree_bound": 2,\n      "flavor": "multiloop",\n      "n": 1,\n'
+        '      "nonzero": [],\n      "passed": true,\n      "seed": 3,\n      "trials": 2\n'
+        '    },\n    "operator_vs_closed_form_n1": {\n      "mismatches": [],\n'
+        '      "n": 1,\n      "passed": true,\n      "seed": 3,\n      "trials": 2\n    }\n'
+        '  },\n  "failures": [],\n'
+        '  "name": "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n1+operator_vs_closed_form_n1",\n'
+        '  "passed": true\n}\n',
+    ),
+    "verify_cocycle_n2": (
+        ("verify", "--suite", "cocycle", "--n", "2", "--seed", "3", "--trials", "2", "--json"), 0,
+        '{\n  "checks": 182,\n  "details": {\n    "cocycle_property_multiloop_n2": {\n'
+        '      "degree_bound": 2,\n      "flavor": "multiloop",\n      "n": 2,\n'
+        '      "nonzero": [],\n      "passed": true,\n      "seed": 3,\n      "trials": 2\n'
+        '    },\n    "operator_vs_closed_form_n2": {\n      "mismatches": [],\n'
+        '      "n": 2,\n      "passed": true,\n      "seed": 3,\n      "trials": 2\n    }\n'
+        '  },\n  "failures": [],\n'
+        '  "name": "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n2+operator_vs_closed_form_n2",\n'
+        '  "passed": true\n}\n',
     ),
     "virasoro": (
         ("virasoro", "--max-m", "3", "--json"), 0,
