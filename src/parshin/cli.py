@@ -7,6 +7,7 @@ denominator is 1), and JSON output is byte-stable for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -21,6 +22,9 @@ from .residue import residue
 
 # the trace sum walks up to n! words per monomial tuple
 MAX_N = 4
+
+# the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
+MAX_M = 1000
 
 
 def _check_n(n):
@@ -121,6 +125,8 @@ def cmd_cocycle(args) -> int:
 def cmd_virasoro(args) -> int:
     if args.max_m < 1:
         raise ArityError("--max-m must be at least 1")
+    if args.max_m > MAX_M:
+        raise ArityError(f"--max-m {args.max_m} exceeds the cap {MAX_M}")
     rows = _cocycle.virasoro_table(args.max_m)
     payload = {"rows": [{"m": m, "phi": str(v)} for m, v in rows]}
     _emit(payload, args.json, [f"m={m}  phi(L_m ^ L_-m) = {v}" for m, v in rows])
@@ -145,7 +151,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="parshin",
         description="Exact multidimensional residues and Tate-type Lie cocycles "
@@ -189,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParshinError, OSError, ValueError) as exc:

@@ -70,5 +70,6 @@ class ArityError(ParshinError):
 
     A residue form with the wrong number of polynomials, n over the cap,
     work over the limit, a chain document without an integer n or a terms
-    list, an unknown suite, or a count or bound below its minimum.
+    list, a Lie algebra or a Virasoro table over its size cap, an unknown
+    suite, or a count or bound below its minimum.
     """

@@ -4,8 +4,11 @@ Exponent vectors are dense tuples of signed integers.  ``LaurentPoly`` keeps a
 canonical sorted term list with no zero coefficients, so structural equality
 is semantic equality.  ``parshin_oracle`` is the classical coefficient
 extraction residue: the coefficient of t_1^-1 ... t_n^-1 in f_0 times the
-Jacobian determinant of (f_1, ..., f_n), expanded exactly.  It is the
-independent reference that the operator-trace residue is tested against.
+Jacobian determinant of (f_1, ..., f_n), read off the determinant's
+multilinear expansion over the term tuples of f_1, ..., f_n without forming
+the Jacobian polynomial (``jacobian_det`` forms it, as the tests' reference).
+It is the independent reference that the operator-trace residue is tested
+against.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from math import comb
 
 from .errors import DimensionMismatch, MixedAlgebras, ParseError
 from .liealg import LieAlgebra, LieElement
+from .matrices import det
 
 
 def _canonical(terms):
@@ -200,17 +204,31 @@ def _perm_sign(perm):
 def parshin_oracle(f0: LaurentPoly, fs) -> Fraction:
     """Coefficient of t_1^-1 ... t_n^-1 in f0 * det(d f_i / d t_j).
 
-    Only that coefficient is formed: the sum over the terms c t^e of f0 of
-    c times the Jacobian's coefficient of t^((-1, ..., -1) - e).
+    The determinant is multilinear in its rows, so it is expanded over one
+    term c_i t^(a_i) of each f_i.  Such a tuple contributes
+    c_1 ... c_n det(a) t^(a_1 + ... + a_n - (1, ..., 1)), where a is the
+    integer matrix of exponent rows: row i of the Jacobian is t^(a_i) times
+    (a_i1 t_1^-1, ..., a_in t_n^-1).  Only a tuple whose column sum a term
+    c_0 t^e of f0 cancels (e + a_1 + ... + a_n = 0) reaches t^(-1, ..., -1),
+    so the value is the sum of c_0 c_1 ... c_n det(a) over those tuples.
     """
     n = f0.n
+    fs = list(fs)
     for f in fs:
         if f.n != n:
             raise DimensionMismatch("oracle inputs have mismatched variable counts")
-    jacobian = dict(jacobian_det(list(fs)).terms)
+    if len(fs) != n:
+        raise DimensionMismatch(f"need {n} polynomials for an n={n} Jacobian, got {len(fs)}")
+    f0_terms = dict(f0.terms)
     total = Fraction(0)
-    for exp, c in f0.terms:
-        total += c * jacobian.get(tuple(-1 - e for e in exp), 0)
+    for combo in itertools.product(*(f.terms for f in fs)):
+        rows = tuple(exp for exp, _ in combo)
+        coeff = f0_terms.get(tuple(-sum(col) for col in zip(*rows)))
+        if coeff is None:
+            continue
+        for _, c in combo:
+            coeff *= c
+        total += coeff * det(rows)
     return total
 
 

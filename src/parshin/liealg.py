@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import AntisymmetryViolation, DimensionMismatch, JacobiViolation, MixedAlgebras, ParshinError
+from .errors import (AntisymmetryViolation, ArityError, DimensionMismatch, JacobiViolation,
+                     MixedAlgebras, ParshinError)
 from .matrices import mat_mul, mat_trace, matrix, rank
 
 
@@ -227,12 +228,23 @@ def sl2() -> LieAlgebra:
 #
 # Coefficients are rationals encoded as strings "p/q" or "p"; indices are
 # 0-based and only i < j entries are allowed (antisymmetry fills the rest).
+# "basis" is optional; when given it names each basis element once.
+
+# validation checks Jacobi on every basis triple, so its cost grows about as
+# dim^4.5 (1.5 s at dim 32, in process)
+MAX_DIM = 32
+
 
 def from_json_dict(doc) -> LieAlgebra:
-    if not isinstance(doc, dict) or type(doc.get("dim")) is not int:
-        raise ValueError("a Lie-algebra document needs an integer 'dim'")
+    if not isinstance(doc, dict) or type(doc.get("dim")) is not int or doc["dim"] < 0:
+        raise ValueError("a Lie-algebra document needs a non-negative integer 'dim'")
     dim = doc["dim"]
-    basis = tuple(doc.get("basis") or (f"e{i}" for i in range(dim)))
+    if dim > MAX_DIM:
+        raise ArityError(f"Lie-algebra dim {dim} exceeds the cap {MAX_DIM}")
+    basis = doc.get("basis", [f"e{i}" for i in range(dim)])
+    if (not isinstance(basis, list) or len(basis) != dim
+            or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
+        raise ValueError(f"'basis' must list {dim} distinct names, got {basis!r}")
     structure = {}
     for entry in doc.get("brackets", ()):
         if (not isinstance(entry, dict) or type(entry.get("i")) is not int
@@ -248,7 +260,7 @@ def from_json_dict(doc) -> LieAlgebra:
             vec[int(k)] = Fraction(c)
         structure[(i, j)] = tuple(vec)
         structure[(j, i)] = tuple(-c for c in vec)
-    return validate(structure, dim=dim, basis_names=basis)
+    return validate(structure, dim=dim, basis_names=tuple(basis))
 
 
 def to_json_dict(alg: LieAlgebra) -> dict:

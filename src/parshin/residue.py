@@ -128,8 +128,9 @@ def _global_signs(n, raw):
 
 
 # n! * prod_(j >= 1) |terms(f_j)| bounds the words a residue traces (at most
-# that many balanced monomial tuples, at most n! surviving words each) and
-# the products of the oracle's Jacobian expansion; forms over it are refused
+# prod |terms(f_j)| balanced monomial tuples, at most n! surviving words
+# each); the oracle's multilinear expansion visits the same tuples, with one
+# n x n integer determinant per balanced one.  Forms over it are refused.
 MAX_WORK = 3_000_000
 
 

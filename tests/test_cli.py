@@ -230,8 +230,9 @@ def algebra_chain(tmp_path, algebra_doc):
 
 
 def test_cocycle_algebra_file_without_dim(tmp_path, capsys):
-    chain = algebra_chain(tmp_path, {})
-    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'dim'")
+    for doc in ({}, {"dim": -1}):
+        chain = algebra_chain(tmp_path, doc)
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'dim'")
 
 
 def test_cocycle_algebra_bracket_without_coeffs(tmp_path, capsys):
@@ -242,6 +243,30 @@ def test_cocycle_algebra_bracket_without_coeffs(tmp_path, capsys):
                               ({"i": 0, "j": 1, "coeffs": {"0": [1]}}, "ValueError")):
         chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [entry]})
         assert_error(capsys, ["cocycle", "--input", chain, "--json"], error_type)
+
+
+def test_cocycle_algebra_basis_of_non_strings(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, {"dim": 3, "basis": [1, 2, 3]})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'basis'", "3 distinct")
+
+
+def test_cocycle_algebra_basis_shorter_than_dim(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, {"dim": 3, "basis": ["H"]})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'basis'", "['H']")
+
+
+def test_cocycle_algebra_basis_with_a_repeated_name(tmp_path, capsys):
+    chain = algebra_chain(tmp_path, {"dim": 3, "basis": ["H", "H", "F"]})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'basis'", "distinct")
+
+
+def test_cocycle_algebra_dim_over_the_cap(tmp_path, capsys):
+    # validating a dim 200 table would take hours
+    from parshin.liealg import MAX_DIM
+
+    chain = algebra_chain(tmp_path, {"dim": 200})
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ArityError",
+                 "dim 200", f"cap {MAX_DIM}")
 
 
 def test_cocycle_algebra_file_that_is_a_list(tmp_path, capsys):
@@ -280,7 +305,8 @@ def test_cocycle_flavor_is_classified_and_checked(tmp_path, capsys):
 
 
 def test_virasoro_rejects_max_m_below_one(capsys):
-    for max_m in ("0", "-3"):
+    # 100000000 is over the cap: the table costs about max_m^2
+    for max_m in ("0", "-3", "100000000"):
         assert_error(capsys, ["virasoro", "--max-m", max_m, "--json"], "ArityError", "--max-m")
 
 
@@ -296,3 +322,35 @@ def test_cocycle_caps_n(tmp_path, capsys):
         else:
             assert_error(capsys, ["cocycle", "--input", str(path), "--json"],
                          "ArityError", f"n = {n}", "n <= 4")
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    from parshin.cli import build_parser
+
+    form = "t1^-1*t2^-1*t3^-2 ; t1 + t2 ; t2 ; t3^2"
+    calls = [
+        ("residue", "--form", form, "--cuts=1", "--json"),
+        ("residue", "--form", form, "--json"),
+        ("residue", "--form", "3/7*t1^-1 ; t1"),
+        ("residue", "--form", form, "--bogus"),
+        ("residue", "--form", "t1^^2", "--json"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 1]
+
+    build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert build_parser.cache_info().misses == 1
+    assert build_parser().parse_args(["residue", "--form", form]).cuts is None

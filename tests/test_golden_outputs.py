@@ -108,6 +108,15 @@ GOLDEN = {
         '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "6",\n  "paper_res_star": "-6",\n'
         '  "raw": "-6",\n  "residue": "6"\n}\n',
     ),
+    # balanced tuples (t1, t2, t3) det 1, (2*t1*t2, t1, t3) det -1, and
+    # (t1, t1, t3), (t1, t1, -t2*t3) det 0 against the t1^-2 terms of f0
+    "residue_n3_det_zero_tuples": (
+        ("residue", "--form",
+         "t1^-1*t2^-1*t3^-1 + 3*t1^-2*t3^-1 - t1^-2*t2^-1*t3^-1 ; t1 + 2*t1*t2 ; "
+         "t2 + t1 ; t3 - t2*t3", "--json"), 0,
+        '{\n  "agrees": true,\n  "n": 3,\n  "oracle": "3",\n  "paper_res_star": "-3",\n'
+        '  "raw": "-3",\n  "residue": "3"\n}\n',
+    ),
     "cocycle_sl2_n2": (
         ("cocycle", "--input", "{sl2_chain}", "--json"), 0,
         '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',

@@ -161,6 +161,67 @@ def test_oracle_no_residue_coefficient():
     assert parshin_oracle(LaurentPoly.one(2), [mono(2, (1, 0)), mono(2, (0, 2))]) == 0
 
 
+def jacobian_reference(f0, fs):
+    """The t^(-1,...,-1) coefficient of f0 times the fully expanded Jacobian."""
+    return (f0 * jacobian_det(fs)).coefficient((-1,) * f0.n)
+
+
+def random_form(rng, n, terms=3, low=-2, high=2):
+    """Random f1..fn and an f0 that balances some of their term tuples, plus noise."""
+    def poly():
+        return LaurentPoly.make(n, {
+            tuple(rng.randint(low, high) for _ in range(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, terms))
+        })
+
+    fs = [poly() for _ in range(n)]
+    f0 = poly()
+    for _ in range(terms):
+        exps = [rng.choice(f.terms)[0] for f in fs if f.terms]
+        if len(exps) == n:
+            f0 = f0 + mono(n, tuple(-sum(col) for col in zip(*exps)), rng.randint(-2, 2))
+    return f0, fs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_oracle_matches_the_expanded_jacobian(n):
+    import random
+
+    rng = random.Random(f"oracle:{n}")
+    for _ in range(25):
+        f0, fs = random_form(rng, n)
+        assert parshin_oracle(f0, fs) == jacobian_reference(f0, fs)
+
+        # an exponent column that is zero in every f_j: det 0 on every tuple
+        axis = rng.randrange(n)
+        flat = [LaurentPoly.make(n, {exp[:axis] + (0,) + exp[axis + 1:]: c for exp, c in f.terms})
+                for f in fs]
+        assert parshin_oracle(f0, flat) == jacobian_reference(f0, flat) == 0
+
+        # f0 with no balancing term: f_j exponents >= 0 and f0 exponents > 0
+        g0, gs = random_form(rng, n, low=0)
+        positive = LaurentPoly.make(n, {tuple(abs(e) + 1 for e in exp): c for exp, c in g0.terms})
+        assert parshin_oracle(positive, gs) == jacobian_reference(positive, gs) == 0
+
+        if n >= 2:
+            # f2 a multiple of f1: tuple contributions cancel pairwise
+            c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            twin = [fs[0], fs[0].scale(c)] + fs[2:]
+            assert parshin_oracle(f0, twin) == jacobian_reference(f0, twin) == 0
+
+
+def test_oracle_cancelling_tuples():
+    # (t1 + t2, t1 - t2): the (t1, t2) and (t2, t1) tuples give det 1 and
+    # det -1 with coefficients 1 and -1, so they add to -2, while the
+    # (t1, t1) and (t2, t2) tuples give det 0
+    f1 = parse_poly("t1 + t2")
+    f2 = parse_poly("t1 - t2")
+    f0 = parse_poly("t1^-1*t2^-1 + 5*t1^-2")
+    assert parshin_oracle(f0, [f1, f2]) == jacobian_reference(f0, [f1, f2]) == -2
+    # (t1 + t2, t1 + t2): every contribution cancels
+    assert parshin_oracle(f0, [f1, f1]) == jacobian_reference(f0, [f1, f1]) == 0
+
+
 # -- grammar ------------------------------------------------------------------
 
 def test_parse_examples():
