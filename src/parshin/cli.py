@@ -26,6 +26,9 @@ MAX_N = 4
 # the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
 MAX_M = 1000
 
+# one n = 4 cube trial takes about 1 s, so a suite's cost grows with --trials
+MAX_TRIALS = 1000
+
 
 def _check_n(n):
     if n > MAX_N:
@@ -136,6 +139,8 @@ def cmd_virasoro(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ArityError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ArityError(f"--trials {args.trials} exceeds the cap {MAX_TRIALS}")
     if args.degree_bound < 0:
         raise ArityError("--degree-bound must be at least 0")
     report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,

@@ -93,6 +93,11 @@ class LaurentPoly:
         return self + (-other)
 
     def scale(self, c):
+        # the signs 1 and -1 are the common factors: no Fraction product for them
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         c = Fraction(c)
         if c == 0:
             return LaurentPoly.zero(self.n)

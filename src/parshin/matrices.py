@@ -47,7 +47,13 @@ def is_zero_matrix(a):
 
 
 def det(a):
-    """Determinant by fraction-preserving Gaussian elimination."""
+    """Determinant as a Fraction.
+
+    An all-``int`` matrix goes through fraction-free (Bareiss) elimination,
+    any other through fraction-preserving Gaussian elimination.
+    """
+    if all(type(x) is int for row in a for x in row):
+        return Fraction(_det_int(a))
     m = [list(row) for row in a]
     d = len(m)
     sign = 1
@@ -67,6 +73,27 @@ def det(a):
                 for c in range(col, d):
                     m[r][c] -= factor * m[col][c]
     return sign * result
+
+
+def _det_int(a):
+    """Bareiss elimination: every division is exact, so entries stay ints."""
+    m = [list(row) for row in a]
+    d = len(m)
+    sign, prev = 1, 1
+    for col in range(d - 1):
+        if m[col][col] == 0:
+            pivot = next((r for r in range(col + 1, d) if m[r][col] != 0), None)
+            if pivot is None:
+                return 0
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        pivot_value = m[col][col]
+        for r in range(col + 1, d):
+            row, head = m[r], m[r][col]
+            for c in range(col + 1, d):
+                row[c] = (row[c] * pivot_value - head * m[col][c]) // prev
+        prev = pivot_value
+    return sign * m[-1][-1] if d else 1
 
 
 def rank(a):

@@ -182,7 +182,7 @@ class LatticeOperator:
             for a in op.atoms:
                 box = a.box if image is None else a.box.intersect(
                     image.translate(tuple(-s for s in a.shift)))
-                atoms.append(KernelAtom(a.shift, a.matrix, a.weight if c == 1 else a.weight.scale(c), box))
+                atoms.append(KernelAtom(a.shift, a.matrix, a.weight.scale(c), box))
         return LatticeOperator.make(n, d, atoms)
 
     def __add__(self, other):
@@ -351,59 +351,66 @@ def _normalize(n, d, atoms):
         if atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix):
             continue
         pending.append(_fold_scalar(d, atom))
+    if len(pending) <= 1:
+        return tuple(pending)
 
-    changed = True
-    while changed:
-        changed = False
+    # Each step keeps its input list when it changes nothing.  The weight merge
+    # is idempotent on its own output, so a round whose matrix merge and glue
+    # change nothing is the fixpoint.
+    while True:
         # merge equal (shift, box, matrix): sum the weights
         merged = {}
         for atom in pending:
             key = (atom.shift, atom.box, atom.matrix)
-            if key in merged:
-                merged[key] = merged[key] + atom.weight
-                changed = True
-            else:
-                merged[key] = atom.weight
-        pending = [KernelAtom(s, m, w, b) for (s, b, m), w in merged.items() if not w.is_zero()]
+            merged[key] = merged[key] + atom.weight if key in merged else atom.weight
+        if len(merged) < len(pending):
+            pending = [KernelAtom(s, m, w, b) for (s, b, m), w in merged.items() if not w.is_zero()]
 
         # merge equal (shift, box, weight): sum the matrices
         merged = {}
         for atom in pending:
             key = (atom.shift, atom.box, atom.weight)
-            if key in merged:
-                merged[key] = mat_add(merged[key], atom.matrix)
-                changed = True
-            else:
-                merged[key] = atom.matrix
-        pending = [KernelAtom(s, m, w, b) for (s, b, w), m in merged.items() if not is_zero_matrix(m)]
+            merged[key] = mat_add(merged[key], atom.matrix) if key in merged else atom.matrix
+        changed = len(merged) < len(pending)
+        if changed:
+            pending = [KernelAtom(s, m, w, b) for (s, b, w), m in merged.items() if not is_zero_matrix(m)]
 
-        # glue boxes abutting along exactly one axis (equal shift/weight/matrix);
-        # gluing is greedy, so each group is glued in box order, not input order
+        # glue boxes abutting along exactly one axis (equal shift/weight/matrix)
         groups = {}
         for atom in pending:
             groups.setdefault((atom.shift, atom.weight, atom.matrix), []).append(atom.box)
-        glued = []
-        for (shift, weight, mat), boxes in groups.items():
-            boxes = sorted(boxes, key=Box.sort_key)
-            merged_any = True
-            while merged_any:
-                merged_any = False
-                for i in range(len(boxes)):
-                    for j in range(i + 1, len(boxes)):
-                        union = _glue_boxes(boxes[i], boxes[j])
-                        if union is not None:
-                            boxes[i] = union
-                            boxes.pop(j)
-                            merged_any = True
-                            changed = True
-                            break
-                    if merged_any:
-                        break
-            glued.extend(KernelAtom(shift, mat, weight, b) for b in boxes)
-        pending = glued
+        if len(groups) < len(pending):
+            glued = [KernelAtom(shift, mat, weight, b)
+                     for (shift, weight, mat), boxes in groups.items()
+                     for b in _glue_group(boxes)]
+            if len(glued) < len(pending):
+                pending = glued
+                changed = True
+
+        if not changed:
+            break
 
     pending.sort(key=atom_key)
     return tuple(pending)
+
+
+def _glue_group(boxes):
+    """Glue a group's boxes greedily in box order, not input order, until none abut."""
+    boxes = sorted(boxes, key=Box.sort_key)
+    merged_any = True
+    while merged_any:
+        merged_any = False
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                union = _glue_boxes(boxes[i], boxes[j])
+                if union is not None:
+                    boxes[i] = union
+                    boxes.pop(j)
+                    merged_any = True
+                    break
+            if merged_any:
+                break
+    return boxes
 
 
 def _glue_boxes(b1: Box, b2: Box):
@@ -589,7 +596,7 @@ def projector_commutator(f, axis, cuts) -> LatticeOperator:
     """
     plus, minus = region(cuts, {axis: "+"}), region(cuts, {axis: "-"})
     return LatticeOperator.make(f.n, f.d, [
-        KernelAtom(a.shift, a.matrix, a.weight if c == 1 else a.weight.scale(c),
+        KernelAtom(a.shift, a.matrix, a.weight.scale(c),
                    a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
         for c, image, domain in ((1, minus, plus), (-1, plus, minus))
         for a in f.atoms

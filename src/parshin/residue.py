@@ -202,7 +202,7 @@ def residue_det_monomial(exponents) -> Fraction:
     for j in range(n):
         if sum(row[j] for row in rows) != 0:
             return Fraction(0)
-    return det(tuple(tuple(Fraction(x) for x in row) for row in rows[1:]))
+    return det(rows[1:])
 
 
 def ack_residue_n1(f0: LatticeOperator, f1: LatticeOperator, cut=0) -> Fraction:

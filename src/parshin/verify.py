@@ -167,59 +167,59 @@ def check_cube_identities(n, trials=50, seed=1, cuts=None) -> CheckReport:
             f = random_cube_element(rng, n, p, d)
             ctx = {"p": p, "trial": trial, "d": d}
             f.check_ideals()
-            hh = _cube.homotopy(_cube.homotopy(f, cuts), cuts)
-            report.record(hh.is_zero(), {**ctx, "identity": "H^2=0"})
-            if p >= 3:
-                report.record(_cube.boundary(_cube.boundary(f)).is_zero(),
-                              {**ctx, "identity": "d^2=0"})
-            if p == 2:
-                report.record(_cube.boundary_hat(_cube.boundary(f)).is_zero(),
-                              {**ctx, "identity": "dhat d=0"})
+            # every map of f that the identities share, computed once;
+            # homotopy_via_definition below stays an independent cross-check
+            h = _cube.homotopy(f, cuts)
+            eps_all = _cube.epsilon_all(f, cuts)
+            eps = {i: _cube.epsilon(f, i, cuts) for i in range(1, n + 1)}
+            h_ax = {i: _cube.homotopy_axis(f, i, cuts) for i in range(1, n + 1)}
             if p >= 2:
-                lhs = _cube.boundary(_cube.homotopy(f, cuts)) + _cube.homotopy(_cube.boundary(f), cuts)
-                rhs = f - _cube.epsilon_all(f, cuts)
+                df = _cube.boundary(f)
+                d_ax = {i: _cube.boundary_axis(f, i) for i in range(1, n + 1)}
+            report.record(_cube.homotopy(h, cuts).is_zero(), {**ctx, "identity": "H^2=0"})
+            if p >= 3:
+                report.record(_cube.boundary(df).is_zero(), {**ctx, "identity": "d^2=0"})
+            if p == 2:
+                report.record(_cube.boundary_hat(df).is_zero(), {**ctx, "identity": "dhat d=0"})
+            if p >= 2:
+                lhs = _cube.boundary(h) + _cube.homotopy(df, cuts)
+                rhs = f - eps_all
                 report.record((lhs - rhs).is_zero(), {**ctx, "identity": "dH+Hd=1-eps"})
             else:
-                lhs = _cube.boundary(_cube.homotopy(f, cuts)) + _cube.homotopy_hat(_cube.boundary_hat(f), cuts)
+                lhs = _cube.boundary(h) + _cube.homotopy_hat(_cube.boundary_hat(f), cuts)
                 report.record((lhs - f).is_zero(), {**ctx, "identity": "dH+H^d^=1 (N^1)"})
             # pairwise relations
             for i in range(1, n + 1):
                 if p >= 2:
-                    diag = (_cube.boundary_axis(_cube.homotopy_axis(f, i, cuts), i)
-                            + _cube.homotopy_axis(_cube.boundary_axis(f, i), i, cuts))
-                    report.record((diag - (f - _cube.epsilon(f, i, cuts))).is_zero(),
+                    diag = _cube.boundary_axis(h_ax[i], i) + _cube.homotopy_axis(d_ax[i], i, cuts)
+                    report.record((diag - (f - eps[i])).is_zero(),
                                   {**ctx, "identity": f"d_{i}H_{i}+H_{i}d_{i}=1-eps_{i}"})
-                e = _cube.epsilon(f, i, cuts)
-                report.record((_cube.epsilon(e, i, cuts) - e).is_zero(),
+                report.record((_cube.epsilon(eps[i], i, cuts) - eps[i]).is_zero(),
                               {**ctx, "identity": f"eps_{i}^2=eps_{i}"})
                 for j in range(1, n + 1):
-                    anti = (_cube.homotopy_axis(_cube.homotopy_axis(f, j, cuts), i, cuts)
-                            + _cube.homotopy_axis(_cube.homotopy_axis(f, i, cuts), j, cuts))
+                    anti = (_cube.homotopy_axis(h_ax[j], i, cuts)
+                            + _cube.homotopy_axis(h_ax[i], j, cuts))
                     report.record(anti.is_zero(), {**ctx, "identity": f"H_{i}H_{j}+H_{j}H_{i}=0"})
                     if p >= 3:
-                        anti = (_cube.boundary_axis(_cube.boundary_axis(f, j), i)
-                                + _cube.boundary_axis(_cube.boundary_axis(f, i), j))
+                        anti = _cube.boundary_axis(d_ax[j], i) + _cube.boundary_axis(d_ax[i], j)
                         report.record(anti.is_zero(), {**ctx, "identity": f"d_{i}d_{j}+d_{j}d_{i}=0"})
                     if p >= 2:
-                        comm = (_cube.boundary_axis(_cube.epsilon(f, j, cuts), i)
-                                - _cube.epsilon(_cube.boundary_axis(f, i), j, cuts))
+                        comm = _cube.boundary_axis(eps[j], i) - _cube.epsilon(d_ax[i], j, cuts)
                         report.record(comm.is_zero(), {**ctx, "identity": f"d_{i}eps_{j}=eps_{j}d_{i}"})
                         if i != j:
-                            anti = (_cube.boundary_axis(_cube.homotopy_axis(f, j, cuts), i)
-                                    + _cube.homotopy_axis(_cube.boundary_axis(f, i), j, cuts))
+                            anti = _cube.boundary_axis(h_ax[j], i) + _cube.homotopy_axis(d_ax[i], j, cuts)
                             report.record(anti.is_zero(),
                                           {**ctx, "identity": f"d_{i}H_{j}+H_{j}d_{i}=0"})
-                    comm = (_cube.homotopy_axis(_cube.epsilon(f, j, cuts), i, cuts)
-                            - _cube.epsilon(_cube.homotopy_axis(f, i, cuts), j, cuts))
+                    comm = _cube.homotopy_axis(eps[j], i, cuts) - _cube.epsilon(h_ax[i], j, cuts)
                     report.record(comm.is_zero(), {**ctx, "identity": f"H_{i}eps_{j}=eps_{j}H_{i}"})
             # epsilon product closed form
-            prefix = f
-            for ax in range(n, 0, -1):
+            prefix = eps[n]
+            for ax in range(n - 1, 0, -1):
                 prefix = _cube.epsilon(prefix, ax, cuts)
-            report.record((prefix - _cube.epsilon_all(f, cuts)).is_zero(),
+            report.record((prefix - eps_all).is_zero(),
                           {**ctx, "identity": "eps closed form"})
             # H closed form vs definition
-            report.record((_cube.homotopy(f, cuts) - _cube.homotopy_via_definition(f, cuts)).is_zero(),
+            report.record((h - _cube.homotopy_via_definition(f, cuts)).is_zero(),
                           {**ctx, "identity": "H leftmost-zero form"})
         # N^0 identities once per degree loop (plain operators)
         g = random_operator(rng, n, 1 if p % 2 else 3)

@@ -310,6 +310,15 @@ def test_virasoro_rejects_max_m_below_one(capsys):
         assert_error(capsys, ["virasoro", "--max-m", max_m, "--json"], "ArityError", "--max-m")
 
 
+def test_verify_caps_trials(capsys):
+    # 1000000 is over the cap: one n = 4 cube trial takes about a second
+    for trials in ("0", "-2", "1001", "1000000"):
+        assert_error(capsys, ["verify", "--suite", "rho", "--trials", trials, "--json"],
+                     "ArityError", "--trials")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "rho", "--trials", "1000", "--json")
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_cocycle_caps_n(tmp_path, capsys):
     # n = 5 is pinned in tests/test_golden_outputs.py
     for n, code in ((4, 0), (6, 1)):

@@ -4,9 +4,9 @@ Speed work on the operator kernel and the cube complex must leave every
 printed byte unchanged.  The strings below were recorded from the CLI and
 are compared verbatim, so a change in any value, key order, spacing or exit
 code fails here.  The commands cover residue forms at n = 1..3 with and
-without ``--cuts``, scalar and sl2 multiloop cocycle chains, the n = 2 cube
-and lift suites, the cocycle suite at n = 1 and 2, the Virasoro table and
-the error payloads.
+without ``--cuts``, scalar and sl2 multiloop cocycle chains, the cube suite
+at n = 2 and 3, the n = 2 lift suite, the cocycle suite at n = 1 and 2, the
+Virasoro table and the error payloads.
 """
 
 import json
@@ -137,6 +137,12 @@ GOLDEN = {
         ("verify", "--suite", "cube", "--n", "2", "--seed", "7", "--trials", "2", "--json"), 0,
         '{\n  "checks": 131,\n  "details": {},\n  "failures": [],\n'
         '  "name": "cube_identities_n2",\n  "passed": true\n}\n',
+    ),
+    # pins the check count of every identity the n = 3 battery records
+    "verify_cube_n3": (
+        ("verify", "--suite", "cube", "--n", "3", "--seed", "5", "--trials", "2", "--json"), 0,
+        '{\n  "checks": 354,\n  "details": {},\n  "failures": [],\n'
+        '  "name": "cube_identities_n3",\n  "passed": true\n}\n',
     ),
     "verify_lift_n2": (
         ("verify", "--suite", "lift", "--n", "2", "--seed", "3", "--trials", "2", "--json"), 0,

@@ -1,5 +1,6 @@
 """Lattice operators: action, composition, projectors, traces, ideal tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,11 +9,14 @@ import pytest
 from parshin.errors import DimensionMismatch, NotTraceClass
 from parshin.laurent import LaurentPoly, parse_poly
 from parshin.liealg import ad, sl2
-from parshin.matrices import identity, matrix
+from parshin.matrices import identity, is_zero_matrix, mat_add, matrix
 from parshin.opalg import (
     Box,
     KernelAtom,
     LatticeOperator,
+    _fold_scalar,
+    _glue_boxes,
+    _normalize,
     atom_key,
     derivation_operator,
     mul_operator,
@@ -243,6 +247,139 @@ def test_glued_atoms_are_independent_of_input_order():
         shuffled = atoms[:]
         rng.shuffle(shuffled)
         assert LatticeOperator.make(2, 1, atoms).atoms == LatticeOperator.make(2, 1, shuffled).atoms, cells
+
+
+def _reference_normalize(n, d, atoms):
+    """The plain fixpoint loop: every step rebuilds its list, and rounds repeat until one changes nothing."""
+    pending = []
+    for atom in atoms:
+        if atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix):
+            continue
+        pending.append(_fold_scalar(d, atom))
+
+    changed = True
+    while changed:
+        changed = False
+        merged = {}
+        for atom in pending:
+            key = (atom.shift, atom.box, atom.matrix)
+            if key in merged:
+                merged[key] = merged[key] + atom.weight
+                changed = True
+            else:
+                merged[key] = atom.weight
+        pending = [KernelAtom(s, m, w, b) for (s, b, m), w in merged.items() if not w.is_zero()]
+
+        merged = {}
+        for atom in pending:
+            key = (atom.shift, atom.box, atom.weight)
+            if key in merged:
+                merged[key] = mat_add(merged[key], atom.matrix)
+                changed = True
+            else:
+                merged[key] = atom.matrix
+        pending = [KernelAtom(s, m, w, b) for (s, b, w), m in merged.items() if not is_zero_matrix(m)]
+
+        groups = {}
+        for atom in pending:
+            groups.setdefault((atom.shift, atom.weight, atom.matrix), []).append(atom.box)
+        glued = []
+        for (shift, weight, mat), boxes in groups.items():
+            boxes = sorted(boxes, key=Box.sort_key)
+            merged_any = True
+            while merged_any:
+                merged_any = False
+                for i in range(len(boxes)):
+                    for j in range(i + 1, len(boxes)):
+                        union = _glue_boxes(boxes[i], boxes[j])
+                        if union is not None:
+                            boxes[i] = union
+                            boxes.pop(j)
+                            merged_any = True
+                            changed = True
+                            break
+                    if merged_any:
+                        break
+            glued.extend(KernelAtom(shift, mat, weight, b) for b in boxes)
+        pending = glued
+
+    pending.sort(key=atom_key)
+    return tuple(pending)
+
+
+def _random_atom_list(rng, n, d):
+    """Random atoms with repeats, negated weights or matrices, and split boxes."""
+    lam1, one = LaurentPoly.variable(n, 1), LaurentPoly.one(n)
+    weights = [one, lam1.scale(2), one + lam1, one.scale(Fraction(1, 3))]
+    if d == 1:
+        matrices = [matrix([[1]]), matrix([[2]]), matrix([[Fraction(1, 2)]])]
+    else:
+        a = matrix([[1, 0, 2], [0, -1, 0], [3, 0, 0]])
+        b = matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        matrices = [a, b, mat_add(a, b), identity(3)]
+    points = [None, -2, 0, 1, 3, None]
+
+    def fresh():
+        bounds = []
+        for _ in range(n):
+            k = rng.randrange(len(points) - 1)
+            bounds.append((points[k], points[min(k + rng.choice((1, 2)), len(points) - 1)]))
+        shift = tuple(rng.choice((0, 0, 1)) for _ in range(n))
+        return KernelAtom(shift, rng.choice(matrices), rng.choice(weights), Box.of(bounds))
+
+    def split(atom):
+        # two boxes abutting along one axis, which glue back into the atom's box
+        i = rng.randrange(n)
+        lo, hi = atom.box.bounds[i]
+        cut = rng.randint(-3, 3) if lo is None or hi is None else rng.randint(lo, hi)
+        halves = []
+        for part in ((lo, cut), (cut, hi)):
+            bounds = list(atom.box.bounds)
+            bounds[i] = part
+            halves.append(KernelAtom(atom.shift, atom.matrix, atom.weight, Box.of(bounds)))
+        return halves
+
+    atoms = []
+    for _ in range(rng.randint(0, 5)):
+        atom = fresh()
+        move = rng.choice(("alone", "repeat", "negate weight", "negate matrix", "split"))
+        if move == "repeat":
+            atoms += [atom] * rng.randint(2, 3)
+        elif move == "negate weight":
+            atoms += [atom, KernelAtom(atom.shift, atom.matrix, -atom.weight, atom.box)]
+        elif move == "negate matrix":
+            negated = tuple(tuple(-x for x in row) for row in atom.matrix)
+            atoms += [atom, KernelAtom(atom.shift, negated, atom.weight, atom.box)]
+        elif move == "split":
+            atoms += split(atom)
+        else:
+            atoms.append(atom)
+    return atoms
+
+
+def test_normalize_matches_the_reference_fixpoint_loop():
+    kinds = dict.fromkeys(("duplicates", "weights cancel", "matrices cancel", "boxes glue"), 0)
+    for seed in range(400):
+        rng = random.Random(seed)
+        n, d = rng.choice((1, 2)), rng.choice((1, 3))
+        atoms = _random_atom_list(rng, n, d)
+        got = _normalize(n, d, atoms)
+        assert got == _reference_normalize(n, d, atoms), seed
+        shuffled = atoms[:]
+        rng.shuffle(shuffled)
+        assert _normalize(n, d, shuffled) == got, seed
+        assert _normalize(n, d, got) == got, seed
+        kept = [_fold_scalar(d, a) for a in atoms if not a.box.is_empty()]
+        pairs = [(a, b) for a, b in itertools.combinations(kept, 2) if (a.shift, a.box) == (b.shift, b.box)]
+        kinds["duplicates"] += any(a == b for a, b in pairs)
+        kinds["weights cancel"] += any(a.matrix == b.matrix and (a.weight + b.weight).is_zero()
+                                       for a, b in pairs)
+        kinds["matrices cancel"] += d == 3 and any(a.weight == b.weight
+                                                   and is_zero_matrix(mat_add(a.matrix, b.matrix))
+                                                   for a, b in pairs)
+        kinds["boxes glue"] += any(a.box not in {b.box for b in kept} for a in got)
+    # the seeds exercise every step of the loop
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 def test_restrict_matches_projector_composition():

@@ -12,6 +12,7 @@ import pytest
 from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
 from parshin.liealg import sl2
+from parshin.matrices import det
 from parshin.opalg import (
     Box,
     KernelAtom,
@@ -289,6 +290,25 @@ def test_monomial_det_example():
     rep = residue(f0, fs)
     assert rep.residue == 1 == rep.oracle
     assert residue_det_monomial([(-2, -3), (1, 1), (1, 2)]) == 1
+
+
+def test_integer_det_matches_fraction_elimination():
+    rng = random.Random(17)
+    seen = {"singular": 0, "pivot swap": 0}
+    for trial in range(400):
+        size = trial % 4 + 1
+        rows = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        if trial % 5 == 0 and size > 1:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1 % (size - 1)])]
+        if trial % 7 == 0:
+            rows[0][0] = 0
+        got = det(tuple(map(tuple, rows)))
+        assert type(got) is Fraction
+        assert got == det(tuple(tuple(Fraction(x) for x in row) for row in rows)), rows
+        seen["singular"] += got == 0
+        seen["pivot swap"] += rows[0][0] == 0 and got != 0
+    assert min(seen.values()) >= 20, seen
+    assert det(()) == 1
 
 
 def test_det_formula_shapes():
