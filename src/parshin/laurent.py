@@ -9,6 +9,13 @@ multilinear expansion over the term tuples of f_1, ..., f_n without forming
 the Jacobian polynomial (``jacobian_det`` forms it, as the tests' reference).
 It is the independent reference that the operator-trace residue is tested
 against.
+
+A coefficient is held as a plain ``int`` when it is integral and as a
+``Fraction`` otherwise, as ``matrices.matrix`` holds matrix entries.  An
+``int`` hashes and compares equal to the equal ``Fraction``, so the two
+forms give the same equality, hashes and order; ints only add, negate and
+hash faster.  The values this module returns (``coefficient``,
+``evaluate``, ``parshin_oracle``) are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -24,8 +31,13 @@ from .liealg import LieAlgebra, LieElement
 from .matrices import det
 
 
+def _rational(c):
+    """A coefficient in canonical form: an int when integral, else a Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _canonical(terms):
-    return tuple(sorted((exp, c) for exp, c in terms.items() if c != 0))
+    return tuple(sorted((exp, _rational(c)) for exp, c in terms.items() if c != 0))
 
 
 @dataclass(frozen=True)
@@ -33,7 +45,7 @@ class LaurentPoly:
     """Element of k[t_1^+-, ..., t_n^+-] in canonical form."""
 
     n: int
-    terms: tuple  # sorted ((exponent tuple, Fraction), ...), no zeros
+    terms: tuple  # sorted ((exponent tuple, int or Fraction), ...), no zeros
 
     @staticmethod
     def make(n, mapping) -> "LaurentPoly":
@@ -44,7 +56,7 @@ class LaurentPoly:
                 raise DimensionMismatch(f"exponent {exp} has length {len(exp)}, expected {n}")
             c = Fraction(c)
             if c != 0:
-                out[exp] = out.get(exp, Fraction(0)) + c
+                out[exp] = out.get(exp, 0) + c
         return LaurentPoly(n, _canonical(out))
 
     @staticmethod
@@ -69,7 +81,7 @@ class LaurentPoly:
         exp = tuple(exp)
         for e, c in self.terms:
             if e == exp:
-                return c
+                return Fraction(c)
         return Fraction(0)
 
     def is_zero(self):
@@ -83,7 +95,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms:
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return LaurentPoly(self.n, _canonical(out))
 
     def __neg__(self):
@@ -98,10 +110,10 @@ class LaurentPoly:
             return self
         if c == -1:
             return -self
-        c = Fraction(c)
+        c = _rational(Fraction(c))
         if c == 0:
             return LaurentPoly.zero(self.n)
-        return LaurentPoly(self.n, tuple((e, c * v) for e, v in self.terms))
+        return LaurentPoly(self.n, tuple((e, _rational(c * v)) for e, v in self.terms))
 
     def __mul__(self, other):
         self._check(other)
@@ -109,7 +121,7 @@ class LaurentPoly:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+                out[exp] = out.get(exp, 0) + c1 * c2
         return LaurentPoly(self.n, _canonical(out))
 
     def shift_argument(self, shift) -> "LaurentPoly":
@@ -132,7 +144,7 @@ class LaurentPoly:
                 coeff = c
                 for _, b in combo:
                     coeff *= b
-                out[new] = out.get(new, Fraction(0)) + coeff
+                out[new] = out.get(new, 0) + coeff
         return LaurentPoly(self.n, _canonical(out))
 
     def evaluate(self, point) -> Fraction:
@@ -177,7 +189,7 @@ def partial(f: LaurentPoly, axis) -> LaurentPoly:
             continue
         new = list(exp)
         new[i] -= 1
-        out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c * exp[i]
+        out[tuple(new)] = out.get(tuple(new), 0) + c * exp[i]
     return LaurentPoly(f.n, _canonical(out))
 
 

@@ -95,6 +95,20 @@ class Box:
         return tuple((lo is not None, lo or 0, hi is None, hi or 0) for lo, hi in self.bounds)
 
 
+def _cut(bounds, image, shift):
+    """The bounds of box & (image - shift) from the three bounds tuples, or None when empty."""
+    out = []
+    for (lo, hi), (ilo, ihi), s in zip(bounds, image, shift):
+        if ilo is not None and (lo is None or lo < ilo - s):
+            lo = ilo - s
+        if ihi is not None and (hi is None or hi > ihi - s):
+            hi = ihi - s
+        if lo is not None and hi is not None and lo >= hi:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
+
+
 def _check_boxes(n, *boxes):
     for box in boxes:
         if box.n != n:
@@ -171,7 +185,9 @@ class LatticeOperator:
 
         ``image`` is a Box, or None for no cut.  Every atom is scaled and its
         box cut by the image shifted back by the atom's shift, as ``restrict``
-        does, and the gathered atoms go through one ``make``.
+        does, in one pass over the bounds; empty cuts are dropped there.  The
+        operands are normalized, so their atoms need no second pass through
+        ``make``'s filter and go straight to the merge-and-glue loop.
         """
         atoms = []
         for c, op, image in terms:
@@ -179,11 +195,17 @@ class LatticeOperator:
                 raise DimensionMismatch(f"operator on (n={op.n}, d={op.d}) in a sum on (n={n}, d={d})")
             if image is not None:
                 _check_boxes(n, image)
+            if c == 0:
+                continue
             for a in op.atoms:
-                box = a.box if image is None else a.box.intersect(
-                    image.translate(tuple(-s for s in a.shift)))
+                box = a.box
+                if image is not None:
+                    bounds = _cut(box.bounds, image.bounds, a.shift)
+                    if bounds is None:
+                        continue
+                    box = Box(bounds)
                 atoms.append(KernelAtom(a.shift, a.matrix, a.weight.scale(c), box))
-        return LatticeOperator.make(n, d, atoms)
+        return LatticeOperator(n, d, _merge_and_glue(atoms))
 
     def __add__(self, other):
         self._check(other)
@@ -233,9 +255,6 @@ class LatticeOperator:
                        a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
             for a in self.atoms
         ])
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def commutator(self, other) -> "LatticeOperator":
         return self.compose(other) - other.compose(self)
@@ -329,7 +348,7 @@ class LatticeOperator:
         if not self.atoms:
             return "0"
         return " + ".join(
-            f"[shift={a.shift}, box={a.box.bounds}, w={dict(a.weight.terms)!r}]" for a in self.atoms
+            f"[shift={a.shift}, box={a.box.bounds}, w={a.weight}]" for a in self.atoms
         )
 
 
@@ -346,43 +365,52 @@ def _fold_scalar(d, atom):
 
 
 def _normalize(n, d, atoms):
-    pending = []
-    for atom in atoms:
-        if atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix):
-            continue
-        pending.append(_fold_scalar(d, atom))
+    return _merge_and_glue([
+        _fold_scalar(d, atom) for atom in atoms
+        if not (atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix))
+    ])
+
+
+def _merge_and_glue(pending):
+    """Merge and glue filtered atoms to the fixpoint, in ``atom_key`` order.
+
+    Dicts are keyed on plain tuples (``box.bounds``, ``weight.terms``), whose
+    hashes run in C, not on the frozen dataclasses.  Each step keeps its input
+    list when it changes nothing.  The weight merge is idempotent on its own
+    output, so a round whose matrix merge and glue change nothing is the
+    fixpoint.
+    """
     if len(pending) <= 1:
         return tuple(pending)
-
-    # Each step keeps its input list when it changes nothing.  The weight merge
-    # is idempotent on its own output, so a round whose matrix merge and glue
-    # change nothing is the fixpoint.
     while True:
         # merge equal (shift, box, matrix): sum the weights
         merged = {}
         for atom in pending:
-            key = (atom.shift, atom.box, atom.matrix)
-            merged[key] = merged[key] + atom.weight if key in merged else atom.weight
+            key = (atom.shift, atom.box.bounds, atom.matrix)
+            prev = merged.get(key)
+            merged[key] = atom if prev is None else KernelAtom(
+                atom.shift, atom.matrix, prev.weight + atom.weight, atom.box)
         if len(merged) < len(pending):
-            pending = [KernelAtom(s, m, w, b) for (s, b, m), w in merged.items() if not w.is_zero()]
+            pending = [a for a in merged.values() if not a.weight.is_zero()]
 
         # merge equal (shift, box, weight): sum the matrices
         merged = {}
         for atom in pending:
-            key = (atom.shift, atom.box, atom.weight)
-            merged[key] = mat_add(merged[key], atom.matrix) if key in merged else atom.matrix
+            key = (atom.shift, atom.box.bounds, atom.weight.terms)
+            prev = merged.get(key)
+            merged[key] = atom if prev is None else KernelAtom(
+                atom.shift, mat_add(prev.matrix, atom.matrix), atom.weight, atom.box)
         changed = len(merged) < len(pending)
         if changed:
-            pending = [KernelAtom(s, m, w, b) for (s, b, w), m in merged.items() if not is_zero_matrix(m)]
+            pending = [a for a in merged.values() if not is_zero_matrix(a.matrix)]
 
         # glue boxes abutting along exactly one axis (equal shift/weight/matrix)
         groups = {}
         for atom in pending:
-            groups.setdefault((atom.shift, atom.weight, atom.matrix), []).append(atom.box)
+            groups.setdefault((atom.shift, atom.weight.terms, atom.matrix), []).append(atom)
         if len(groups) < len(pending):
-            glued = [KernelAtom(shift, mat, weight, b)
-                     for (shift, weight, mat), boxes in groups.items()
-                     for b in _glue_group(boxes)]
+            glued = [KernelAtom(group[0].shift, group[0].matrix, group[0].weight, box)
+                     for group in groups.values() for box in _glue_group([a.box for a in group])]
             if len(glued) < len(pending):
                 pending = glued
                 changed = True

@@ -1,5 +1,6 @@
 """Laurent polynomials, the coefficient-extraction oracle, and the text grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from parshin.laurent import (
     parshin_oracle,
     partial,
 )
+from parshin.cocycle import phi, virasoro_phi
 from parshin.liealg import sl2
+from parshin.opalg import Box, mul_operator
+from parshin.residue import raw_sum, residue
 
 
 def mono(n, exp, c=1):
@@ -93,6 +97,60 @@ def test_shift_argument_refuses_negative_exponents():
 
 
 # -- derivatives --------------------------------------------------------------
+
+def _random_poly(rng, n, low=-2):
+    """Integral Fractions, ints and proper fractions mixed, so sums can cancel to integers."""
+    coeffs = (1, -2, Fraction(4, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3))
+    return LaurentPoly.make(n, {tuple(rng.randint(low, 2) for _ in range(n)): rng.choice(coeffs)
+                                for _ in range(rng.randint(1, 4))})
+
+
+def _assert_canonical(p):
+    for _, c in p.terms:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), p.terms
+    as_fractions = LaurentPoly(p.n, tuple((e, Fraction(c)) for e, c in p.terms))
+    assert p == as_fractions and hash(p) == hash(as_fractions)
+
+
+def test_integral_coefficients_are_ints():
+    kinds = {"int": 0, "Fraction": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        a, b = _random_poly(rng, n), _random_poly(rng, n)
+        pa, pb = _random_poly(rng, n, low=0), _random_poly(rng, n, low=0)
+        results = [a, a + b, a - b, a - a, -a, a * b, pa * pb,
+                   pa.shift_argument(tuple(rng.randint(-2, 2) for _ in range(n))),
+                   partial(a, rng.randint(1, n))]
+        results += [a.scale(c) for c in (2, -1, Fraction(1, 2), Fraction(3, 2), Fraction(6, 3), "2/3")]
+        for p in results:
+            _assert_canonical(p)
+            for _, c in p.terms:
+                kinds[type(c).__name__] += 1
+            exp = p.terms[0][0] if p.terms else (0,) * n
+            assert type(p.coefficient(exp)) is Fraction
+            assert type(p.coefficient((9,) * n)) is Fraction
+    assert min(kinds.values()) >= 500, kinds
+
+
+def test_public_values_stay_fractions():
+    t1 = LaurentPoly.variable(1, 1)
+    rep = residue(mono(1, (-1,)), [t1])
+    for value in (rep.raw, rep.residue, rep.oracle, rep.paper_res_star):
+        assert type(value) is Fraction and value in (1, -1)
+    f0, f1 = mono(2, (-2, -3), 3), mono(2, (1, 1), 2)
+    f2 = mono(2, (1, 2))
+    assert type(parshin_oracle(f0, [f1, f2])) is Fraction
+    ops = [mul_operator(p) for p in (f0, f1, f2)]
+    assert type(raw_sum(ops)) is Fraction and raw_sum(ops) != 0
+    op = mul_operator(mono(1, (0,), 2)).restrict(Box.of([(0, 5)]), Box.full(1))
+    assert type(op.trace()) is Fraction and op.trace() == 10
+    alg = sl2()
+    e, f = alg.by_name("E"), alg.by_name("F")
+    value = phi([GLaurent.monomial(1, e, (2,)), GLaurent.monomial(1, f, (-2,))])
+    assert type(value) is Fraction and value == 8
+    assert type(virasoro_phi(2)) is Fraction and virasoro_phi(2) == -1
+
 
 def test_partial_basic():
     assert partial(mono(1, (3,)), 1) == mono(1, (2,), 3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from parshin.errors import DimensionMismatch, NotTraceClass
-from parshin.laurent import LaurentPoly, parse_poly
+from parshin.laurent import GLaurent, LaurentPoly, parse_poly
 from parshin.liealg import ad, sl2
 from parshin.matrices import identity, is_zero_matrix, mat_add, matrix
 from parshin.opalg import (
@@ -23,7 +23,7 @@ from parshin.opalg import (
     projector,
     region,
 )
-from parshin.sampling import random_cube_element, random_operator
+from parshin.sampling import random_cube_element, random_exponent, random_laurent, random_operator
 
 
 def test_identity_apply():
@@ -439,6 +439,69 @@ def test_combine_matches_the_scale_add_restrict_chain():
         combined = LatticeOperator.combine(n, d, [(outer * c, op, im)
                                                   for op, c, im in zip(ops, coeffs, images)])
         assert combined == chain and combined.atoms == chain.atoms
+
+
+def _reference_combine(n, d, terms):
+    """Every term's atoms scaled and cut through Box.translate and Box.intersect, then one make."""
+    atoms = []
+    for c, op, image in terms:
+        for a in op.atoms:
+            box = a.box if image is None else a.box.intersect(image.translate(tuple(-s for s in a.shift)))
+            atoms.append(KernelAtom(a.shift, a.matrix, a.weight.scale(c), box))
+    return LatticeOperator.make(n, d, atoms)
+
+
+def _random_normalized(rng, n, d):
+    """A normalized operator: bounded boxes, cube components, or full-box multiplications and projectors."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_operator(rng, n, d, atoms=rng.randint(1, 3))
+    if kind == 1:
+        element = random_cube_element(rng, n, rng.randint(1, n + 1), d)
+        return rng.choice(list(element.components.values()) or [LatticeOperator.zero(n, d)])
+    if kind == 2:
+        return projector(n, rng.randint(1, n), rng.choice("+-"), d, rng.randint(-2, 2))
+    if d == 1:
+        return mul_operator(random_laurent(rng, n, exp_bound=2))
+    return mul_operator(GLaurent.monomial(n, sl2().basis()[rng.randrange(3)], random_exponent(rng, n, 2)))
+
+
+def test_combine_matches_the_per_term_make_reference():
+    kinds = dict.fromkeys(("emptied", "unbounded", "zero coefficient", "uncut", "cancelled"), 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-3, 3) for _ in range(n))
+        terms = [(rng.choice((1, -1, 0, Fraction(3, 2))), _random_normalized(rng, n, d),
+                  _random_region(rng, cuts) if rng.random() < 0.75 else None)
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # a term and its negation
+            c, op, image = rng.choice(terms)
+            terms.append((-c, op, image))
+        want = _reference_combine(n, d, terms)
+        got = LatticeOperator.combine(n, d, terms)
+        assert got.atoms == want.atoms and str(got) == str(want), seed
+        assert got == want, seed
+        rng.shuffle(terms)
+        assert LatticeOperator.combine(n, d, terms).atoms == got.atoms, seed
+        cut = [a.box.intersect(image.translate(tuple(-s for s in a.shift)))
+               for c, op, image in terms if image is not None for a in op.atoms]
+        kinds["emptied"] += any(box.is_empty() for box in cut)
+        kinds["unbounded"] += any(None in bound for box in cut for bound in box.bounds)
+        kinds["zero coefficient"] += any(c == 0 and op.atoms for c, op, _ in terms)
+        kinds["uncut"] += any(image is None and op.atoms for _, op, image in terms)
+        kinds["cancelled"] += len(got.atoms) < sum(len(op.atoms) for c, op, _ in terms if c != 0)
+    # the seeds exercise every branch of the cut and the merge
+    assert all(count >= 30 for count in kinds.values()), kinds
+
+
+def test_operator_text_does_not_depend_on_coefficient_storage():
+    box = Box.of([(0, 3)])
+    ints = LaurentPoly.make(1, {(1,): 2, (0,): -1})
+    fractions = LaurentPoly(1, (((0,), Fraction(-1)), ((1,), Fraction(2))))
+    assert ints == fractions and [type(c) for _, c in ints.terms] == [int, int]
+    texts = {str(LatticeOperator.make(1, 1, [KernelAtom((1,), ((1,),), w, box)])) for w in (ints, fractions)}
+    assert texts == {"[shift=(1,), box=((0, 3),), w=-1 + 2*t1]"}
 
 
 def test_combine_and_restrict_check_dimensions():
