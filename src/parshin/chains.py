@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ArityError, ModuleActionUndefined
 from .laurent import GLaurent, LaurentPoly
-from .liealg import LieElement
+from .liealg import LieElement, rational_from_json
 from .opalg import LatticeOperator, atom_key, derivation_operator
 
 
@@ -283,7 +283,8 @@ class WedgeChain:
 #
 # The first factor of each term is f_0, the rest form the wedge tail.  Scalar
 # factors use {"exp": [...], "coeff": "3/2"?}; vector-field factors (n = 1)
-# use {"s": [2], "i": 1} for t^s d/dt_i.
+# use {"s": [2], "i": 1} for t^s d/dt_i.  Every coeff is an int or a "p" /
+# "p/q" string (``liealg.rational_from_json``).
 
 def factor_from_json(doc, n, algebra=None):
     if not isinstance(doc, dict):
@@ -293,14 +294,14 @@ def factor_from_json(doc, n, algebra=None):
             raise ValueError("Lie-algebra factors need an algebra")
         element = algebra.by_name(doc["Y"])
         if "coeff" in doc:
-            element = element.scale(_fraction(doc["coeff"], "chain factor"))
+            element = element.scale(rational_from_json(doc["coeff"], "chain factor"))
         return GLaurent.monomial(n, element, _int_list(doc, "exp"))
     if "s" in doc:
         axis = doc.get("i", 1)
         if type(axis) is not int:
             raise ValueError(f"chain factor {doc!r} needs an integer 'i'")
         return derivation_operator(n, _int_list(doc, "s"), axis)
-    return LaurentPoly.monomial(n, _int_list(doc, "exp"), _fraction(doc.get("coeff", 1), "chain factor"))
+    return LaurentPoly.monomial(n, _int_list(doc, "exp"), rational_from_json(doc.get("coeff", 1), "chain factor"))
 
 
 def _int_list(doc, key):
@@ -308,13 +309,6 @@ def _int_list(doc, key):
     if not isinstance(value, list) or any(type(x) is not int for x in value):
         raise ValueError(f"chain factor {doc!r} needs {key!r} as a list of integers")
     return tuple(value)
-
-
-def _fraction(value, what):
-    try:
-        return Fraction(value)
-    except TypeError:
-        raise ValueError(f"{what} coefficient {value!r} is not a rational") from None
 
 
 def read_chain(doc, algebra=None) -> tuple:
@@ -326,13 +320,6 @@ def read_chain(doc, algebra=None) -> tuple:
         factors = term.get("factors") if isinstance(term, dict) else None
         if not isinstance(factors, list):
             raise ValueError(f"chain term {term!r} needs a 'factors' list")
-        terms.append((_fraction(term.get("coeff", 1), "chain term"),
+        terms.append((rational_from_json(term.get("coeff", 1), "chain term"),
                       tuple(factor_from_json(f, doc["n"], algebra) for f in factors)))
     return doc["n"], terms
-
-
-def wedge_from_json(doc, algebra=None) -> WedgeChain:
-    _, terms = read_chain(doc, algebra)
-    if not terms:
-        raise ValueError("chain document has no terms")
-    return WedgeChain.make(len(terms[0][1]), terms)

@@ -29,6 +29,10 @@ MAX_M = 1000
 # one n = 4 cube trial takes about 1 s, so a suite's cost grows with --trials
 MAX_TRIALS = 1000
 
+# a cocycle trial's trace box sums grow linearly with the exponent bound (3.8 s
+# at 300000 for n = 1; at 1000, up to 5 s per n = 3 trial, in process)
+MAX_DEGREE_BOUND = 1000
+
 
 def _check_n(n):
     if n > MAX_N:
@@ -143,6 +147,8 @@ def cmd_verify(args) -> int:
         raise ArityError(f"--trials {args.trials} exceeds the cap {MAX_TRIALS}")
     if args.degree_bound < 0:
         raise ArityError("--degree-bound must be at least 0")
+    if args.degree_bound > MAX_DEGREE_BOUND:
+        raise ArityError(f"--degree-bound {args.degree_bound} exceeds the cap {MAX_DEGREE_BOUND}")
     report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
                                trials=args.trials, degree_bound=args.degree_bound)
     payload = report.to_json_dict()

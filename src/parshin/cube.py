@@ -96,27 +96,22 @@ class CubeElement:
         if (self.n, self.d, self.p) != (other.n, other.d, other.p):
             raise DimensionMismatch("cube elements of different shape")
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        """self + c * other, one ``combine`` per component."""
         self._check(other)
-        out = dict(self.components)
+        sums = {s: [(1, op, None)] for s, op in self.components.items()}
         for s, op in other.components.items():
-            merged = out[s] + op if s in out else op
-            if merged.is_structurally_zero():
-                out.pop(s, None)
-            else:
-                out[s] = merged
-        return CubeElement(self.n, self.d, self.p, out)
+            sums.setdefault(s, []).append((c, op, None))
+        return _assemble(self.n, self.d, self.p, sums)
+
+    def __add__(self, other):
+        return self._plus(1, other)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        self._check(other)
-        return CubeElement.make(self.n, self.d, self.p, {
-            s: LatticeOperator.combine(self.n, self.d, [(1, self.component(s), None),
-                                                        (-1, other.component(s), None)])
-            for s in dict.fromkeys([*self.components, *other.components])
-        })
+        return self._plus(-1, other)
 
     def scale(self, c):
         c = Fraction(c)

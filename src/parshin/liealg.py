@@ -10,6 +10,7 @@ is computed exactly with :class:`fractions.Fraction`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -234,6 +235,18 @@ def sl2() -> LieAlgebra:
 # dim^4.5 (1.5 s at dim 32, in process)
 MAX_DIM = 32
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_json(value, what) -> Fraction:
+    """A JSON rational: an int (not a bool) or a "p" / "p/q" string; ValueError otherwise."""
+    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{what} coefficient {value!r} is not a rational: give an integer or a \"p/q\" string")
+
 
 def from_json_dict(doc) -> LieAlgebra:
     if not isinstance(doc, dict) or type(doc.get("dim")) is not int or doc["dim"] < 0:
@@ -255,9 +268,9 @@ def from_json_dict(doc) -> LieAlgebra:
             raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
         vec = [Fraction(0)] * dim
         for k, c in entry["coeffs"].items():
-            if not 0 <= int(k) < dim or type(c) not in (int, str):
-                raise ValueError(f"bracket coefficient {k!r}: {c!r} is not an index and a rational")
-            vec[int(k)] = Fraction(c)
+            if not 0 <= int(k) < dim:
+                raise ValueError(f"bracket coefficient index {k!r} is not in 0..{dim - 1}")
+            vec[int(k)] = rational_from_json(c, f"bracket {k!r}")
         structure[(i, j)] = tuple(vec)
         structure[(j, i)] = tuple(-c for c in vec)
     return validate(structure, dim=dim, basis_names=tuple(basis))

@@ -10,8 +10,11 @@ generate: multiplication operators, derivations t^s d/dt_i, the half-space
 projectors P_i^+-, and their products.  A product of projectors is the
 indicator of a box (``region``) and is applied by cutting atom boxes
 (``LatticeOperator.restrict``, ``projector_commutator``), not by
-composition; a signed sum of such cuts is normalized once
-(``LatticeOperator.combine``).
+composition.  Every box cut, there and in ``compose``, is one ``_cut``.
+Every sum of normalized operators (``+``, ``-``, ``restrict``,
+``projector_commutator``, the cube maps) is merged and glued once by the
+path of ``LatticeOperator.combine``; ``make``'s zero/empty/fold filter is
+kept for atoms built fresh.
 
 Operator identity is semantic.  Equality and the trace both refine the atoms
 into box-arrangement cells per axis and decide vanishing of the cell-wise
@@ -71,20 +74,6 @@ class Box:
             if hi is not None and x >= hi:
                 return False
         return True
-
-    def intersect(self, other) -> "Box":
-        out = []
-        for (lo1, hi1), (lo2, hi2) in zip(self.bounds, other.bounds):
-            lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
-            hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
-            out.append((lo, hi))
-        return Box(tuple(out))
-
-    def translate(self, shift) -> "Box":
-        return Box(tuple(
-            (None if lo is None else lo + s, None if hi is None else hi + s)
-            for (lo, hi), s in zip(self.bounds, shift)
-        ))
 
     def bounded_axis(self, i, side):
         lo, hi = self.bounds[i]
@@ -183,11 +172,10 @@ class LatticeOperator:
     def combine(n, d, terms) -> "LatticeOperator":
         """The sum of c * P_image A over the (c, A, image) terms, normalized once.
 
-        ``image`` is a Box, or None for no cut.  Every atom is scaled and its
-        box cut by the image shifted back by the atom's shift, as ``restrict``
-        does, in one pass over the bounds; empty cuts are dropped there.  The
-        operands are normalized, so their atoms need no second pass through
-        ``make``'s filter and go straight to the merge-and-glue loop.
+        ``image`` is a Box, or None for no cut.  Every term's atoms come from
+        ``_restricted``.  The operands are normalized, so their atoms need no
+        second pass through ``make``'s filter and go straight to the
+        merge-and-glue loop, as in ``restrict`` and ``projector_commutator``.
         """
         atoms = []
         for c, op, image in terms:
@@ -195,21 +183,11 @@ class LatticeOperator:
                 raise DimensionMismatch(f"operator on (n={op.n}, d={op.d}) in a sum on (n={n}, d={d})")
             if image is not None:
                 _check_boxes(n, image)
-            if c == 0:
-                continue
-            for a in op.atoms:
-                box = a.box
-                if image is not None:
-                    bounds = _cut(box.bounds, image.bounds, a.shift)
-                    if bounds is None:
-                        continue
-                    box = Box(bounds)
-                atoms.append(KernelAtom(a.shift, a.matrix, a.weight.scale(c), box))
+            atoms.extend(_restricted(c, op, image))
         return LatticeOperator(n, d, _merge_and_glue(atoms))
 
     def __add__(self, other):
-        self._check(other)
-        return LatticeOperator.make(self.n, self.d, self.atoms + other.atoms)
+        return LatticeOperator.combine(self.n, self.d, [(1, self, None), (1, other, None)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -234,8 +212,8 @@ class LatticeOperator:
         atoms = []
         for a in self.atoms:
             for b in other.atoms:
-                box = b.box.intersect(a.box.translate(tuple(-s for s in b.shift)))
-                if box.is_empty():
+                bounds = _cut(b.box.bounds, a.box.bounds, b.shift)
+                if bounds is None:
                     continue
                 weight = a.weight.shift_argument(b.shift) * b.weight
                 if weight.is_zero():
@@ -244,17 +222,13 @@ class LatticeOperator:
                 if is_zero_matrix(matrix):
                     continue
                 shift = tuple(x + y for x, y in zip(a.shift, b.shift))
-                atoms.append(KernelAtom(shift, matrix, weight, box))
+                atoms.append(KernelAtom(shift, matrix, weight, Box(bounds)))
         return LatticeOperator.make(self.n, self.d, atoms)
 
     def restrict(self, image, domain) -> "LatticeOperator":
         """P_image after self after P_domain, where P_box is the indicator of a box."""
         _check_boxes(self.n, image, domain)
-        return LatticeOperator.make(self.n, self.d, [
-            KernelAtom(a.shift, a.matrix, a.weight,
-                       a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
-            for a in self.atoms
-        ])
+        return LatticeOperator(self.n, self.d, _merge_and_glue(list(_restricted(1, self, image, domain))))
 
     def commutator(self, other) -> "LatticeOperator":
         return self.compose(other) - other.compose(self)
@@ -341,9 +315,6 @@ class LatticeOperator:
                 return False
         return True
 
-    def in_trace_ideal(self) -> bool:
-        return all(self.in_ideal(axis, "0") for axis in range(1, self.n + 1))
-
     def __str__(self):
         if not self.atoms:
             return "0"
@@ -355,6 +326,27 @@ class LatticeOperator:
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
+
+def _restricted(c, op, image, domain=None):
+    """The atoms of c * P_image op P_domain for a normalized op; a None box does not cut.
+
+    The domain cuts each atom's box as it is, the image cuts it shifted back
+    by the atom's shift, both through ``_cut``; empty cuts are dropped.
+    """
+    if c == 0:
+        return
+    zero = (0,) * op.n
+    for a in op.atoms:
+        bounds = a.box.bounds
+        if domain is not None:
+            bounds = _cut(bounds, domain.bounds, zero)
+        if image is not None and bounds is not None:
+            bounds = _cut(bounds, image.bounds, a.shift)
+        if bounds is None:
+            continue
+        box = a.box if bounds is a.box.bounds else Box(bounds)
+        yield KernelAtom(a.shift, a.matrix, a.weight.scale(c), box)
+
 
 def _fold_scalar(d, atom):
     # for d == 1 the 1x1 matrix folds into the weight, easing merges
@@ -619,16 +611,13 @@ def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
 def projector_commutator(f, axis, cuts) -> LatticeOperator:
     """[f, P_axis^+] = P_axis^- f P_axis^+ - P_axis^+ f P_axis^-, Tate's commutator.
 
-    Both cuts of every atom go through one ``make``; each resulting atom is
-    bounded on the axis.
+    Both sandwiches of every atom are merged and glued once; each resulting
+    atom is bounded on the axis.
     """
     plus, minus = region(cuts, {axis: "+"}), region(cuts, {axis: "-"})
-    return LatticeOperator.make(f.n, f.d, [
-        KernelAtom(a.shift, a.matrix, a.weight.scale(c),
-                   a.box.intersect(domain).intersect(image.translate(tuple(-s for s in a.shift))))
-        for c, image, domain in ((1, minus, plus), (-1, plus, minus))
-        for a in f.atoms
-    ])
+    _check_boxes(f.n, plus)
+    return LatticeOperator(f.n, f.d, _merge_and_glue([
+        *_restricted(1, f, minus, plus), *_restricted(-1, f, plus, minus)]))
 
 
 def mul_operator(f) -> LatticeOperator:

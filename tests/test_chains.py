@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parshin.chains import TensorChain, WedgeChain, bracket_of, wedge_from_json
+from parshin.chains import TensorChain, WedgeChain, bracket_of, read_chain
 from parshin.errors import ModuleActionUndefined
 from parshin.laurent import GLaurent, LaurentPoly
 from parshin.liealg import abelian, heisenberg3, sl2
@@ -118,7 +118,8 @@ def test_wedge_from_json():
             "factors": [{"Y": "E", "exp": [1]}, {"Y": "F", "exp": [-1]}],
         }],
     }
-    chain = wedge_from_json(doc, algebra=alg)
+    _, terms = read_chain(doc, algebra=alg)
+    chain = WedgeChain.make(len(terms[0][1]), terms)
     want = WedgeChain.single(
         (GLaurent.monomial(1, alg.by_name("E"), (1,)),
          GLaurent.monomial(1, alg.by_name("F"), (-1,))),
@@ -133,6 +134,7 @@ def test_wedge_from_json_scalar_and_vectorfield():
         "algebra": "scalar",
         "terms": [{"factors": [{"exp": [-1], "coeff": "1/2"}, {"s": [2], "i": 1}]}],
     }
-    chain = wedge_from_json(doc)
+    _, terms = read_chain(doc)
+    chain = WedgeChain.make(len(terms[0][1]), terms)
     (coeff, factors), = chain.terms
     assert {type(f).__name__ for f in factors} == {"LaurentPoly", "LatticeOperator"}

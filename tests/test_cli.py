@@ -202,8 +202,14 @@ def test_cocycle_factor_without_exp(tmp_path, capsys):
 
 
 def test_cocycle_term_coeff_must_be_rational(tmp_path, capsys):
-    chain = write_chain(tmp_path, [{"coeff": [1], "factors": [{"exp": [-1]}, {"exp": [1]}]}])
-    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "[1]", "rational")
+    # a zero denominator and Infinity used to end in a traceback, and a float
+    # or a bool was read as a binary fraction or as 1
+    for coeff, shown in (([1], "[1]"), ("1/0", "'1/0'"), (float("inf"), "inf"),
+                         (0.1, "0.1"), (True, "True"), ("1.5", "'1.5'")):
+        chain = write_chain(tmp_path, [{"coeff": coeff, "factors": [{"exp": [-1]}, {"exp": [1]}]}])
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", shown, "rational")
+        chain = write_chain(tmp_path, [{"factors": [{"exp": [-1], "coeff": coeff}, {"exp": [1]}]}])
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", shown, "rational")
 
 
 def test_cocycle_factor_exp_must_hold_integers(tmp_path, capsys):
@@ -240,7 +246,9 @@ def test_cocycle_algebra_bracket_without_coeffs(tmp_path, capsys):
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'coeffs'")
     for entry, error_type in (({"i": 0, "j": 5, "coeffs": {}}, "ParshinError"),
                               ({"i": 0, "j": 1, "coeffs": {"-1": "1"}}, "ValueError"),
-                              ({"i": 0, "j": 1, "coeffs": {"0": [1]}}, "ValueError")):
+                              ({"i": 0, "j": 1, "coeffs": {"0": [1]}}, "ValueError"),
+                              ({"i": 0, "j": 1, "coeffs": {"0": "1/0"}}, "ValueError"),
+                              ({"i": 0, "j": 1, "coeffs": {"0": "1.5"}}, "ValueError")):
         chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [entry]})
         assert_error(capsys, ["cocycle", "--input", chain, "--json"], error_type)
 
@@ -316,6 +324,16 @@ def test_verify_caps_trials(capsys):
         assert_error(capsys, ["verify", "--suite", "rho", "--trials", trials, "--json"],
                      "ArityError", "--trials")
     code, out, _ = run_cli(capsys, "verify", "--suite", "rho", "--trials", "1000", "--json")
+    assert code == 0 and json.loads(out)["passed"]
+
+
+def test_verify_caps_degree_bound(capsys):
+    # the trace box sums grow with the bound: 3000000 took 25 s at n = 1
+    for bound in ("-1", "1001", "3000000"):
+        assert_error(capsys, ["verify", "--suite", "cocycle", "--n", "1", "--trials", "1",
+                              "--degree-bound", bound, "--json"], "ArityError", "--degree-bound")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cocycle", "--n", "1", "--trials", "1",
+                           "--degree-bound", "1000", "--json")
     assert code == 0 and json.loads(out)["passed"]
 
 

@@ -21,6 +21,7 @@ from parshin.opalg import (
     derivation_operator,
     mul_operator,
     projector,
+    projector_commutator,
     region,
 )
 from parshin.sampling import random_cube_element, random_exponent, random_laurent, random_operator
@@ -63,7 +64,6 @@ def test_compose_projector_sandwich_rank_one():
     assert op.apply({(0,): 1}) == {(-1,): (Fraction(1),)}
     assert op.apply({(1,): 1}) == {}
     assert op.in_ideal(1, "0")
-    assert op.in_trace_ideal()
 
 
 def test_multiplication_operators_commute():
@@ -441,12 +441,22 @@ def test_combine_matches_the_scale_add_restrict_chain():
         assert combined == chain and combined.atoms == chain.atoms
 
 
+def _box_cut(box, image, shift):
+    """box & (image - shift), axis by axis; empty cuts are kept as empty boxes."""
+    bounds = []
+    for (lo, hi), (ilo, ihi), s in zip(box.bounds, image.bounds, shift):
+        los = [x for x in (lo, None if ilo is None else ilo - s) if x is not None]
+        his = [x for x in (hi, None if ihi is None else ihi - s) if x is not None]
+        bounds.append((max(los, default=None), min(his, default=None)))
+    return Box(tuple(bounds))
+
+
 def _reference_combine(n, d, terms):
-    """Every term's atoms scaled and cut through Box.translate and Box.intersect, then one make."""
+    """Every term's atoms scaled and cut through ``_box_cut``, then one make."""
     atoms = []
     for c, op, image in terms:
         for a in op.atoms:
-            box = a.box if image is None else a.box.intersect(image.translate(tuple(-s for s in a.shift)))
+            box = a.box if image is None else _box_cut(a.box, image, a.shift)
             atoms.append(KernelAtom(a.shift, a.matrix, a.weight.scale(c), box))
     return LatticeOperator.make(n, d, atoms)
 
@@ -484,7 +494,7 @@ def test_combine_matches_the_per_term_make_reference():
         assert got == want, seed
         rng.shuffle(terms)
         assert LatticeOperator.combine(n, d, terms).atoms == got.atoms, seed
-        cut = [a.box.intersect(image.translate(tuple(-s for s in a.shift)))
+        cut = [_box_cut(a.box, image, a.shift)
                for c, op, image in terms if image is not None for a in op.atoms]
         kinds["emptied"] += any(box.is_empty() for box in cut)
         kinds["unbounded"] += any(None in bound for box in cut for bound in box.bounds)
@@ -516,6 +526,29 @@ def test_combine_and_restrict_check_dimensions():
         LatticeOperator.combine(2, 1, [(1, two, None), (1, LatticeOperator.identity(2, 3), None)])
     with pytest.raises(DimensionMismatch):
         two - LatticeOperator.identity(1)
+    with pytest.raises(DimensionMismatch):
+        two + LatticeOperator.identity(1)
+    with pytest.raises(DimensionMismatch):
+        two + LatticeOperator.identity(2, 3)
+    with pytest.raises(DimensionMismatch):
+        projector_commutator(two, 1, (0,))
+
+
+def test_projector_commutator_matches_projector_compositions():
+    multi_atom = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-3, 3) for _ in range(n))
+        f = random_operator(rng, n, d, atoms=rng.randint(2, 3)) + _random_normalized(rng, n, d)
+        multi_atom += len(f.atoms) >= 2
+        for axis in range(1, n + 1):
+            plus, minus = (projector(n, axis, sign, d, cuts[axis - 1]) for sign in "+-")
+            want = minus.compose(f).compose(plus) - plus.compose(f).compose(minus)
+            got = projector_commutator(f, axis, cuts)
+            assert got.atoms == want.atoms and str(got) == str(want), (seed, axis)
+            assert got == want, (seed, axis)
+    assert multi_atom >= 70
 
 
 def test_region_and_projector_reject_unknown_signs():
