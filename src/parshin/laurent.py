@@ -28,16 +28,11 @@ from math import comb
 
 from .errors import DimensionMismatch, MixedAlgebras, ParseError
 from .liealg import LieAlgebra, LieElement
-from .matrices import det
-
-
-def _rational(c):
-    """A coefficient in canonical form: an int when integral, else a Fraction."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+from .matrices import canonical, det, rational
 
 
 def _canonical(terms):
-    return tuple(sorted((exp, _rational(c)) for exp, c in terms.items() if c != 0))
+    return tuple(sorted((exp, canonical(c)) for exp, c in terms.items() if c != 0))
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,7 @@ class LaurentPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != n:
                 raise DimensionMismatch(f"exponent {exp} has length {len(exp)}, expected {n}")
-            c = Fraction(c)
+            c = rational(c)
             if c != 0:
                 out[exp] = out.get(exp, 0) + c
         return LaurentPoly(n, _canonical(out))
@@ -65,7 +60,7 @@ class LaurentPoly:
 
     @staticmethod
     def one(n) -> "LaurentPoly":
-        return LaurentPoly.monomial(n, (0,) * n, 1)
+        return LaurentPoly(n, (((0,) * n, 1),))
 
     @staticmethod
     def monomial(n, exp, coeff=1) -> "LaurentPoly":
@@ -110,10 +105,10 @@ class LaurentPoly:
             return self
         if c == -1:
             return -self
-        c = _rational(Fraction(c))
+        c = rational(c)
         if c == 0:
             return LaurentPoly.zero(self.n)
-        return LaurentPoly(self.n, tuple((e, _rational(c * v)) for e, v in self.terms))
+        return LaurentPoly(self.n, tuple((e, canonical(c * v)) for e, v in self.terms))
 
     def __mul__(self, other):
         self._check(other)

@@ -10,14 +10,21 @@ from fractions import Fraction
 Matrix = tuple
 
 
-def _entry(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+def canonical(x):
+    """An int or Fraction x as an int where integral, else unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def rational(x):
+    """Any value ``Fraction()`` accepts, as an int where integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    return canonical(x if type(x) is Fraction else Fraction(x))
 
 
 def matrix(rows):
     """Build a canonical matrix (tuple of tuples, ints where integral) from nested iterables."""
-    return tuple(tuple(_entry(x) for x in row) for row in rows)
+    return tuple(tuple(rational(x) for x in row) for row in rows)
 
 
 def identity(d):

@@ -253,6 +253,15 @@ def test_cocycle_algebra_bracket_without_coeffs(tmp_path, capsys):
         assert_error(capsys, ["cocycle", "--input", chain, "--json"], error_type)
 
 
+@pytest.mark.parametrize("key", ["0_1", " +1 ", "x", "01", "+1", "-0", "1.0", ""])
+def test_cocycle_algebra_bracket_key_must_be_a_plain_index(tmp_path, capsys, key):
+    # int(key) used to read "0_1", " +1 ", "01", "+1" and "-0" as an index, and
+    # the others ended in a bare int() message naming neither bracket nor key
+    chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {key: "1"}}]})
+    assert_error(capsys, ["cocycle", "--input", chain, "--algebra", str(tmp_path / "algebra.json"),
+                          "--json"], "ValueError", "bracket (0, 1)", repr(key), "plain decimal index")
+
+
 def test_cocycle_algebra_basis_of_non_strings(tmp_path, capsys):
     chain = algebra_chain(tmp_path, {"dim": 3, "basis": [1, 2, 3]})
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "'basis'", "3 distinct")

@@ -1,11 +1,15 @@
 """Lie algebra layer: validation, adjoint matrices, the generalized Killing form."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parshin.errors import AntisymmetryViolation, JacobiViolation, MixedAlgebras
+from parshin.errors import AntisymmetryViolation, ArityError, JacobiViolation, MixedAlgebras, ParshinError
 from parshin.liealg import (
+    MAX_DIM,
     abelian,
     ad,
     from_json_dict,
@@ -147,3 +151,243 @@ def test_json_rational_strings():
     alg = from_json_dict(doc)
     assert alg.table[0][1] == (Fraction(1, 2), Fraction(0))
     assert alg.table[1][0] == (Fraction(-1, 2), Fraction(0))
+
+
+# -- fuzzing the JSON reader against a dense reference ---------------------------
+#
+# The reference reads a document with the reader's field checks and messages,
+# holds the table as dense Fraction vectors, and checks Jacobi by bracketing
+# basis vectors in a dense loop, apart from the sparse rows the reader uses.
+
+_PLAIN_INDEX = re.compile(r"0|-?[1-9][0-9]*")
+_JSON_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def reference_bracket(table, x, y):
+    acc = [Fraction(0)] * len(x)
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j, b in enumerate(y):
+            if b == 0:
+                continue
+            for k, v in enumerate(table[i][j]):
+                if v != 0:
+                    acc[k] += a * b * v
+    return acc
+
+
+def reference_check(table):
+    """Raise on the first failing pair (row-major), then on the first failing triple."""
+    dim = len(table)
+    for i in range(dim):
+        for j in range(dim):
+            if any(a != -b for a, b in zip(table[i][j], table[j][i])):
+                raise AntisymmetryViolation(i, j)
+    units = [[Fraction(int(k == i)) for k in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                x, y, z = units[i], units[j], units[k]
+                total = [sum(t) for t in zip(reference_bracket(table, x, reference_bracket(table, y, z)),
+                                             reference_bracket(table, y, reference_bracket(table, z, x)),
+                                             reference_bracket(table, z, reference_bracket(table, x, y)))]
+                if any(total):
+                    raise JacobiViolation(i, j, k)
+
+
+def reference_rational(value, what):
+    match = _JSON_RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if type(value) is int:
+        return Fraction(value)
+    if match and (match[2] is None or int(match[2])):
+        return Fraction(int(match[1]), int(match[2] or 1))
+    raise ValueError(f"{what} coefficient {value!r} is not a rational: give an integer or a \"p/q\" string")
+
+
+def reference_read(doc):
+    """(basis, dense table) of a Lie-algebra document, or the reader's error."""
+    if not isinstance(doc, dict) or type(doc.get("dim")) is not int or doc["dim"] < 0:
+        raise ValueError("a Lie-algebra document needs a non-negative integer 'dim'")
+    dim = doc["dim"]
+    if dim > MAX_DIM:
+        raise ArityError(f"Lie-algebra dim {dim} exceeds the cap {MAX_DIM}")
+    basis = doc.get("basis", [f"e{i}" for i in range(dim)])
+    if (not isinstance(basis, list) or len(basis) != dim
+            or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
+        raise ValueError(f"'basis' must list {dim} distinct names, got {basis!r}")
+    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for entry in doc.get("brackets", ()):
+        if (not isinstance(entry, dict) or type(entry.get("i")) is not int
+                or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
+            raise ValueError(f"bracket entry {entry!r} needs integer 'i', 'j' and a 'coeffs' object")
+        i, j = entry["i"], entry["j"]
+        if not 0 <= i < j < dim:
+            raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
+        vec = [Fraction(0)] * dim
+        for k, c in entry["coeffs"].items():
+            if not _PLAIN_INDEX.fullmatch(k):
+                raise ValueError(f"bracket ({i}, {j}) has coefficient key {k!r}, which is not a plain decimal index")
+            if not 0 <= int(k) < dim:
+                raise ValueError(f"bracket ({i}, {j}) coefficient index {k!r} is not in 0..{dim - 1}")
+            vec[int(k)] = reference_rational(c, f"bracket {k!r}")
+        table[i][j] = vec
+        table[j][i] = [-c for c in vec]
+    reference_check(table)
+    return basis, table
+
+
+def outcome(read, doc):
+    try:
+        return read(doc)
+    except (ValueError, ParshinError) as exc:
+        return exc
+
+
+# Direct summands: (dim, {(i, j): {k: c}} for i < j).
+BLOCKS = (
+    (1, {}),
+    (2, {(0, 1): {1: 1}}),
+    (3, {(0, 1): {2: 1}}),
+    (3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+)
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+BAD_KEYS = ("0_1", " +1 ", "x", "01", "+1", "-0", "1.0", "", "-1", "7", "١")
+BAD_VALUES = (1.5, True, None, [1], "1/0", "x", "1.5", " 1", "2/-3", float("inf"))
+BAD_INDICES = ("0", True, None, 1.0, -1, 7)
+
+
+@st.composite
+def lie_tables(draw, dim):
+    """{(i, j): {k: c}} for i < j: a direct sum of BLOCKS in a permuted, rescaled basis."""
+    base, offset = {}, 0
+    while offset < dim:
+        size, consts = draw(st.sampled_from([b for b in BLOCKS if b[0] <= dim - offset]))
+        for (i, j), vec in consts.items():
+            base[(offset + i, offset + j)] = {offset + k: c for k, c in vec.items()}
+        offset += size
+    perm = draw(st.permutations(range(dim)))
+    inv = {p: a for a, p in enumerate(perm)}
+    scale = [draw(SMALL.filter(bool)) for _ in range(dim)]
+
+    def const(p, q):
+        if p < q:
+            return base.get((p, q), {})
+        return {k: -c for k, c in base.get((q, p), {}).items()}
+
+    # f_a = scale[a] e_perm[a]
+    table = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            vec = {inv[r]: scale[a] * scale[b] * c / scale[inv[r]] for r, c in const(perm[a], perm[b]).items()}
+            if vec:
+                table[(a, b)] = vec
+    return table
+
+
+def encode(c, as_int):
+    if as_int and c.denominator == 1:
+        return c.numerator
+    return str(c)
+
+
+@st.composite
+def lie_documents(draw):
+    dim = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["valid", "near miss", "random"]))
+    if kind == "random":
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+        table = {p: draw(st.dictionaries(st.integers(0, dim - 1), SMALL, max_size=2)) for p in chosen}
+    else:
+        table = draw(lie_tables(dim))
+        if kind == "near miss" and dim >= 2:
+            i = draw(st.integers(0, dim - 2))
+            j = draw(st.integers(i + 1, dim - 1))
+            k = draw(st.integers(0, dim - 1))
+            vec = table.setdefault((i, j), {})
+            vec[k] = vec.get(k, 0) + draw(SMALL.filter(bool))
+    as_int = draw(st.booleans())
+    brackets = [{"i": i, "j": j, "coeffs": {str(k): encode(c, as_int) for k, c in vec.items()}}
+                for (i, j), vec in sorted(table.items())]
+    doc = {"dim": dim, "brackets": brackets}
+    if draw(st.booleans()):
+        doc["basis"] = [f"b{i}" for i in range(dim)]
+    if draw(st.integers(0, 2)) == 0:
+        doc = draw(malformed(doc))
+    return doc
+
+
+@st.composite
+def malformed(draw, doc):
+    dim, brackets = doc["dim"], doc["brackets"]
+    where = draw(st.sampled_from(["key", "value", "i", "j", "coeffs", "entry", "basis", "dim"]))
+    if where == "dim":
+        doc["dim"] = draw(st.sampled_from(["3", 3.0, True, -1, None, MAX_DIM + 1]))
+    elif where == "basis":
+        doc["basis"] = draw(st.sampled_from([["x"] * dim, [f"b{i}" for i in range(dim + 1)],
+                                             list(range(dim)), "b0"]))
+    elif not brackets:
+        brackets.append(draw(st.sampled_from(["x", [0, 1, {}], {"i": 0, "j": 1, "coeffs": {"0": 1}}])))
+    else:
+        entry = draw(st.sampled_from(brackets))
+        if where == "entry":
+            brackets[brackets.index(entry)] = draw(st.sampled_from(["x", [0, 1], None]))
+        elif where in ("i", "j"):
+            entry[where] = draw(st.sampled_from(BAD_INDICES + (entry["j" if where == "i" else "i"],)))
+        elif where == "coeffs":
+            entry["coeffs"] = draw(st.sampled_from([[1, 0], "1", None]))
+        elif where == "key":
+            entry["coeffs"][draw(st.sampled_from(BAD_KEYS))] = "1"
+        else:
+            entry["coeffs"][str(draw(st.integers(0, max(dim - 1, 0))))] = draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+@given(lie_documents())
+@settings(max_examples=400, deadline=None)
+def test_reader_agrees_with_the_dense_reference(doc):
+    want = outcome(reference_read, doc)
+    got = outcome(from_json_dict, doc)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, JacobiViolation):
+            assert got.triple == want.triple
+        return
+    assert not isinstance(got, Exception), got
+    basis, table = want
+    assert got.basis_names == tuple(basis)
+    assert got.table == tuple(tuple(tuple(vec) for vec in row) for row in table)
+    for i, x in enumerate(got.basis()):
+        for j, y in enumerate(got.basis()):
+            assert x.bracket(y).coeffs == tuple(table[i][j])
+        assert ad(x) == tuple(tuple(table[i][j][k] for j in range(got.dim)) for k in range(got.dim))
+
+
+@st.composite
+def sparse_structures(draw):
+    """A validate() structure map, mirrored with a sign flip pair by pair unless the draw says not."""
+    dim = draw(st.integers(1, 5))
+    structure = {}
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        vec = draw(st.dictionaries(st.integers(0, dim - 1), SMALL, max_size=2))
+        structure[(i, j)] = vec
+        if draw(st.integers(0, 3)):
+            structure[(j, i)] = {k: -c for k, c in vec.items()}
+    return dim, structure
+
+
+@given(sparse_structures())
+@settings(max_examples=200, deadline=None)
+def test_validate_reports_the_reference_pair_and_triple(case):
+    dim, structure = case
+    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), vec in structure.items():
+        table[i][j] = [Fraction(vec.get(k, 0)) for k in range(dim)]
+    want = outcome(reference_check, table)
+    got = outcome(lambda s: validate(s, dim=dim), structure)
+    if want is None:
+        assert got.table == tuple(tuple(tuple(vec) for vec in row) for row in table)
+    else:
+        assert type(got) is type(want) and str(got) == str(want)
