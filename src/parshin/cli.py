@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import cocycle as _cocycle
 from . import verify as _verify
 from .chains import read_chain
-from .errors import ArityError, MixedFlavors, ParseError, ParshinError
-from .laurent import _from_sparse, _parse_sparse
+from .errors import ArityError, MixedFlavors, ParseError, ParshinError, shown
+from .laurent import _from_terms, _scan
 from .liealg import load_algebra
 from .residue import residue
 
@@ -26,8 +26,19 @@ MAX_N = 4
 # the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
 MAX_M = 1000
 
-# one n = 4 cube trial takes about 1 s, so a suite's cost grows with --trials
+# one n = 4 cube trial takes about 0.23 s, so 1000 take about 4 min
 MAX_TRIALS = 1000
+
+# A cocycle trial costs far more than a cube trial, so the cocycle and all
+# suites are capped by their estimated seconds: trials times the seconds one
+# trial takes at that n.  Seconds per trial at n = 1..4 and --degree-bound 2,
+# in process, means over seeds 1-2: the cocycle identity's trial, and every
+# other suite's trial together.  A cocycle trial's trace box sums grow with
+# the exponents it draws, to at most about (1 + bound / 50) times that (n = 3:
+# 0.27 s at bound 100, 0.7-2.5 s at 1000; n = 4: 7-12 s at 1000).
+COCYCLE_TRIAL_SECONDS = (0.002, 0.015, 0.10, 1.3)
+OTHER_TRIAL_SECONDS = (0.02, 0.027, 0.12, 0.8)
+MAX_VERIFY_SECONDS = 300
 
 # a cocycle trial's trace box sums grow linearly with the exponent bound (3.8 s
 # at 300000 for n = 1; at 1000, up to 5 s per n = 3 trial, in process)
@@ -41,23 +52,24 @@ def _check_n(n):
 
 def parse_form(text):
     """Parse "f0 ; f1 ; ... ; fn" into (f0, [f1..fn]) with a shared variable count."""
-    segments = text.split(";")
     parsed = []
+    n = 1
     offset = 0
-    for segment in segments:
+    for segment in text.split(";"):
         if not segment.strip():
             raise ParseError(offset, "empty polynomial in form")
-        parsed.append(_parse_sparse(segment, base=offset))
+        terms, top = _scan(segment, offset)
+        parsed.append(terms)
+        n = max(n, top)
         offset += len(segment) + 1
     if len(parsed) < 2:
         raise ArityError("a residue form needs at least two ';'-separated polynomials")
-    n = max((idx for sparse in parsed for _, exps in sparse for idx in exps), default=1)
     if len(parsed) != n + 1:
         raise ArityError(
             f"form mentions t{n} so it needs {n + 1} polynomials, got {len(parsed)}"
         )
-    polys = [_from_sparse(sparse, n) for sparse in parsed]
-    return polys[0], polys[1:]
+    f0, *fs = [_from_terms(terms, n) for terms in parsed]
+    return f0, fs
 
 
 def _emit(payload, as_json, text_lines):
@@ -80,7 +92,13 @@ def _read_form(args):
 def _cuts_arg(args, n):
     if not args.cuts:
         return None
-    cuts = [int(x) for x in args.cuts.split(",")]
+    cuts = []
+    for piece in args.cuts.split(","):
+        try:
+            cuts.append(int(piece))
+        except ValueError:
+            raise ValueError(f"--cuts takes comma-separated integers of at most "
+                             f"{sys.get_int_max_str_digits()} digits, got {shown(piece)}") from None
     if len(cuts) == 1:
         cuts = cuts * n
     return tuple(cuts)
@@ -149,6 +167,15 @@ def cmd_verify(args) -> int:
         raise ArityError("--degree-bound must be at least 0")
     if args.degree_bound > MAX_DEGREE_BOUND:
         raise ArityError(f"--degree-bound {args.degree_bound} exceeds the cap {MAX_DEGREE_BOUND}")
+    if args.suite in ("cocycle", "all"):
+        per_trial = COCYCLE_TRIAL_SECONDS[args.n - 1] * (1 + args.degree_bound / 50)
+        if args.suite == "all":
+            per_trial += OTHER_TRIAL_SECONDS[args.n - 1]
+        if args.trials * per_trial > MAX_VERIFY_SECONDS:
+            raise ArityError(
+                f"--trials {args.trials} of the {args.suite} suite at n = {args.n} and --degree-bound "
+                f"{args.degree_bound} would take about {args.trials * per_trial:.0f} s, over the cap "
+                f"of {MAX_VERIFY_SECONDS} s")
     report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
                                trials=args.trials, degree_bound=args.degree_bound)
     payload = report.to_json_dict()

@@ -1,4 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and how their messages show a value."""
+
+
+def shown(value):
+    """repr(value) for an error message, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 class ParshinError(Exception):

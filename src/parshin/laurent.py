@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -325,136 +326,135 @@ class GLaurent:
 # Text grammar
 # ---------------------------------------------------------------------------
 #
-#   poly   := term (("+"|"-") term)*
-#   term   := [coeff "*"?] factor*
-#   factor := "t" index ("^" signed-int)?
-#   coeff  := signed-int ("/" posint)?
+#   poly   := [sign] term (sign term)*
+#   term   := coeff ["*"] (factor ["*"])*  |  (factor ["*"])+
+#   coeff  := digits ["/" digits]
+#   factor := "t" digits ["^" sign* digits]
+#   sign   := "+" | "-"
 #
-# Whitespace is insignificant.  Example: "3/2*t1^-2*t2 + t1".
+# Whitespace may stand between any two lexemes, but not inside one: "t12" is
+# t_12, "t 1" an error.  Digits are decimal digits of any script, as regex
+# \d reads them.  Example: "3/2*t1^-2*t2 + t1".  A variable index is
+# at least 1, a denominator is not 0, a repeated variable adds its powers
+# ("t1*t1^2" is t1^3) and equal monomials add their coefficients.  A digit
+# run longer than Python's integer-string limit (4300 digits by default) is
+# a ParseError at its offset, like a character outside the grammar.
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>t(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[+\-*/^]))")
-
-
-def _tokenize(text, base=0):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos == len(text):
-                break
-            raise ParseError(base + pos, f"unexpected character {text[pos]!r}")
-        if match.group("var"):
-            tokens.append(("var", int(match.group("idx")), base + match.start("var")))
-        elif match.group("int"):
-            tokens.append(("int", int(match.group("int")), base + match.start("int")))
-        else:
-            tokens.append(("op", match.group("op"), base + match.start("op")))
-        pos = match.end()
-    tokens.append(("end", None, base + len(text)))
-    return tokens
+# One lexeme: a variable ("t" and its index digits), a digit run, or any other
+# single character (an operator, or one outside the grammar).
+_LEXEME = re.compile(r"\s*(t\d+|\d+|\S)")
 
 
-class _PolyParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _error(text, base, k, message):
+    """The ParseError of a scan of ``text`` that the grammar stopped at lexeme k.
 
-    def peek(self):
-        return self.tokens[self.pos]
+    A lexeme outside the grammar (a stray character, a "t" without an index
+    or a digit run ``int`` refuses) anywhere in the text is raised instead,
+    the first one by offset, so the grammar speaks only about valid lexemes.
+    ``message`` may name the rejected lexeme's value as ``{token}``.
+    """
+    offset, value = base + len(text), None
+    for i, match in enumerate(_LEXEME.finditer(text)):
+        lexeme, at = match.group(1), base + match.start(1)
+        digits = lexeme[1:] if lexeme[0] == "t" else lexeme
+        if digits.isdecimal():
+            try:
+                number = int(digits)
+            except ValueError:
+                raise ParseError(at, f"an integer of {len(digits)} digits is over the "
+                                     f"{sys.get_int_max_str_digits()}-digit limit") from None
+        elif lexeme not in "+-*/^":
+            raise ParseError(at, f"unexpected character {lexeme!r}")
+        if i == k:
+            offset, value = at, number if lexeme.isdecimal() else lexeme
+    return ParseError(offset, message.format(token=value))
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def fail(self, message):
-        raise ParseError(self.peek()[2], message)
+def _scan(text, base=0):
+    """One polynomial's terms [(coefficient, {index: power}), ...] and its largest index.
 
-    def parse_signed_int(self):
-        sign = 1
-        kind, value, _ = self.peek()
-        while kind == "op" and value in "+-":
-            if value == "-":
-                sign = -sign
-            self.take()
-            kind, value, _ = self.peek()
-        if kind != "int":
-            self.fail("expected an integer")
-        self.take()
-        return sign * value
-
-    def parse_term(self, sign):
-        """One term; returns a map exponent-tuple-fragment -> coeff in sparse form."""
-        coeff = Fraction(sign)
-        exps = {}
-        saw_anything = False
-        kind, value, _ = self.peek()
-        if kind == "int":
-            self.take()
-            num = value
-            den = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "/":
-                self.take()
-                if self.peek()[0] != "int":
-                    self.fail("expected a denominator")
-                den = self.take()[1]
-                if den == 0:
-                    self.fail("zero denominator")
-            coeff *= Fraction(num, den)
-            saw_anything = True
-            if self.peek()[0] == "op" and self.peek()[1] == "*":
-                self.take()
-        while self.peek()[0] == "var":
-            _, idx, pos = self.take()
-            if idx < 1:
-                raise ParseError(pos, "variable index must be >= 1")
-            power = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "^":
-                self.take()
-                power = self.parse_signed_int()
-            exps[idx] = exps.get(idx, 0) + power
-            saw_anything = True
-            if self.peek()[0] == "op" and self.peek()[1] == "*":
-                self.take()
-        if not saw_anything:
-            self.fail("expected a term")
-        return coeff, exps
-
-    def parse_poly(self):
-        terms = []
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            self.take()
-        terms.append(self.parse_term(sign))
+    A single pass over the lexemes, left to right.  A coefficient is an int
+    where integral, else a Fraction; the largest index is 1 when no variable
+    occurs.  ``base`` is the text's offset in the whole input, which error
+    offsets count from.
+    """
+    lexemes = _LEXEME.findall(text)
+    count = len(lexemes)  # the lexeme in tok is number count - len(lexemes)
+    lexemes.append("")  # the end
+    lexemes.reverse()
+    pop = lexemes.pop
+    tok = pop()
+    sign = -1 if tok == "-" else 1
+    if tok == "-" or tok == "+":
+        tok = pop()
+    terms = []
+    top = 1
+    try:
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                terms.append(self.parse_term(-1 if value == "-" else 1))
-            elif kind == "end":
-                break
+            if tok.isdecimal():
+                coeff = int(tok)
+                tok = pop()
+                if tok == "/":
+                    tok = pop()
+                    if not tok.isdecimal():
+                        raise _error(text, base, count - len(lexemes), "expected a denominator")
+                    den = int(tok)
+                    tok = pop()
+                    if not den:
+                        raise _error(text, base, count - len(lexemes), "zero denominator")
+                    coeff = Fraction(sign * coeff, den)
+                elif sign < 0:
+                    coeff = -coeff
+                if tok == "*":
+                    tok = pop()
+            elif "t" < tok < "u":  # a variable: "t" and at least one digit
+                coeff = sign
             else:
-                self.fail(f"expected '+' or '-', got {value!r}")
-        return terms
+                raise _error(text, base, count - len(lexemes), "expected a term")
+            exps = {}
+            while "t" < tok < "u":
+                idx = int(tok[1:])
+                if idx < 1:
+                    raise _error(text, base, count - len(lexemes), "variable index must be >= 1")
+                tok = pop()
+                power = 1
+                if tok == "^":
+                    tok = pop()
+                    while tok == "-" or tok == "+":
+                        if tok == "-":
+                            power = -power
+                        tok = pop()
+                    if not tok.isdecimal():
+                        raise _error(text, base, count - len(lexemes), "expected an integer")
+                    power *= int(tok)
+                    tok = pop()
+                if idx in exps:
+                    exps[idx] += power
+                else:
+                    exps[idx] = power
+                    top = max(top, idx)
+                if tok == "*":
+                    tok = pop()
+            terms.append((coeff, exps))
+            if tok != "+" and tok != "-":
+                if tok:
+                    raise _error(text, base, count - len(lexemes), "expected '+' or '-', got {token!r}")
+                return terms, top
+            sign = -1 if tok == "-" else 1
+            tok = pop()
+    except ValueError:
+        # int() refused a digit run over Python's limit; _error raises on it
+        raise _error(text, base, 0, "") from None
 
 
-def _parse_sparse(text, base=0):
-    parser = _PolyParser(_tokenize(text, base))
-    return parser.parse_poly()
-
-
-def _from_sparse(sparse, n) -> LaurentPoly:
-    """The LaurentPoly in n variables of a parsed term list (dense exponents)."""
+def _from_terms(terms, n) -> LaurentPoly:
+    """The LaurentPoly in n variables of scanned terms."""
+    axes = range(1, n + 1)
     out = {}
-    for coeff, exps in sparse:
-        exp = tuple(exps.get(i + 1, 0) for i in range(n))
-        out[exp] = out.get(exp, Fraction(0)) + coeff
-    return LaurentPoly.make(n, out)
+    for coeff, exps in terms:
+        exp = tuple([exps.get(i, 0) for i in axes])
+        out[exp] = out.get(exp, 0) + coeff
+    return LaurentPoly(n, _canonical(out))
 
 
 def parse_poly(text, n=None) -> LaurentPoly:
@@ -462,10 +462,9 @@ def parse_poly(text, n=None) -> LaurentPoly:
 
     The variable count defaults to the highest t-index present (at least 1).
     """
-    sparse = _parse_sparse(text)
-    max_idx = max((idx for _, exps in sparse for idx in exps), default=1)
+    terms, top = _scan(text)
     if n is None:
-        n = max_idx
-    elif max_idx > n:
-        raise ParseError(0, f"variable t{max_idx} exceeds n={n}")
-    return _from_sparse(sparse, n)
+        n = top
+    elif top > n:
+        raise ParseError(0, f"variable t{top} exceeds n={n}")
+    return _from_terms(terms, n)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (AntisymmetryViolation, ArityError, DimensionMismatch, JacobiViolation,
-                     MixedAlgebras, ParshinError)
+                     MixedAlgebras, ParshinError, shown)
 from .matrices import canonical, mat_mul, mat_trace, rank, rational
 
 
@@ -259,11 +260,15 @@ def rational_from_json(value, what):
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match:
         num, den = match.groups()
-        if den is None:
-            return int(num)
-        if int(den):
-            return canonical(Fraction(int(num), int(den)))
-    raise ValueError(f"{what} coefficient {value!r} is not a rational: give an integer or a \"p/q\" string")
+        try:
+            if den is None:
+                return int(num)
+            if int(den):
+                return canonical(Fraction(int(num), int(den)))
+        except ValueError:  # a digit run over Python's integer-string limit
+            raise ValueError(f"{what} coefficient {shown(value)} is over the "
+                             f"{sys.get_int_max_str_digits()}-digit limit") from None
+    raise ValueError(f"{what} coefficient {shown(value)} is not a rational: give an integer or a \"p/q\" string")
 
 
 def from_json_dict(doc) -> LieAlgebra:

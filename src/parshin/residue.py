@@ -21,6 +21,18 @@ from .matrices import det
 from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
+# [f_j, P_axis^+] is nonzero only on a slab of the axis as wide as the
+# largest |shift| of f_j there, and every word's box lies in one slab per
+# axis.  A trace sums a weight term over each axis of that box one lattice
+# point at a time (opalg._power_sum, about 2.3 us a point), so a wider slab
+# is refused before any commutator is built: "t1^-3000000 ; t1^3000000" took
+# 7 s.  The cap is four times the widest shift trace_wide draws (24,003) and
+# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 2b's
+# closed-form power sums make a trace's cost independent of the width, and
+# lift this cap.
+MAX_SLAB_WIDTH = 100_000
+
+
 def raw_sum(operators, cuts=None) -> Fraction:
     """tau sum over pi in S_n of sgn(pi) [f_pi(1), P_1^+] ... [f_pi(n), P_n^+] f_0.
 
@@ -57,6 +69,9 @@ def raw_sum(operators, cuts=None) -> Fraction:
     if len(operators) != n + 1:
         raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
     cuts = _cuts(n, cuts)
+    widest = max((abs(s) for op in operators[1:] for a in op.atoms for s in a.shift), default=0)
+    if widest > MAX_SLAB_WIDTH:
+        raise ArityError(f"a commutator slab {widest} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}")
 
     # the negated shifts a product of f_1..f_n can take (the Minkowski sum
     # of their atom shifts)

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, subcommands, JSON determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -327,13 +328,87 @@ def test_virasoro_rejects_max_m_below_one(capsys):
         assert_error(capsys, ["virasoro", "--max-m", max_m, "--json"], "ArityError", "--max-m")
 
 
-def test_verify_caps_trials(capsys):
-    # 1000000 is over the cap: one n = 4 cube trial takes about a second
+# Python refuses to read an integer of more than sys.get_int_max_str_digits()
+# digits (4300 by default); each reader names its own input instead.
+
+def test_form_integer_over_the_digit_limit(capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for form, offset in ((f"t1^-1 ; t1^{digits}", 11), (f"{digits}*t1^-1 ; t1", 0),
+                         (f"t1^-1 ; t{digits}", 8)):
+        assert_error(capsys, ["residue", "--form", form, "--json"], "ParseError",
+                     f"an integer of {len(digits)} digits", f"(at offset {offset})")
+
+
+def test_cuts_piece_that_is_not_an_integer(capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for cuts, shown in (("a", "'a'"), ("1,,2", "''"), (f"1,{digits}", "'1111"), ("1.5", "'1.5'")):
+        code, out, _ = run_cli(capsys, "residue", "--form", "t1^-1*t2^-1 ; t1 ; t2",
+                               f"--cuts={cuts}", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+        message = doc["error"]["message"]
+        assert message.startswith("--cuts takes comma-separated integers") and shown in message
+        assert len(message) < 200
+
+
+def test_chain_coefficient_over_the_digit_limit(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    chain = write_chain(tmp_path, [{"coeff": digits, "factors": [{"exp": [-1]}, {"exp": [1]}]}])
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["error"]["type"] == "ValueError"
+    message = doc["error"]["message"]
+    assert message.startswith("chain term coefficient '1111") and "digit limit" in message
+    assert len(message) < 200
+
+
+def test_verify_caps_trials(capsys, monkeypatch):
+    # 1000000 is over the cap: one n = 4 cube trial takes about 0.23 s
     for trials in ("0", "-2", "1001", "1000000"):
         assert_error(capsys, ["verify", "--suite", "rho", "--trials", trials, "--json"],
                      "ArityError", "--trials")
     code, out, _ = run_cli(capsys, "verify", "--suite", "rho", "--trials", "1000", "--json")
     assert code == 0 and json.loads(out)["passed"]
+    # the benchmark's cube runs
+    for trials in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "cube", "--n", "2", "--trials", trials, "--json")
+        assert code == 0 and json.loads(out)["passed"]
+
+    # cocycle and all are capped by trials x seconds per trial, before the first trial
+    from parshin import cli
+
+    runs = []
+    monkeypatch.setattr(cli._verify, "run_suite",
+                        lambda name, **kw: runs.append((name, kw)) or cli._verify.CheckReport(name))
+    for suite, n, bound in (("cocycle", 4, 2), ("all", 4, 2), ("cocycle", 3, 1000), ("all", 3, 1000)):
+        per_trial = cli.COCYCLE_TRIAL_SECONDS[n - 1] * (1 + bound / 50)
+        if suite == "all":
+            per_trial += cli.OTHER_TRIAL_SECONDS[n - 1]
+        largest = int(cli.MAX_VERIFY_SECONDS // per_trial)
+        argv = ["verify", "--suite", suite, "--n", str(n), "--degree-bound", str(bound), "--json"]
+        assert largest < cli.MAX_TRIALS
+        for trials in (largest + 1, 1000):
+            assert_error(capsys, [*argv, "--trials", str(trials)], "ArityError",
+                         f"--trials {trials} of the {suite} suite", "over the cap")
+        assert not runs
+        assert run_cli(capsys, *argv, "--trials", str(largest))[0] == 0
+        assert runs.pop() == (suite, {"n": n, "seed": 1, "trials": largest, "degree_bound": bound})
+    # an n = 4 cocycle trial takes 1-2 s: 1000 of them would run for about half an hour
+    assert 1000 * cli.COCYCLE_TRIAL_SECONDS[3] > cli.MAX_VERIFY_SECONDS
+
+
+def test_residue_caps_the_commutator_slab_width(tmp_path, capsys):
+    # a trace sums one lattice point of a slab at a time: 3000000 took 7 s
+    from parshin.residue import MAX_SLAB_WIDTH
+
+    for width in (MAX_SLAB_WIDTH + 1, 3_000_000, 10**9):
+        assert_error(capsys, ["residue", "--form", f"t1^-{width} ; t1^{width}", "--json"],
+                     "ArityError", f"slab {width} lattice points wide", f"cap {MAX_SLAB_WIDTH}")
+    chain = write_chain(tmp_path, [{"factors": [{"exp": [-10**9]}, {"exp": [10**9]}]}])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ArityError", "slab")
+    # the widest shift the benchmark's trace_wide workload draws
+    code, out, _ = run_cli(capsys, "residue", "--form", "t1^-24003 ; t1^24003", "--json")
+    assert code == 0 and json.loads(out)["residue"] == "24003"
 
 
 def test_verify_caps_degree_bound(capsys):

@@ -1,13 +1,20 @@
 """Laurent polynomials, the coefficient-extraction oracle, and the text grammar."""
 
+import contextlib
+import io
+import json
 import random
+import re
+import sys
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parshin.errors import DimensionMismatch, ParseError
+from parshin.cli import main, parse_form
+from parshin.errors import ArityError, DimensionMismatch, ParseError
 from parshin.laurent import (
     GLaurent,
     LaurentPoly,
@@ -314,3 +321,363 @@ def test_parse_error_bad_char():
 def test_parse_roundtrip_str():
     p = parse_poly("3/2*t1^-2*t2 + t1")
     assert parse_poly(str(p)) == p
+
+
+# -- grammar fuzzing against the reference parser -------------------------------
+#
+# The reference is the parser the scanner replaced, kept here verbatim: a regex
+# tokenizer into (kind, value, offset) tuples, a recursive-descent parser with
+# one method call per token, and LaurentPoly.make over the dense terms.  It
+# differs from parse_poly / parse_form in one documented case only: a digit
+# run over Python's integer-string limit, where it lets int()'s ValueError
+# through and the scanner raises a ParseError at the run's offset.
+
+_REF_TOKEN = re.compile(r"\s*(?:(?P<var>t(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[+\-*/^]))")
+
+
+def _ref_tokenize(text, base=0):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        match = _REF_TOKEN.match(text, pos)
+        if match is None:
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+            if pos == len(text):
+                break
+            raise ParseError(base + pos, f"unexpected character {text[pos]!r}")
+        if match.group("var"):
+            tokens.append(("var", int(match.group("idx")), base + match.start("var")))
+        elif match.group("int"):
+            tokens.append(("int", int(match.group("int")), base + match.start("int")))
+        else:
+            tokens.append(("op", match.group("op"), base + match.start("op")))
+        pos = match.end()
+    tokens.append(("end", None, base + len(text)))
+    return tokens
+
+
+class _RefPolyParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message):
+        raise ParseError(self.peek()[2], message)
+
+    def parse_signed_int(self):
+        sign = 1
+        kind, value, _ = self.peek()
+        while kind == "op" and value in "+-":
+            if value == "-":
+                sign = -sign
+            self.take()
+            kind, value, _ = self.peek()
+        if kind != "int":
+            self.fail("expected an integer")
+        self.take()
+        return sign * value
+
+    def parse_term(self, sign):
+        coeff = Fraction(sign)
+        exps = {}
+        saw_anything = False
+        kind, value, _ = self.peek()
+        if kind == "int":
+            self.take()
+            num = value
+            den = 1
+            if self.peek()[0] == "op" and self.peek()[1] == "/":
+                self.take()
+                if self.peek()[0] != "int":
+                    self.fail("expected a denominator")
+                den = self.take()[1]
+                if den == 0:
+                    self.fail("zero denominator")
+            coeff *= Fraction(num, den)
+            saw_anything = True
+            if self.peek()[0] == "op" and self.peek()[1] == "*":
+                self.take()
+        while self.peek()[0] == "var":
+            _, idx, pos = self.take()
+            if idx < 1:
+                raise ParseError(pos, "variable index must be >= 1")
+            power = 1
+            if self.peek()[0] == "op" and self.peek()[1] == "^":
+                self.take()
+                power = self.parse_signed_int()
+            exps[idx] = exps.get(idx, 0) + power
+            saw_anything = True
+            if self.peek()[0] == "op" and self.peek()[1] == "*":
+                self.take()
+        if not saw_anything:
+            self.fail("expected a term")
+        return coeff, exps
+
+    def parse_poly(self):
+        terms = []
+        sign = 1
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            sign = -1 if value == "-" else 1
+            self.take()
+        terms.append(self.parse_term(sign))
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.take()
+                terms.append(self.parse_term(-1 if value == "-" else 1))
+            elif kind == "end":
+                break
+            else:
+                self.fail(f"expected '+' or '-', got {value!r}")
+        return terms
+
+
+def _ref_parse_sparse(text, base=0):
+    return _RefPolyParser(_ref_tokenize(text, base)).parse_poly()
+
+
+def _ref_from_sparse(sparse, n):
+    out = {}
+    for coeff, exps in sparse:
+        exp = tuple(exps.get(i + 1, 0) for i in range(n))
+        out[exp] = out.get(exp, Fraction(0)) + coeff
+    return LaurentPoly.make(n, out)
+
+
+def _ref_parse_poly(text, n=None):
+    sparse = _ref_parse_sparse(text)
+    max_idx = max((idx for _, exps in sparse for idx in exps), default=1)
+    if n is None:
+        n = max_idx
+    elif max_idx > n:
+        raise ParseError(0, f"variable t{max_idx} exceeds n={n}")
+    return _ref_from_sparse(sparse, n)
+
+
+def _ref_parse_form(text):
+    segments = text.split(";")
+    parsed = []
+    offset = 0
+    for segment in segments:
+        if not segment.strip():
+            raise ParseError(offset, "empty polynomial in form")
+        parsed.append(_ref_parse_sparse(segment, base=offset))
+        offset += len(segment) + 1
+    if len(parsed) < 2:
+        raise ArityError("a residue form needs at least two ';'-separated polynomials")
+    n = max((idx for sparse in parsed for _, exps in sparse for idx in exps), default=1)
+    if len(parsed) != n + 1:
+        raise ArityError(f"form mentions t{n} so it needs {n + 1} polynomials, got {len(parsed)}")
+    polys = [_ref_from_sparse(sparse, n) for sparse in parsed]
+    return polys[0], polys[1:]
+
+
+def _outcome(parse, *args):
+    """("ok", polys) or ("error", type, message, offset); ("limit",) for int()'s ValueError."""
+    try:
+        value = parse(*args)
+    except (ParseError, ArityError) as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "offset", None))
+    except ValueError as exc:
+        assert "limit" in str(exc) and "integer string conversion" in str(exc), exc
+        return ("limit",)
+    return ("ok", value if isinstance(value, LaurentPoly) else [value[0], *value[1]])
+
+
+def _stored(polys):
+    """Terms with each coefficient's stored type, so int and Fraction storage differ."""
+    if isinstance(polys, LaurentPoly):
+        polys = [polys]
+    return [(p.n, [(e, c, type(c)) for e, c in p.terms]) for p in polys]
+
+
+_LONG_RUN = re.compile(r"t?(\d+)")
+
+
+def _digit_limit_error(text):
+    """The ParseError the scanner raises where the reference lets int()'s limit through."""
+    limit = sys.get_int_max_str_digits()
+    match = next(m for m in _LONG_RUN.finditer(text) if len(m.group(1)) > limit)
+    digits = len(match.group(1))
+    message = f"an integer of {digits} digits is over the {limit}-digit limit"
+    return ("error", "ParseError", f"{message} (at offset {match.start()})", match.start())
+
+
+def _assert_same_outcome(text, new, ref):
+    if ref == ("limit",):
+        assert new == _digit_limit_error(text), text
+    elif ref[0] == "ok":
+        assert new[0] == "ok" and _stored(new[1]) == _stored(ref[1]), text
+    else:
+        assert new == ref, text
+
+
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_spaces = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "　"])
+
+
+@st.composite
+def _digits(draw, low=0, high=12):
+    """A decimal digit run: sometimes with leading zeros, sometimes in Arabic-Indic digits."""
+    text = "0" * draw(st.integers(0, 2)) + str(draw(st.integers(low, high)))
+    return text.translate(_ARABIC) if draw(st.integers(0, 9)) == 0 else text
+
+
+@st.composite
+def _term_text(draw, n):
+    pieces = []
+    factors = draw(st.integers(0, 3))
+    if factors == 0 or draw(st.booleans()):
+        coeff = draw(_digits())
+        if draw(st.booleans()):
+            coeff += draw(_spaces) + "/" + draw(_spaces) + draw(_digits(1))
+        pieces.append(coeff)
+        if factors and draw(st.booleans()):
+            pieces.append("*")
+    for i in range(factors):
+        factor = "t" + draw(_digits(1, n))  # repeats are common at small n
+        if draw(st.booleans()):
+            signs = draw(st.text(alphabet="+-", max_size=3))
+            factor += draw(_spaces) + "^" + draw(_spaces) + signs + draw(_spaces) + draw(_digits())
+        pieces.append(factor)
+        if i < factors - 1 and draw(st.booleans()):
+            pieces.append("*")
+    if draw(st.integers(0, 5)) == 0:
+        pieces.append("*")  # a trailing "*" ends a term
+    return "".join(piece + draw(_spaces) for piece in pieces)
+
+
+@st.composite
+def _poly_text(draw, n=3):
+    text = draw(_spaces) + draw(st.sampled_from(["", "", "-", "+"])) + draw(_spaces)
+    text += draw(_term_text(n))
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from(["+", "-"])) + draw(_spaces) + draw(_term_text(n))
+    return text
+
+
+_STRAY = ["@", "x", "t", ".", "(", "é", "_", "T", "٫", "~", ";"]
+
+
+@st.composite
+def _near_miss(draw, text):
+    """One edit of a valid text that the grammar (usually) rejects."""
+    kind = draw(st.sampled_from(["stray", "caret", "exponent", "zero", "t0", "trailing",
+                                 "delete", "long"]))
+    if kind == "stray":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
+    if kind == "caret" and "^" in text:
+        return text.replace("^", "^^", 1)
+    if kind == "exponent" and "^" in text:
+        return re.sub(r"\^(\s*[+-]*\s*)\d+", r"^\1", text, count=1)
+    if kind == "zero" and "/" in text:
+        return re.sub(r"/(\s*)\d+", r"/\g<1>0", text, count=1)
+    if kind == "t0" and "t" in text:
+        return re.sub(r"t\d+", draw(st.sampled_from(["t0", "t00", "t٠"])), text, count=1)
+    if kind == "delete" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:]
+    if kind == "long":
+        digits = "1" * (sys.get_int_max_str_digits() + draw(st.integers(1, 3)))
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(["", "t", "^", "/"])) + digits + text[at:]
+    return text + draw(_spaces) + draw(st.sampled_from(["+", "-", "*", "/", "^", "t"]))
+
+
+@st.composite
+def _poly_case(draw):
+    text = draw(_poly_text())
+    if draw(st.booleans()):
+        text = draw(_near_miss(text))
+    return text
+
+
+@st.composite
+def _form_case(draw):
+    n = draw(st.integers(1, 3))
+    segments = [draw(_poly_text(n)) for _ in range(n + 1)]
+    form = " ; ".join(segments) if draw(st.booleans()) else ";".join(segments)
+    edit = draw(st.sampled_from(["none", "none", "miss", "empty", "segments"]))
+    if edit == "miss":
+        form = draw(_near_miss(form))
+    elif edit == "empty":
+        at = draw(st.sampled_from([i for i, ch in enumerate(form) if ch == ";"] + [len(form)]))
+        form = form[:at] + draw(st.sampled_from([";", "; ;", " ;"])) + form[at:]
+    elif edit == "segments":
+        form = ";".join(form.split(";")[:draw(st.integers(1, n))])
+    return form
+
+
+_random_text = st.text(alphabet="t0123456789+-*/^ ;@", max_size=24)
+
+
+@given(st.one_of(_poly_case(), _random_text), st.sampled_from([None, None, 1, 2, 4]))
+@settings(max_examples=250, deadline=None)
+def test_scanner_matches_the_reference_parser(text, n):
+    _assert_same_outcome(text, _outcome(parse_poly, text, n), _outcome(_ref_parse_poly, text, n))
+
+
+@given(st.one_of(_form_case(), _random_text))
+@settings(max_examples=150, deadline=None)
+def test_form_scanner_matches_the_reference_parser(form):
+    _assert_same_outcome(form, _outcome(parse_form, form), _outcome(_ref_parse_form, form))
+
+
+@given(_form_case())
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+def test_form_cases_through_the_cli(form):
+    """Each form ends in an oracle-agreeing report or the reference's error payload."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["residue", "--form=" + form, "--json"])
+    doc = json.loads(out.getvalue())
+    ref = _outcome(_ref_parse_form, form)
+    if ref[0] == "ok":
+        f0, *fs = ref[1]
+        assert code == 0 and doc["agrees"] is True, form
+        assert doc["oracle"] == str(parshin_oracle(f0, fs)), form
+    else:
+        _, kind, message, _ = _digit_limit_error(form) if ref == ("limit",) else ref
+        assert code == 1 and doc == {"error": {"type": kind, "message": message}}, form
+
+
+def test_scanner_keeps_the_grammar_corners():
+    # a term may end in "*", and "t1*+t2" is t1 + t2
+    assert parse_poly("3*") == mono(1, (0,), 3)
+    assert parse_poly("t1*+t2") == mono(2, (1, 0)) + mono(2, (0, 1))
+    # repeated variables add their powers; signs repeat only in exponents
+    assert parse_poly("t1*t1^2 t1^--1") == mono(1, (4,))
+    assert parse_poly("t2^0") == LaurentPoly.one(2)
+    # a zero denominator is reported at the lexeme after it
+    with pytest.raises(ParseError, match=r"zero denominator \(at offset 6\)"):
+        parse_poly("3 / 0 t1")
+    # a stray character anywhere wins over an earlier grammar error
+    with pytest.raises(ParseError, match=r"unexpected character '@' \(at offset 6\)"):
+        parse_poly("t1^^2 @")
+    with pytest.raises(ParseError, match=r"expected '\+' or '-', got 7 \(at offset 3\)"):
+        parse_poly("t1 007")
+
+
+def test_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text, offset in ((f"t1^{long}", 3), (f"{long}*t1", 0), (f"t1 + t{long}", 5),
+                         (f"{long} @", 0), (f"@ {long}", 0)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.offset == offset, text
+    assert str(err.value) == "unexpected character '@' (at offset 0)"
+    with pytest.raises(ParseError, match=f"an integer of {limit + 1} digits is over the {limit}-digit limit"):
+        parse_poly(f"t1^{long}")
+    assert parse_poly("t1^" + "1" * limit).terms[0][0] == (int("1" * limit),)
