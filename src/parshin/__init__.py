@@ -9,7 +9,7 @@ and machine-verified against independent oracles in exact rational
 arithmetic.
 """
 
-from .chains import TensorChain, WedgeChain
+from .chains import TensorChain
 from .cocycle import CocycleInput, phi, phi_closed_form, virasoro_phi, virasoro_table
 from .cube import (
     CubeElement,
@@ -52,7 +52,6 @@ __all__ = [
     "ParshinError",
     "ResidueReport",
     "TensorChain",
-    "WedgeChain",
     "WeightPoly",
     "abelian",
     "ack_residue_n1",

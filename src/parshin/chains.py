@@ -1,33 +1,35 @@
 """Chevalley-Eilenberg chain machinery with pluggable coefficient modules.
 
-Two containers: ``TensorChain`` for sums of head (x) f_1 ^ ... ^ f_r with the
-head in a module carrying a bracket action, and ``WedgeChain`` for rational
-combinations of pure wedges f_0 ^ ... ^ f_r.  Tails are formal wedges kept in
-a canonical sorted order with sign tracking; terms with a repeated factor are
-dropped.
+One container, ``TensorChain``, for sums of head (x) f_1 ^ ... ^ f_r with the
+head in a module carrying a bracket action.  A ``Fraction`` head lies in the
+trivial module k (the algebra acts by zero), so a rational combination of
+pure wedges f_0 ^ ... ^ f_r is a chain of length r + 1 with scalar heads.
+Tails are formal wedges kept in a canonical sorted order with sign tracking;
+terms with a repeated factor are dropped.
 
 Every participating element type exposes ``scale``, ``__add__`` and
 ``is_zero``, and ``bracket_of`` brackets two elements of one type: Laurent
 polynomials to zero (abelian), lattice operators by commutator, Lie and
-loop elements by their own ``bracket``.  A head is acted on by the same
-bracket, so heads and tail factors share one type.  The spectral-sequence
+loop elements by their own ``bracket``.  A head other than a scalar is acted
+on by the same bracket, so it shares its tail factors' type.  The spectral-sequence
 lift (``cube.lift_iterative``) keeps its own bookkeeping and does not use
 these chains.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, ModuleActionUndefined
-from .laurent import GLaurent, LaurentPoly
+from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import LieElement, rational_from_json
 from .opalg import LatticeOperator, atom_key, derivation_operator
 
 
 def bracket_of(a, b):
-    """Lie bracket in the acting algebra, dispatched on type."""
+    """Lie bracket in the acting algebra, dispatched on type; 0 on a scalar head."""
     if isinstance(a, LaurentPoly) and isinstance(b, LaurentPoly):
         a._check(b)
         return LaurentPoly.zero(a.n)
@@ -35,6 +37,8 @@ def bracket_of(a, b):
         return a.commutator(b)
     if type(a) is type(b) and hasattr(a, "bracket"):
         return a.bracket(b)
+    if isinstance(a, Fraction):
+        return Fraction(0)
     raise ModuleActionUndefined(
         f"no bracket between {type(a).__name__} and {type(b).__name__}"
     )
@@ -95,20 +99,19 @@ def _expand_tail(factors):
 
 
 def _sort_with_sign(factors):
-    """Sort by element_key counting swaps; returns (sign, sorted) or (0, ()) on repeats."""
-    keyed = [(element_key(f), f) for f in factors]
-    sign = 1
-    items = list(keyed)
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1][0] > items[j][0]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i - 1][0] == items[i][0]:
+    """Sort by element_key; returns (sign, sorted) or (0, ()) on repeats."""
+    keys = [element_key(f) for f in factors]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    previous = None
+    for i in order:
+        if keys[i] == previous:
             return 0, ()
-    return sign, tuple(f for _, f in items)
+        previous = keys[i]
+    return _perm_sign(order), tuple([factors[i] for i in order])
+
+
+def _scaled(head, c):
+    return head * c if isinstance(head, Fraction) else head.scale(c)
 
 
 def _is_zero_element(x):
@@ -121,7 +124,11 @@ def _is_zero_element(x):
 
 @dataclass(frozen=True)
 class TensorChain:
-    """Formal sum of head (x) (f_1 ^ ... ^ f_r) terms of one wedge length r."""
+    """Formal sum of head (x) (f_1 ^ ... ^ f_r) terms of one wedge length r.
+
+    A ``Fraction`` head is a coefficient in the trivial module, so the pure
+    wedge c f_0 ^ ... ^ f_r is the chain c (x) f_0 ^ ... ^ f_r of length r + 1.
+    """
 
     r: int
     terms: tuple  # ((head, tail), ...) with canonical tails, merged heads
@@ -132,11 +139,14 @@ class TensorChain:
         for head, tail in items:
             if len(tail) != r:
                 raise ValueError(f"tail of length {len(tail)} in a chain of wedge length {r}")
+            if isinstance(head, Fraction) and not head:
+                continue
             for scalar, expanded in _expand_tail(tail):
                 sign, sorted_tail = _sort_with_sign(expanded)
                 if sign == 0:
                     continue
-                term_head = head.scale(sign * scalar)
+                c = sign * scalar
+                term_head = head if c == 1 else _scaled(head, c)
                 key = tuple(element_key(f) for f in sorted_tail)
                 if key in merged:
                     merged[key] = (merged[key][0] + term_head, sorted_tail)
@@ -161,115 +171,35 @@ class TensorChain:
         return TensorChain.make(self.r, list(self.terms) + list(other.terms))
 
     def scale(self, c):
-        return TensorChain.make(self.r, [(h.scale(c), t) for h, t in self.terms])
+        return TensorChain.make(self.r, [(_scaled(h, c), t) for h, t in self.terms])
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def ce_diff_parts(self):
-        """The two halves of the differential, returned separately.
-
-        First: sum_i (-1)^i [f_0, f_i] (x) ...omit f_i...; second:
-        sum_(i<j) (-1)^(i+j+1) f_0 (x) [f_i, f_j] ^ ...omit both...
-        """
-        d1_items = []
-        d2_items = []
-        for head, tail in self.terms:
-            r = len(tail)
-            for i in range(1, r + 1):
-                new_head = bracket_of(head, tail[i - 1]).scale((-1) ** i)
-                new_tail = tail[:i - 1] + tail[i:]
-                d1_items.append((new_head, new_tail))
-            for i in range(1, r + 1):
-                for j in range(i + 1, r + 1):
-                    sign = (-1) ** (i + j + 1)
-                    new_tail = (bracket_of(tail[i - 1], tail[j - 1]),) + tuple(
-                        tail[k] for k in range(r) if k not in (i - 1, j - 1)
-                    )
-                    d2_items.append((head.scale(sign), new_tail))
-        return TensorChain.make(self.r - 1, d1_items), TensorChain.make(self.r - 1, d2_items)
 
     def ce_diff(self) -> "TensorChain":
-        d1, d2 = self.ce_diff_parts()
-        return d1 + d2
+        """sum_i (-1)^i [f_0, f_i] (x) ...omit f_i...
+        + sum_(i<j) (-1)^(i+j+1) f_0 (x) [f_i, f_j] ^ ...omit both...
 
-    def map_I(self) -> "WedgeChain":
-        """f_0 (x) f_1 ^ ... ^ f_r -> (-1)^r f_0 ^ f_1 ^ ... ^ f_r."""
-        sign = Fraction((-1) ** self.r)
-        return WedgeChain.make(
-            self.r + 1, [(sign, (head,) + tail) for head, tail in self.terms]
-        )
-
-
-@dataclass(frozen=True)
-class WedgeChain:
-    """Rational formal sum of pure wedges f_0 ^ ... ^ f_r (length r + 1)."""
-
-    length: int
-    terms: tuple  # ((Fraction, factors), ...) canonical
-
-    @staticmethod
-    def make(length, items) -> "WedgeChain":
-        merged = {}
-        for coeff, factors in items:
-            coeff = Fraction(coeff)
-            if len(factors) != length:
-                raise ValueError(
-                    f"wedge of {len(factors)} factors in a chain of length {length}"
-                )
-            if coeff == 0:
-                continue
-            for scalar, expanded in _expand_tail(factors):
-                sign, sorted_factors = _sort_with_sign(expanded)
-                if sign == 0:
-                    continue
-                key = tuple(element_key(f) for f in sorted_factors)
-                value = sign * scalar * coeff
-                if key in merged:
-                    merged[key] = (merged[key][0] + value, sorted_factors)
-                else:
-                    merged[key] = (value, sorted_factors)
-        terms = tuple(
-            (c, fs) for _, (c, fs) in sorted(merged.items(), key=lambda kv: kv[0]) if c != 0
-        )
-        return WedgeChain(length, terms)
-
-    @staticmethod
-    def single(factors, coeff=1) -> "WedgeChain":
-        return WedgeChain.make(len(factors), [(Fraction(coeff), tuple(factors))])
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.length != other.length:
-            raise ValueError("cannot add wedge chains of different length")
-        return WedgeChain.make(self.length, list(self.terms) + list(other.terms))
-
-    def scale(self, c):
-        c = Fraction(c)
-        return WedgeChain.make(self.length, [(c * k, fs) for k, fs in self.terms])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def ce_diff_trivial(self) -> "WedgeChain":
-        """Trivial-coefficient differential, the restriction of the standard one.
-
-        delta(f_0 ^ ... ^ f_r) = sum_(0<=i<j<=r) (-1)^(i+j+1)
-        [f_i, f_j] ^ f_0 ^ ...omit i, j... ^ f_r.
+        With a scalar head the first half vanishes, leaving the
+        trivial-coefficient differential of the wedge.
         """
         items = []
-        for coeff, factors in self.terms:
-            r = len(factors)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    sign = (-1) ** (i + j + 1)
-                    new_factors = (bracket_of(factors[i], factors[j]),) + tuple(
-                        factors[k] for k in range(r) if k not in (i, j)
-                    )
-                    items.append((coeff * sign, new_factors))
-        return WedgeChain.make(self.length - 1, items)
+        for head, tail in self.terms:
+            signed = (head, _scaled(head, -1))
+            for i, f in enumerate(tail):
+                bracket = bracket_of(head, f)
+                items.append((bracket if i % 2 else _scaled(bracket, -1), tail[:i] + tail[i + 1:]))
+            for i, j in itertools.combinations(range(len(tail)), 2):
+                rest = tail[:i] + tail[i + 1:j] + tail[j + 1:]
+                items.append((signed[(i + j) % 2 == 0], (bracket_of(tail[i], tail[j]),) + rest))
+        return TensorChain.make(self.r - 1, items)
+
+    def map_I(self) -> "TensorChain":
+        """f_0 (x) f_1 ^ ... ^ f_r -> (-1)^r f_0 ^ f_1 ^ ... ^ f_r, with scalar heads."""
+        sign = Fraction((-1) ** self.r)
+        return TensorChain.make(
+            self.r + 1, [(sign, (head,) + tail) for head, tail in self.terms]
+        )
 
 
 # ---------------------------------------------------------------------------

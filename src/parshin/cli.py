@@ -1,7 +1,8 @@
 """Command-line front end: residues, cocycles, Virasoro tables, verification.
 
-All rationals are printed as strings "p/q" in lowest terms ("p" when the
-denominator is 1), and JSON output is byte-stable for a fixed invocation.
+All rationals are printed exactly, of any size, as strings "p/q" in lowest
+terms ("p" when the denominator is 1; ``matrices.exact_text``), and JSON
+output is byte-stable for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import verify as _verify
 from .chains import read_chain
 from .errors import ArityError, MixedFlavors, ParseError, ParshinError, shown
 from .laurent import _from_terms, _scan
-from .liealg import load_algebra
+from .liealg import load_algebra, read_json
+from .matrices import exact_text
 from .residue import residue
 
 # the trace sum walks up to n! words per monomial tuple
@@ -111,18 +113,17 @@ def cmd_residue(args) -> int:
     payload = report.to_json_dict()
     _emit(payload, args.json, [
         f"n        = {report.n}",
-        f"residue  = {report.residue}",
-        f"oracle   = {report.oracle}",
-        f"raw      = {report.raw}",
-        f"res_star = {report.paper_res_star}",
+        f"residue  = {payload['residue']}",
+        f"oracle   = {payload['oracle']}",
+        f"raw      = {payload['raw']}",
+        f"res_star = {payload['paper_res_star']}",
         f"agrees   = {report.agrees}",
     ])
     return 0 if report.agrees else 1
 
 
 def cmd_cocycle(args) -> int:
-    with open(args.input) as handle:
-        doc = json.load(handle)
+    doc = read_json(args.input)
     algebra = None
     algebra_ref = doc.get("algebra") if isinstance(doc, dict) else None
     if args.algebra:
@@ -142,8 +143,9 @@ def cmd_cocycle(args) -> int:
     total = Fraction(0)
     for (coeff, _), wedge in zip(terms, wedges):
         total += coeff * _cocycle.phi(wedge, cuts=_cuts_arg(args, n))
-    payload = {"flavor": flavor, "n": n, "value": str(total)}
-    _emit(payload, args.json, [f"flavor = {flavor}", f"n      = {n}", f"value  = {total}"])
+    value = exact_text(total)
+    payload = {"flavor": flavor, "n": n, "value": value}
+    _emit(payload, args.json, [f"flavor = {flavor}", f"n      = {n}", f"value  = {value}"])
     return 0
 
 
@@ -153,8 +155,8 @@ def cmd_virasoro(args) -> int:
     if args.max_m > MAX_M:
         raise ArityError(f"--max-m {args.max_m} exceeds the cap {MAX_M}")
     rows = _cocycle.virasoro_table(args.max_m)
-    payload = {"rows": [{"m": m, "phi": str(v)} for m, v in rows]}
-    _emit(payload, args.json, [f"m={m}  phi(L_m ^ L_-m) = {v}" for m, v in rows])
+    payload = {"rows": [{"m": m, "phi": exact_text(v)} for m, v in rows]}
+    _emit(payload, args.json, [f"m={r['m']}  phi(L_m ^ L_-m) = {r['phi']}" for r in payload["rows"]])
     return 0
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import TensorChain, WedgeChain
+from .chains import TensorChain
 from .errors import DimensionMismatch, MixedFlavors, NotCentreless
 from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import is_centreless, killing_nform
@@ -51,7 +51,7 @@ class CocycleInput:
                 kinds.add("multiloop")
             elif isinstance(e, LaurentPoly):
                 kinds.add("scalar")
-            elif isinstance(e, LatticeOperator) or _is_derivation_descriptor(e):
+            elif isinstance(e, LatticeOperator):
                 kinds.add("vectorfield")
             else:
                 raise MixedFlavors(f"unsupported cocycle entry type {type(e).__name__}")
@@ -59,24 +59,13 @@ class CocycleInput:
             raise MixedFlavors(f"entries mix flavors {sorted(kinds)}")
         flavor = kinds.pop()
         first = entries[0]
-        n = len(tuple(first[0])) if _is_derivation_descriptor(first) else first.n
-        inp = CocycleInput(n, flavor, entries)
         if flavor == "multiloop":
             alg = first.algebra
             if any(e.algebra != alg for e in entries):
                 raise MixedFlavors("multiloop entries over different algebras")
-        if flavor == "vectorfield" and n != 1:
+        if flavor == "vectorfield" and first.n != 1:
             raise DimensionMismatch("the derivation flavor is restricted to n = 1")
-        return inp
-
-
-def _is_derivation_descriptor(e):
-    return (
-        isinstance(e, tuple)
-        and len(e) == 2
-        and isinstance(e[0], (tuple, list))
-        and isinstance(e[1], int)
-    )
+        return CocycleInput(first.n, flavor, entries)
 
 
 def entry_operator(entry) -> LatticeOperator:
@@ -85,9 +74,6 @@ def entry_operator(entry) -> LatticeOperator:
         return mul_operator(entry)
     if isinstance(entry, LatticeOperator):
         return entry
-    if _is_derivation_descriptor(entry):
-        s, axis = entry
-        return derivation_operator(len(tuple(s)), tuple(s), axis)
     raise MixedFlavors(f"cannot interpret {type(entry).__name__} as a cocycle entry")
 
 
@@ -101,8 +87,8 @@ def phi(entries, cuts=None) -> Fraction:
     return raw_sum([entry_operator(e) for e in inp.entries], cuts)
 
 
-def phi_wedge_chain(chain: WedgeChain, cuts=None) -> Fraction:
-    """Linear extension of phi to a formal sum of wedges.
+def phi_wedge_chain(chain: TensorChain, cuts=None) -> Fraction:
+    """Linear extension of phi to a formal sum of wedges (scalar heads).
 
     Each canonical wedge is read with its first factor in the f_0 slot.
     Since the formula's f_0 slot is distinguished, this is only meaningful
@@ -160,9 +146,9 @@ def phi_closed_form(elements, exponents) -> Fraction:
 # Specializations
 # ---------------------------------------------------------------------------
 
-def virasoro_generator(m) -> tuple:
-    """Descriptor of L_m = t^(m+1) d/dt."""
-    return ((m + 1,), 1)
+def virasoro_generator(m) -> LatticeOperator:
+    """L_m = t^(m+1) d/dt, as the operator it acts by."""
+    return derivation_operator(1, (m + 1,), 1)
 
 
 def virasoro_phi(m, cut=0) -> Fraction:

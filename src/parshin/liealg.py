@@ -320,6 +320,15 @@ def to_json_dict(alg: LieAlgebra) -> dict:
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
-def load_algebra(path) -> LieAlgebra:
+def read_json(path):
+    """A JSON file; its ValueError (bad syntax, or an integer over Python's
+    int-to-str digit limit, whose message gives the digit count) names the file."""
     with open(path) as handle:
-        return from_json_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_algebra(path) -> LieAlgebra:
+    return from_json_dict(read_json(path))

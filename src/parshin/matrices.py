@@ -5,6 +5,7 @@ An integral entry is a plain ``int`` and any other entry a ``Fraction``.  An
 of entry give the same dict keys and the same order; ints only hash faster.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 Matrix = tuple
@@ -20,6 +21,16 @@ def rational(x):
     if type(x) is int:
         return x
     return canonical(x if type(x) is Fraction else Fraction(x))
+
+
+def exact_text(q):
+    """str(q) of an int or Fraction, for any number of digits.
+
+    ``str`` refuses an int over Python's int-to-str digit limit; ``Decimal``
+    converts an int exactly with no such limit.
+    """
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def matrix(rows):

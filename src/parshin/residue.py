@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, parshin_oracle
-from .matrices import det
+from .matrices import det, exact_text
 from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
@@ -128,10 +128,10 @@ class ResidueReport:
     def to_json_dict(self):
         return {
             "n": self.n,
-            "raw": str(self.raw),
-            "residue": str(self.residue),
-            "oracle": str(self.oracle),
-            "paper_res_star": str(self.paper_res_star),
+            "raw": exact_text(self.raw),
+            "residue": exact_text(self.residue),
+            "oracle": exact_text(self.oracle),
+            "paper_res_star": exact_text(self.paper_res_star),
             "agrees": self.agrees,
         }
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import cocycle as _cocycle
 from . import cube as _cube
 from . import liealg as _liealg
-from .chains import TensorChain, WedgeChain
+from .chains import TensorChain
 from .errors import ArityError, MixedFlavors
 from .laurent import GLaurent, LaurentPoly, _perm_sign, parshin_oracle, partial
 from .opalg import mul_operator
@@ -370,7 +370,7 @@ def _boundary_trial_entries(rng, flavor, n, degree_bound, algebra):
     if flavor == "scalar":
         return [LaurentPoly.monomial(n, exp, 1) for exp in exps]
     # wedge the operators themselves so the differential brackets by commutator
-    return [_cocycle.entry_operator(_cocycle.virasoro_generator(exp[0])) for exp in exps]
+    return [_cocycle.virasoro_generator(exp[0]) for exp in exps]
 
 
 def verify_cocycle(flavor, n, degree_bound=2, trials=50, seed=1, algebra=None, cuts=None) -> CheckReport:
@@ -414,8 +414,8 @@ def naive_wedge_coboundary(flavor, n, degree_bound=2, trials=10, seed=1, algebra
     rng, algebra = _seeded(seed, algebra)
     values = []
     for _ in range(trials):
-        wedge = WedgeChain.single(tuple(_boundary_trial_entries(rng, flavor, n, degree_bound, algebra)))
-        values.append(_cocycle.phi_wedge_chain(wedge.ce_diff_trivial(), cuts))
+        wedge = TensorChain.single(Fraction(1), _boundary_trial_entries(rng, flavor, n, degree_bound, algebra))
+        values.append(_cocycle.phi_wedge_chain(wedge.ce_diff(), cuts))
     return values
 
 
@@ -541,11 +541,11 @@ def check_chains(seed=1, trials=25) -> CheckReport:
             chain = TensorChain.single(rnd(), tuple(rnd() for _ in range(3)))
             report.record(chain.ce_diff().ce_diff().is_zero(),
                           {"algebra": name, "check": "dd=0 tensor"})
-            wedge = WedgeChain.single(tuple(rnd() for _ in range(4)))
-            report.record(wedge.ce_diff_trivial().ce_diff_trivial().is_zero(),
+            wedge = TensorChain.single(Fraction(1), tuple(rnd() for _ in range(4)))
+            report.record(wedge.ce_diff().ce_diff().is_zero(),
                           {"algebra": name, "check": "dd=0 trivial"})
             c2 = TensorChain.single(rnd(), (rnd(), rnd()))
-            report.record((c2.ce_diff().map_I() - c2.map_I().ce_diff_trivial()).is_zero(),
+            report.record((c2.ce_diff().map_I() - c2.map_I().ce_diff()).is_zero(),
                           {"algebra": name, "check": "map_I chain map"})
     return report
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, subcommands, JSON determinism."""
 
+import decimal
 import json
 import sys
 
@@ -360,6 +361,43 @@ def test_chain_coefficient_over_the_digit_limit(tmp_path, capsys):
     message = doc["error"]["message"]
     assert message.startswith("chain term coefficient '1111") and "digit limit" in message
     assert len(message) < 200
+
+
+def test_results_of_any_size_print_exactly(capsys):
+    # the residue has 6000 digits, over Python's int-to-str limit of 4300
+    sevens = "7" * 3000
+    form = f"{sevens}*t1^-1 ; {sevens}*t1"
+    want = str(decimal.Context(prec=7000).multiply(decimal.Decimal(sevens), decimal.Decimal(sevens)))
+    code, out, _ = run_cli(capsys, "residue", "--form", form, "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["agrees"] is True and len(want) == 6000
+    assert {doc[key] for key in ("residue", "oracle", "paper_res_star")} == {want}
+    assert doc["raw"] == "-" + doc["residue"]
+    code, out, _ = run_cli(capsys, "residue", "--form", form)
+    assert code == 0 and f"residue  = {doc['residue']}\n" in out
+
+
+def test_json_integer_over_the_digit_limit_names_the_file(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * 5000
+    message = f"Exceeds the limit ({limit} digits) for integer string conversion: value has 5000 digits"
+    chain = write_chain(tmp_path, [{"coeff": "BIG", "factors": [{"exp": [-1]}, {"exp": [1]}]}])
+    with open(chain) as handle:
+        text = handle.read().replace('"BIG"', digits)
+    with open(chain, "w") as handle:
+        handle.write(text)
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", f"{chain}: {message}")
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text('{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": -%s}}]}' % digits)
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "e0", "exp": [1]}, {"Y": "e1", "exp": [-1]}]}],
+                        algebra=str(algebra))
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", f"{algebra}: {message}")
+    # at the limit the integer is read
+    algebra.write_text('{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": -%s}}]}' % digits[:limit])
+    assert run_cli(capsys, "cocycle", "--input", chain, "--json")[0] == 0
+    # a syntax error names the file too
+    algebra.write_text('{"dim": 2, ')
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", f"{algebra}: Expecting")
 
 
 def test_verify_caps_trials(capsys, monkeypatch):
