@@ -241,15 +241,24 @@ def _int_list(doc, key):
     return tuple(value)
 
 
-def read_chain(doc, algebra=None) -> tuple:
-    """(n, [(coeff, factors), ...]) of a chain document, f_0 first in each term."""
+def read_chain(doc, algebra=None, max_n=None) -> tuple:
+    """(n, [(coeff, factors), ...]) of a chain document, f_0 first in each term.
+
+    n must be at least 1, and at most ``max_n`` when given; it is checked
+    before any factor is read.
+    """
     if not isinstance(doc, dict) or type(doc.get("n")) is not int or not isinstance(doc.get("terms"), list):
         raise ArityError("a chain document needs an integer 'n' and a 'terms' list")
+    n = doc["n"]
+    if n < 1:
+        raise ArityError(f"n = {n} is below 1: a chain needs at least one variable")
+    if max_n is not None and n > max_n:
+        raise ArityError(f"n = {n} exceeds the cap n <= {max_n}")
     terms = []
     for term in doc["terms"]:
         factors = term.get("factors") if isinstance(term, dict) else None
         if not isinstance(factors, list):
             raise ValueError(f"chain term {term!r} needs a 'factors' list")
         terms.append((rational_from_json(term.get("coeff", 1), "chain term"),
-                      tuple(factor_from_json(f, doc["n"], algebra) for f in factors)))
-    return doc["n"], terms
+                      tuple(factor_from_json(f, n, algebra) for f in factors)))
+    return n, terms

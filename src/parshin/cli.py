@@ -28,7 +28,8 @@ MAX_N = 4
 # the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
 MAX_M = 1000
 
-# one n = 4 cube trial takes about 0.23 s, so 1000 take about 4 min
+# one n = 4 cube trial takes about 0.08 s (seed 1, in process), so 1000
+# take about 1.5 min
 MAX_TRIALS = 1000
 
 # A cocycle trial costs far more than a cube trial, so the cocycle and all
@@ -130,8 +131,7 @@ def cmd_cocycle(args) -> int:
         algebra = load_algebra(args.algebra)
     elif isinstance(algebra_ref, str) and algebra_ref != "scalar":
         algebra = load_algebra(algebra_ref)
-    n, terms = read_chain(doc, algebra)
-    _check_n(n)
+    n, terms = read_chain(doc, algebra, MAX_N)
     # the first factor is the distinguished f0 slot; order is preserved
     wedges = [_cocycle.CocycleInput.classify(factors) for _, factors in terms]
     flavors = sorted({wedge.flavor for wedge in wedges})

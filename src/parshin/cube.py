@@ -9,17 +9,22 @@ Chevalley-Eilenberg differential with the homotopy) and in closed form.
 
 Everything is parametrized by the idempotent cut points: P_i^+ projects onto
 lam_i >= cuts[i] (default 0).  Identities are expected to hold for any cuts.
+
+Every map has the form "sum of sign * P_region * (a component of the input)",
+so a component is held as signed region terms over normalized source
+operators.  The maps, ``+``, ``-`` and ``scale`` only rewrite terms; a
+component is normalized, by one ``LatticeOperator.combine``, when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
-from .opalg import LatticeOperator, _cuts, projector_commutator, region
+from .matrices import rational
+from .opalg import Box, LatticeOperator, _cut, _cuts, projector_commutator, region
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -62,16 +67,25 @@ def rho(w) -> int:
 # Cube elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class CubeElement:
-    """Element of N^p: a map from degree-p sign strings to lattice operators."""
+    """Element of N^p: a map from degree-p sign strings to lattice operators.
 
-    n: int
-    d: int
-    p: int
-    components: dict
+    A component is held as signed region terms: ``terms[s]`` maps a key
+    (id of a source operator, region bounds) to a nonzero coefficient c, and
+    the component is the sum of c * P_region source.  Sources are normalized
+    ``LatticeOperator``s, which are unhashable, so they are keyed by identity
+    and ``sources`` holds a reference to each.  The maps below only rewrite
+    terms; ``components`` turns each into an operator by one ``combine``, once.
+    """
 
+    __slots__ = ("n", "d", "p", "terms", "sources", "_components")
     __hash__ = None
+
+    def __init__(self, n, d, p, terms, sources):
+        self.n, self.d, self.p = n, d, p
+        self.terms = terms
+        self.sources = sources
+        self._components = None
 
     @staticmethod
     def make(n, d, p, components) -> "CubeElement":
@@ -83,11 +97,25 @@ class CubeElement:
                 raise DimensionMismatch("component operator on the wrong space")
             if not op.is_structurally_zero():
                 clean[s] = op
-        return CubeElement(n, d, p, clean)
+        whole = _whole(n)
+        element = _element(n, d, p, {s: [(1, op, whole)] for s, op in clean.items()})
+        element._components = clean
+        return element
 
     @staticmethod
     def zero(n, d, p) -> "CubeElement":
-        return CubeElement(n, d, p, {})
+        return CubeElement(n, d, p, {}, {})
+
+    @property
+    def components(self) -> dict:
+        """The nonzero components as operators, each normalized once and cached."""
+        if self._components is None:
+            self._components = {}
+            for s, terms in self.terms.items():
+                op = _read(self.n, self.d, terms, self.sources)
+                if not op.is_structurally_zero():
+                    self._components[s] = op
+        return self._components
 
     def component(self, s) -> LatticeOperator:
         return self.components.get(s) or LatticeOperator.zero(self.n, self.d)
@@ -97,12 +125,15 @@ class CubeElement:
             raise DimensionMismatch("cube elements of different shape")
 
     def _plus(self, c, other):
-        """self + c * other, one ``combine`` per component."""
+        """self + c * other: coefficients of equal keys add."""
         self._check(other)
-        sums = {s: [(1, op, None)] for s, op in self.components.items()}
-        for s, op in other.components.items():
-            sums.setdefault(s, []).append((c, op, None))
-        return _assemble(self.n, self.d, self.p, sums)
+        terms = {s: dict(t) for s, t in self.terms.items()}
+        for s, t in other.terms.items():
+            acc = terms.setdefault(s, {})
+            for key, v in t.items():
+                acc[key] = acc.get(key, 0) + c * v
+        sources = self.sources if other.sources is self.sources else {**self.sources, **other.sources}
+        return CubeElement(self.n, self.d, self.p, _nonzero(terms), sources)
 
     def __add__(self, other):
         return self._plus(1, other)
@@ -114,11 +145,12 @@ class CubeElement:
         return self._plus(-1, other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         if c == 0:
             return CubeElement.zero(self.n, self.d, self.p)
         return CubeElement(self.n, self.d, self.p,
-                           {s: op.scale(c) for s, op in self.components.items()})
+                           {s: {key: c * v for key, v in t.items()} for s, t in self.terms.items()},
+                           self.sources)
 
     def bracket(self, f: LatticeOperator) -> "CubeElement":
         """Componentwise commutator [component, f]; the g-module action on N^p."""
@@ -148,6 +180,89 @@ class CubeElement:
 
 
 # ---------------------------------------------------------------------------
+# Signed region terms
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _whole(n):
+    """The bounds of the whole lattice Z^n: the region of a term with no cut."""
+    return ((None, None),) * n
+
+
+@lru_cache(maxsize=4096)
+def _region(cuts, signs):
+    """The bounds of ``region(cuts, dict(signs))`` for a tuple of (axis, sign) pairs."""
+    return region(cuts, dict(signs)).bounds
+
+
+@lru_cache(maxsize=4096)
+def _meet(a, b):
+    """The bounds of the box a & b, or None when it is empty: P_a P_b = P_(a & b)."""
+    return _cut(a, b, (0,) * len(a))
+
+
+@lru_cache(maxsize=4096)
+def _image(bounds):
+    """The Box with these bounds for ``combine``, or None when it cuts nothing."""
+    return None if bounds == _whole(len(bounds)) else Box(bounds)
+
+
+def _nonzero(terms):
+    """``terms`` without zero coefficients or empty components."""
+    out = {}
+    for s, t in terms.items():
+        t = {key: c for key, c in t.items() if c}
+        if t:
+            out[s] = t
+    return out
+
+
+def _element(n, d, p, sums) -> CubeElement:
+    """The element of N^p whose component at s is the sum of c * P_bounds op over sums[s]."""
+    terms, sources = {}, {}
+    for s, pieces in sums.items():
+        acc = terms.setdefault(s, {})
+        for c, op, bounds in pieces:
+            if op.atoms:
+                sources[id(op)] = op
+                key = (id(op), bounds)
+                acc[key] = acc.get(key, 0) + c
+    return CubeElement(n, d, p, _nonzero(terms), sources)
+
+
+def _apply(f: CubeElement, p, rule) -> CubeElement:
+    """The element of N^p whose component at s sums sign * P_image f_(s_in) over ``rule``.
+
+    ``rule`` yields (s, sign, s_in, image), with image the bounds of a region
+    or None for no cut.  On f's terms, signs multiply, regions meet (an empty
+    meet drops the term) and coefficients of equal keys add.
+    """
+    out = {}
+    for s, sign, s_in, image in rule:
+        src = f.terms.get(s_in)
+        if src is None:
+            continue
+        acc = out.get(s)
+        if acc is None:
+            acc = out[s] = {}
+        for (sid, bounds), c in src.items():
+            if image is not None:
+                bounds = _meet(bounds, image)
+                if bounds is None:
+                    continue
+            key = (sid, bounds)
+            acc[key] = acc.get(key, 0) + sign * c
+    return CubeElement(f.n, f.d, p, _nonzero(out), f.sources)
+
+
+def _read(n, d, terms, sources) -> LatticeOperator:
+    """The sum of c * P_region source over one component's terms, by one ``combine``."""
+    return LatticeOperator.combine(n, d, [
+        (c, sources[sid], _image(bounds)) for (sid, bounds), c in terms.items()
+    ])
+
+
+# ---------------------------------------------------------------------------
 # Differential and homotopies
 # ---------------------------------------------------------------------------
 
@@ -160,27 +275,14 @@ def _zeros_after(s, i) -> int:
     return -1 if s[i + 1:].count("0") % 2 else 1
 
 
-def _assemble(n, d, p, sums) -> CubeElement:
-    """The element of N^p whose component at s is the combined sum sums[s]."""
-    out = {}
-    for s, terms in sums.items():
-        op = LatticeOperator.combine(n, d, terms)
-        if not op.is_structurally_zero():
-            out[s] = op
-    return CubeElement(n, d, p, out)
-
-
 def boundary(f: CubeElement) -> CubeElement:
     """(d f)_s = sum over i with s_i in {+,-} of (-1)^(#{j>i: s_j=0}) f_(s with 0 at i)."""
     if f.p < 2:
         raise DimensionMismatch("boundary needs degree >= 2; use boundary_hat on N^1")
-    sums = {}
-    for s in sign_strings(f.n, f.p - 1):
-        for i, ch in enumerate(s):
-            comp = None if ch == "0" else f.components.get(s[:i] + "0" + s[i + 1:])
-            if comp is not None:
-                sums.setdefault(s, []).append((_zeros_after(s, i), comp, None))
-    return _assemble(f.n, f.d, f.p - 1, sums)
+    return _apply(f, f.p - 1, (
+        (s, _zeros_after(s, i), s[:i] + "0" + s[i + 1:], None)
+        for s in sign_strings(f.n, f.p - 1) for i, ch in enumerate(s) if ch != "0"
+    ))
 
 
 def boundary_axis(f: CubeElement, axis) -> CubeElement:
@@ -188,39 +290,32 @@ def boundary_axis(f: CubeElement, axis) -> CubeElement:
     if f.p < 2:
         raise DimensionMismatch("boundary_axis needs degree >= 2")
     i = axis - 1
-    out = {}
-    for s in sign_strings(f.n, f.p - 1):
-        if s[i] == "0":
-            continue
-        comp = f.components.get(s[:i] + "0" + s[i + 1:])
-        if comp is not None:
-            out[s] = comp.scale(_zeros_after(s, i))
-    return CubeElement(f.n, f.d, f.p - 1, out)
+    return _apply(f, f.p - 1, (
+        (s, _zeros_after(s, i), s[:i] + "0" + s[i + 1:], None)
+        for s in sign_strings(f.n, f.p - 1) if s[i] != "0"
+    ))
 
 
 def boundary_hat(f: CubeElement) -> LatticeOperator:
     """N^1 -> N^0: sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s."""
     if f.p != 1:
         raise DimensionMismatch("boundary_hat is defined on N^1")
-    return LatticeOperator.combine(f.n, f.d, [
-        (_minus_parity(s), op, None) for s, op in f.components.items()
-    ])
+    acc = {}
+    for s, terms in f.terms.items():
+        sign = _minus_parity(s)
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
+    return _read(f.n, f.d, {key: c for key, c in acc.items() if c}, f.sources)
 
 
 def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(eps_i f)_(..s_i..) = (-1)^(s_i) P_i^(s_i) sum_g (-1)^g f_(..g..); zero on s_i = 0."""
     cuts = _cuts(f.n, cuts)
     i = axis - 1
-    sums = {}
-    for s in sign_strings(f.n, f.p):
-        if s[i] == "0":
-            continue
-        image = region(cuts, {axis: s[i]})
-        for g in SIGNS:
-            comp = f.components.get(s[:i] + g + s[i + 1:])
-            if comp is not None:
-                sums.setdefault(s, []).append((_sign_value(s[i]) * _sign_value(g), comp, image))
-    return _assemble(f.n, f.d, f.p, sums)
+    return _apply(f, f.p, (
+        (s, _sign_value(s[i]) * _sign_value(g), s[:i] + g + s[i + 1:], _region(cuts, ((axis, s[i]),)))
+        for s in sign_strings(f.n, f.p) if s[i] != "0" for g in SIGNS
+    ))
 
 
 def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
@@ -231,18 +326,12 @@ def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
     and zero wherever one of s_1..s_upto is 0.
     """
     cuts = _cuts(f.n, cuts)
-    sums = {}
-    for s in sign_strings(f.n, f.p):
-        head = s[:upto]
-        if "0" in head:
-            continue
-        image = region(cuts, dict(enumerate(head, 1)))
-        for word in sign_strings(upto, 1):
-            comp = f.components.get(word + s[upto:])
-            if comp is not None:
-                sign = _minus_parity(head) * _minus_parity(word)
-                sums.setdefault(s, []).append((sign, comp, image))
-    return _assemble(f.n, f.d, f.p, sums)
+    return _apply(f, f.p, (
+        (s, _minus_parity(s[:upto]) * _minus_parity(word), word + s[upto:],
+         _region(cuts, tuple(enumerate(s[:upto], 1))))
+        for s in sign_strings(f.n, f.p) if "0" not in s[:upto]
+        for word in sign_strings(upto, 1)
+    ))
 
 
 def epsilon_all(f: CubeElement, cuts=None) -> CubeElement:
@@ -253,16 +342,10 @@ def homotopy_axis(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(H_i f)_(..0..) = (-1)^(#{j>i: s_j=0}) sum_g P_i^(-g) f_(..g..); zero on s_i != 0."""
     cuts = _cuts(f.n, cuts)
     i = axis - 1
-    sums = {}
-    for s in sign_strings(f.n, f.p + 1):
-        if s[i] != "0":
-            continue
-        for g in SIGNS:
-            comp = f.components.get(s[:i] + g + s[i + 1:])
-            if comp is not None:
-                image = region(cuts, {axis: _flip(g)})
-                sums.setdefault(s, []).append((_zeros_after(s, i), comp, image))
-    return _assemble(f.n, f.d, f.p + 1, sums)
+    return _apply(f, f.p + 1, (
+        (s, _zeros_after(s, i), s[:i] + g + s[i + 1:], _region(cuts, ((axis, _flip(g)),)))
+        for s in sign_strings(f.n, f.p + 1) if s[i] == "0" for g in SIGNS
+    ))
 
 
 def homotopy(f: CubeElement, cuts=None) -> CubeElement:
@@ -277,17 +360,16 @@ def homotopy(f: CubeElement, cuts=None) -> CubeElement:
     cuts = _cuts(f.n, cuts)
     if f.p >= f.n + 1:
         return CubeElement.zero(f.n, f.d, f.p + 1)
-    sums = {}
-    for s in sign_strings(f.n, f.p + 1):
-        b = s.index("0")  # 0-based slot of the leftmost zero
-        head = dict(enumerate(s[:b], 1))
-        outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
-        for word in sign_strings(b + 1, 1):
-            comp = f.components.get(word + s[b + 1:])
-            if comp is not None:
-                image = region(cuts, {**head, b + 1: _flip(word[b])})
-                sums.setdefault(s, []).append((outer * _minus_parity(word[:b]), comp, image))
-    return _assemble(f.n, f.d, f.p + 1, sums)
+
+    def rule():
+        for s in sign_strings(f.n, f.p + 1):
+            b = s.index("0")  # 0-based slot of the leftmost zero
+            outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
+            for word in sign_strings(b + 1, 1):
+                image = _region(cuts, tuple(enumerate(s[:b] + _flip(word[b]), 1)))
+                yield s, outer * _minus_parity(word[:b]), word + s[b + 1:], image
+
+    return _apply(f, f.p + 1, rule())
 
 
 def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:
@@ -304,8 +386,8 @@ def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:
 def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
     """N^0 -> N^1: (H^ g)_s = (-1)^(s_1+...+s_n) P_1^(s_1) ... P_n^(s_n) g."""
     cuts = _cuts(g.n, cuts)
-    return _assemble(g.n, g.d, 1, {
-        s: [(_minus_parity(s), g, region(cuts, dict(enumerate(s, 1))))] for s in sign_strings(g.n, 1)
+    return _element(g.n, g.d, 1, {
+        s: [(_minus_parity(s), g, _region(cuts, tuple(enumerate(s, 1))))] for s in sign_strings(g.n, 1)
     })
 
 
@@ -437,8 +519,8 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
             inner = projector_commutator(fs[w_tuple[n - axis]], axis, cuts).compose(inner)
         sums = heads.setdefault(tuple(sorted(w_tuple)), {})
         for word in sign_strings(n - p, 1):
-            image = region(cuts, dict(enumerate(word, 1)))
+            image = _region(cuts, tuple(enumerate(word, 1)))
             sums.setdefault(word + "0" * p, []).append((base_sign * _minus_parity(word), inner, image))
 
-    terms = [LiftTerm(key, (), _assemble(n, d, p + 1, sums)) for key, sums in sorted(heads.items())]
+    terms = [LiftTerm(key, (), _element(n, d, p + 1, sums)) for key, sums in sorted(heads.items())]
     return LiftState(p + 1, n - p, terms)

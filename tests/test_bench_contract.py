@@ -4,7 +4,9 @@
 ``cube_n2`` probe builds kernel atoms by hand; a rename or deletion of any of
 them breaks the traced run and the probe without failing another test.  The
 ``cube_n2`` check also counts the identities the cube battery records, so an
-edit that adds or drops one fails the benchmark before it fails here.
+edit that adds or drops one fails the benchmark before it fails here.  The
+traced ``cube.*`` spans read 0 if the battery stops calling a wrapped
+function, so one battery run must reach every one of them.
 """
 
 import importlib
@@ -12,7 +14,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from parshin import opalg, verify
+from parshin import cube, opalg, verify
 from parshin.matrices import matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,3 +52,21 @@ def test_cube_check_count_matches_the_benchmark():
         for trials in (1, 2):
             report = verify.check_cube_identities(n, trials, seed=1)
             assert report.checks == checks.expected_cube_checks(n, trials), (n, trials)
+
+
+def _counting(fn, calls, name):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_cube_battery_reaches_every_traced_cube_function(monkeypatch):
+    tracing = _load_perfbench("tracing")
+    names = [fn_name for module_name, fn_name in tracing.FUNCTIONS if module_name == "cube"]
+    assert names
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(cube, name, _counting(getattr(cube, name), calls, name))
+    assert verify.check_cube_identities(2, 1, seed=1).passed
+    assert all(calls.values()), calls

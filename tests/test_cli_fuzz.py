@@ -15,7 +15,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parshin.cli import MAX_N, main
@@ -38,10 +38,11 @@ def run(argv):
     return code, json.loads(out.getvalue())
 
 
-def assert_error_payload(code, doc, kind, case):
+def assert_error_payload(code, doc, kind, case, named=""):
     assert code == 1, case
     assert set(doc) == {"error"} and set(doc["error"]) == {"type", "message"}, case
     assert doc["error"]["type"] == kind and isinstance(doc["error"]["message"], str), case
+    assert named in doc["error"]["message"], case
 
 
 def det(rows):
@@ -127,10 +128,14 @@ def near_miss(draw, flavor):
         kinds.append("basis")
     kind = draw(st.sampled_from(kinds))
     if kind == "n":
-        if draw(st.booleans()):
+        choice = draw(st.sampled_from(["range", "type", "missing"]))
+        if choice == "missing":
             del doc["n"]
-        else:
+        elif choice == "type":
             doc["n"] = draw(st.sampled_from(NOT_INT))
+        else:
+            # refused before any factor is read, so the factors keep the old n
+            doc["n"] = draw(st.sampled_from([0, -1, MAX_N + 1]))
         return doc, "ArityError"
     if kind == "terms":
         if draw(st.booleans()):
@@ -214,7 +219,15 @@ def sl2_file(tmp_path_factory):
     return path
 
 
+def n_outside(n):
+    """A chain whose n is outside 1..MAX_N; its factors are for n = 1."""
+    return {"n": n, "algebra": "scalar", "terms": [{"factors": [{"exp": [-1]}, {"exp": [1]}]}]}, "ArityError"
+
+
 @given(chain_case(), st.sampled_from([None, None, "scalar", "multiloop", "vectorfield"]))
+@example(n_outside(0), None)
+@example(n_outside(-1), None)
+@example(n_outside(MAX_N + 1), None)
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_chain_documents_through_the_cli(sl2_file, case, flavor_arg):
     doc, expected = case
@@ -224,7 +237,9 @@ def test_chain_documents_through_the_cli(sl2_file, case, flavor_arg):
     path.write_text(text)
     argv = ["cocycle", "--input", str(path), "--json"]
     if isinstance(expected, str):
-        assert_error_payload(*run(argv), expected, doc)
+        n = doc.get("n") if isinstance(doc, dict) else None
+        named = f"n = {n}" if type(n) is int and not 1 <= n <= MAX_N else ""
+        assert_error_payload(*run(argv), expected, doc, named)
         return
     if flavor_arg is not None:
         argv[3:3] = ["--flavor", flavor_arg]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parshin import cube
 from parshin.cube import (
     CubeElement,
     LiftState,
@@ -29,6 +30,7 @@ from parshin.laurent import LaurentPoly, parse_poly
 from parshin.opalg import Box, LatticeOperator, mul_operator, projector, region
 from parshin.residue import raw_sum
 from parshin.sampling import random_cube_element, random_exponent, random_nonzero_fraction, random_operator
+from parshin.verify import check_cube_identities
 
 
 # -- sign strings and rho --------------------------------------------------------
@@ -180,6 +182,11 @@ def _homotopy_axis_by_chain(f, axis, cuts):
     return CubeElement.make(f.n, f.d, f.p + 1, out)
 
 
+def _normalized(e):
+    """e rebuilt from its read components, so that the next map starts from operators."""
+    return CubeElement.make(e.n, e.d, e.p, e.components)
+
+
 def test_one_normalization_per_component_matches_the_chains():
     rng = random.Random(12)
     for _ in range(40):
@@ -194,6 +201,29 @@ def test_one_normalization_per_component_matches_the_chains():
             assert got.components.keys() == want.components.keys()
             for s, op in got.components.items():
                 assert op.atoms == want.components[s].atoms
+        # composed maps: normalizing after every map equals normalizing once
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        for outer, inner in ((lambda e: epsilon(e, j, cuts), lambda e: homotopy_axis(e, i, cuts)),
+                             (lambda e: boundary_axis(e, i), lambda e: homotopy(e, cuts)),
+                             (lambda e: homotopy(e, cuts), lambda e: homotopy(e, cuts)),
+                             (lambda e: epsilon(e, j, cuts), lambda e: epsilon(e, i, cuts))):
+            once, chained = outer(inner(f)), outer(_normalized(inner(f)))
+            assert once.components.keys() == chained.components.keys()
+            for s, op in once.components.items():
+                assert op == chained.components[s]
+            assert once == chained
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("_zeros_after", lambda s, i: 1),        # one sign: (-1)^(#zeros after i) taken as +1
+    ("_flip", lambda sign: sign),            # one region: P_i^g in place of P_i^(-g)
+])
+def test_a_wrong_sign_or_region_fails_the_identities(monkeypatch, name, wrong):
+    # the maps cancel terms symbolically; a wrong map must still be caught
+    monkeypatch.setattr(cube, name, wrong)
+    for seed in (1, 2, 3):
+        report = check_cube_identities(2, 2, seed)
+        assert not report.passed and report.failures
 
 
 def test_homotopy_closed_form_matches_definition():
