@@ -28,8 +28,8 @@ MAX_N = 4
 # the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
 MAX_M = 1000
 
-# one n = 4 cube trial takes about 0.08 s (seed 1, in process), so 1000
-# take about 1.5 min
+# one n = 4 cube trial takes about 0.03 s (seed 1, in process), so 1000
+# take about 30 s
 MAX_TRIALS = 1000
 
 # A cocycle trial costs far more than a cube trial, so the cocycle and all
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of %s, 'fixtures', or 'all'" % ", ".join(sorted(_verify.SUITES)))
     p.add_argument("--n", type=int, default=2, choices=range(1, MAX_N + 1))
     p.add_argument("--seed", type=int, default=1,
-                   help="PRNG seed (0 is reserved for the fixture suite)")
+                   help="PRNG seed of the random suites, 0 included; the fixtures suite ignores it")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--degree-bound", type=int, default=2, dest="degree_bound")
     p.add_argument("--json", action="store_true")

@@ -12,8 +12,13 @@ lam_i >= cuts[i] (default 0).  Identities are expected to hold for any cuts.
 
 Every map has the form "sum of sign * P_region * (a component of the input)",
 so a component is held as signed region terms over normalized source
-operators.  The maps, ``+``, ``-`` and ``scale`` only rewrite terms; a
-component is normalized, by one ``LatticeOperator.combine``, when it is read.
+operators.  Each map's rule, the (output string, sign, input string, region)
+tuples, is built once per (n, p, axis or prefix, cuts).  The maps, ``+``,
+``-`` and ``scale`` only rewrite terms.  ``is_zero`` (and so ``==``) first
+sums each source's region coefficients as a function on Z^n; when every such
+function vanishes, the element is zero and nothing is normalized.  Otherwise,
+and whenever a component is read, it is normalized by one
+``LatticeOperator.combine``.
 """
 
 from __future__ import annotations
@@ -125,15 +130,19 @@ class CubeElement:
             raise DimensionMismatch("cube elements of different shape")
 
     def _plus(self, c, other):
-        """self + c * other: coefficients of equal keys add."""
+        """self + c * other: coefficients of equal keys add, zeros dropped."""
         self._check(other)
-        terms = {s: dict(t) for s, t in self.terms.items()}
+        terms = dict(self.terms)
         for s, t in other.terms.items():
-            acc = terms.setdefault(s, {})
+            acc = dict(terms.get(s, ()))
             for key, v in t.items():
-                acc[key] = acc.get(key, 0) + c * v
+                _add(acc, key, c * v)
+            if acc:
+                terms[s] = acc
+            else:
+                del terms[s]
         sources = self.sources if other.sources is self.sources else {**self.sources, **other.sources}
-        return CubeElement(self.n, self.d, self.p, _nonzero(terms), sources)
+        return CubeElement(self.n, self.d, self.p, terms, sources)
 
     def __add__(self, other):
         return self._plus(1, other)
@@ -158,6 +167,15 @@ class CubeElement:
                                 {s: op.commutator(f) for s, op in self.components.items()})
 
     def is_zero(self):
+        """True iff every component is zero; the region coefficients are tried first.
+
+        When each source's coefficients cancel as a function on Z^n (see
+        ``_cancels``), the element is zero whatever the sources are, and no
+        component is normalized.  Otherwise the components are read and each
+        is tested semantically.
+        """
+        if all(_cancels(terms) for terms in self.terms.values()):
+            return True
         return all(op.is_zero() for op in self.components.values())
 
     def __eq__(self, other):
@@ -207,35 +225,36 @@ def _image(bounds):
     return None if bounds == _whole(len(bounds)) else Box(bounds)
 
 
-def _nonzero(terms):
-    """``terms`` without zero coefficients or empty components."""
-    out = {}
-    for s, t in terms.items():
-        t = {key: c for key, c in t.items() if c}
-        if t:
-            out[s] = t
-    return out
+def _add(acc, key, c):
+    """acc[key] += c for a nonzero c, dropping the key when the sum is zero."""
+    c += acc.get(key, 0)
+    if c:
+        acc[key] = c
+    else:
+        del acc[key]
 
 
 def _element(n, d, p, sums) -> CubeElement:
     """The element of N^p whose component at s is the sum of c * P_bounds op over sums[s]."""
     terms, sources = {}, {}
     for s, pieces in sums.items():
-        acc = terms.setdefault(s, {})
+        acc = {}
         for c, op, bounds in pieces:
             if op.atoms:
                 sources[id(op)] = op
-                key = (id(op), bounds)
-                acc[key] = acc.get(key, 0) + c
-    return CubeElement(n, d, p, _nonzero(terms), sources)
+                _add(acc, (id(op), bounds), c)
+        if acc:
+            terms[s] = acc
+    return CubeElement(n, d, p, terms, sources)
 
 
 def _apply(f: CubeElement, p, rule) -> CubeElement:
     """The element of N^p whose component at s sums sign * P_image f_(s_in) over ``rule``.
 
-    ``rule`` yields (s, sign, s_in, image), with image the bounds of a region
-    or None for no cut.  On f's terms, signs multiply, regions meet (an empty
-    meet drops the term) and coefficients of equal keys add.
+    ``rule`` is a tuple of (s, sign, s_in, image), with image the bounds of a
+    region or None for no cut.  On f's terms, signs multiply, regions meet (an
+    empty meet drops the term) and coefficients of equal keys add; a key whose
+    sum is zero is dropped as it arises.
     """
     out = {}
     for s, sign, s_in, image in rule:
@@ -250,9 +269,32 @@ def _apply(f: CubeElement, p, rule) -> CubeElement:
                 bounds = _meet(bounds, image)
                 if bounds is None:
                     continue
-            key = (sid, bounds)
-            acc[key] = acc.get(key, 0) + sign * c
-    return CubeElement(f.n, f.d, p, _nonzero(out), f.sources)
+            _add(acc, (sid, bounds), sign * c)
+    return CubeElement(f.n, f.d, p, {s: t for s, t in out.items() if t}, f.sources)
+
+
+def _cancels(terms):
+    """True when, for every source, the sum of c * 1_region over its terms is 0 on Z^n.
+
+    Then the component, the sum of c * P_region source, is that function
+    applied after the source, so it is zero whatever the source is.  The
+    function is constant on each cell of the arrangement of the source's finite
+    region bounds, so it is evaluated at a point of every cell: v - 1 and v for
+    each bound v on an axis, and 0 on an axis with none.  Regions are never
+    empty, so a source with a single term does not cancel.
+    """
+    by_source = {}
+    for (sid, bounds), c in terms.items():
+        by_source.setdefault(sid, []).append((Box(bounds), c))
+    for pieces in by_source.values():
+        if len(pieces) == 1:
+            return False
+        axes = [{x for box, _ in pieces for v in box.bounds[i] if v is not None for x in (v - 1, v)} or (0,)
+                for i in range(pieces[0][0].n)]
+        for point in itertools.product(*axes):
+            if sum(c for box, c in pieces if box.contains(point)):
+                return False
+    return True
 
 
 def _read(n, d, terms, sources) -> LatticeOperator:
@@ -275,25 +317,73 @@ def _zeros_after(s, i) -> int:
     return -1 if s[i + 1:].count("0") % 2 else 1
 
 
+@lru_cache(maxsize=1024)
+def _rule(build, *key):
+    """The rule ``build(*key)`` of a map as a tuple, built once per key.
+
+    A rule is a sequence of (s, sign, s_in, image): the map sends the
+    component at s_in, cut to the region with bounds image (None: no cut) and
+    times sign, into the component at s.
+    """
+    return tuple(build(*key))
+
+
+def _boundary_rule(n, p, axis):
+    """d from N^(p+1) to N^p, or d_axis when axis is not None."""
+    for s in sign_strings(n, p):
+        for i, ch in enumerate(s):
+            if ch != "0" and axis in (None, i + 1):
+                yield s, _zeros_after(s, i), s[:i] + "0" + s[i + 1:], None
+
+
+def _epsilon_rule(n, p, axis, cuts):
+    i = axis - 1
+    for s in sign_strings(n, p):
+        if s[i] != "0":
+            image = _region(cuts, ((axis, s[i]),))
+            for g in SIGNS:
+                yield s, _sign_value(s[i]) * _sign_value(g), s[:i] + g + s[i + 1:], image
+
+
+def _epsilon_prefix_rule(n, p, upto, cuts):
+    for s in sign_strings(n, p):
+        if "0" not in s[:upto]:
+            image = _region(cuts, tuple(enumerate(s[:upto], 1)))
+            for word in sign_strings(upto, 1):
+                yield s, _minus_parity(s[:upto]) * _minus_parity(word), word + s[upto:], image
+
+
+def _homotopy_axis_rule(n, p, axis, cuts):
+    """H_axis from N^(p-1) to N^p."""
+    i = axis - 1
+    for s in sign_strings(n, p):
+        if s[i] == "0":
+            for g in SIGNS:
+                yield s, _zeros_after(s, i), s[:i] + g + s[i + 1:], _region(cuts, ((axis, _flip(g)),))
+
+
+def _homotopy_rule(n, p, cuts):
+    """H from N^(p-1) to N^p, by the leftmost-zero formula of ``homotopy``."""
+    for s in sign_strings(n, p):
+        b = s.index("0")  # 0-based slot of the leftmost zero
+        outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
+        for word in sign_strings(b + 1, 1):
+            image = _region(cuts, tuple(enumerate(s[:b] + _flip(word[b]), 1)))
+            yield s, outer * _minus_parity(word[:b]), word + s[b + 1:], image
+
+
 def boundary(f: CubeElement) -> CubeElement:
     """(d f)_s = sum over i with s_i in {+,-} of (-1)^(#{j>i: s_j=0}) f_(s with 0 at i)."""
     if f.p < 2:
         raise DimensionMismatch("boundary needs degree >= 2; use boundary_hat on N^1")
-    return _apply(f, f.p - 1, (
-        (s, _zeros_after(s, i), s[:i] + "0" + s[i + 1:], None)
-        for s in sign_strings(f.n, f.p - 1) for i, ch in enumerate(s) if ch != "0"
-    ))
+    return _apply(f, f.p - 1, _rule(_boundary_rule, f.n, f.p - 1, None))
 
 
 def boundary_axis(f: CubeElement, axis) -> CubeElement:
     """(d_i f)_(..+-..) = (-1)^(#{j>i: s_j=0}) f_(s with 0 at i); zero on s_i = 0."""
     if f.p < 2:
         raise DimensionMismatch("boundary_axis needs degree >= 2")
-    i = axis - 1
-    return _apply(f, f.p - 1, (
-        (s, _zeros_after(s, i), s[:i] + "0" + s[i + 1:], None)
-        for s in sign_strings(f.n, f.p - 1) if s[i] != "0"
-    ))
+    return _apply(f, f.p - 1, _rule(_boundary_rule, f.n, f.p - 1, axis))
 
 
 def boundary_hat(f: CubeElement) -> LatticeOperator:
@@ -304,18 +394,13 @@ def boundary_hat(f: CubeElement) -> LatticeOperator:
     for s, terms in f.terms.items():
         sign = _minus_parity(s)
         for key, c in terms.items():
-            acc[key] = acc.get(key, 0) + sign * c
-    return _read(f.n, f.d, {key: c for key, c in acc.items() if c}, f.sources)
+            _add(acc, key, sign * c)
+    return _read(f.n, f.d, acc, f.sources)
 
 
 def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(eps_i f)_(..s_i..) = (-1)^(s_i) P_i^(s_i) sum_g (-1)^g f_(..g..); zero on s_i = 0."""
-    cuts = _cuts(f.n, cuts)
-    i = axis - 1
-    return _apply(f, f.p, (
-        (s, _sign_value(s[i]) * _sign_value(g), s[:i] + g + s[i + 1:], _region(cuts, ((axis, s[i]),)))
-        for s in sign_strings(f.n, f.p) if s[i] != "0" for g in SIGNS
-    ))
+    return _apply(f, f.p, _rule(_epsilon_rule, f.n, f.p, axis, _cuts(f.n, cuts)))
 
 
 def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
@@ -325,13 +410,7 @@ def epsilon_prefix(f: CubeElement, upto, cuts=None) -> CubeElement:
     sum over g in {+,-}^upto of (-1)^(g_1+...+g_upto) f_(g s_(upto+1) ...),
     and zero wherever one of s_1..s_upto is 0.
     """
-    cuts = _cuts(f.n, cuts)
-    return _apply(f, f.p, (
-        (s, _minus_parity(s[:upto]) * _minus_parity(word), word + s[upto:],
-         _region(cuts, tuple(enumerate(s[:upto], 1))))
-        for s in sign_strings(f.n, f.p) if "0" not in s[:upto]
-        for word in sign_strings(upto, 1)
-    ))
+    return _apply(f, f.p, _rule(_epsilon_prefix_rule, f.n, f.p, upto, _cuts(f.n, cuts)))
 
 
 def epsilon_all(f: CubeElement, cuts=None) -> CubeElement:
@@ -340,12 +419,7 @@ def epsilon_all(f: CubeElement, cuts=None) -> CubeElement:
 
 def homotopy_axis(f: CubeElement, axis, cuts=None) -> CubeElement:
     """(H_i f)_(..0..) = (-1)^(#{j>i: s_j=0}) sum_g P_i^(-g) f_(..g..); zero on s_i != 0."""
-    cuts = _cuts(f.n, cuts)
-    i = axis - 1
-    return _apply(f, f.p + 1, (
-        (s, _zeros_after(s, i), s[:i] + g + s[i + 1:], _region(cuts, ((axis, _flip(g)),)))
-        for s in sign_strings(f.n, f.p + 1) if s[i] == "0" for g in SIGNS
-    ))
+    return _apply(f, f.p + 1, _rule(_homotopy_axis_rule, f.n, f.p + 1, axis, _cuts(f.n, cuts)))
 
 
 def homotopy(f: CubeElement, cuts=None) -> CubeElement:
@@ -360,16 +434,7 @@ def homotopy(f: CubeElement, cuts=None) -> CubeElement:
     cuts = _cuts(f.n, cuts)
     if f.p >= f.n + 1:
         return CubeElement.zero(f.n, f.d, f.p + 1)
-
-    def rule():
-        for s in sign_strings(f.n, f.p + 1):
-            b = s.index("0")  # 0-based slot of the leftmost zero
-            outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
-            for word in sign_strings(b + 1, 1):
-                image = _region(cuts, tuple(enumerate(s[:b] + _flip(word[b]), 1)))
-                yield s, outer * _minus_parity(word[:b]), word + s[b + 1:], image
-
-    return _apply(f, f.p + 1, rule())
+    return _apply(f, f.p + 1, _rule(_homotopy_rule, f.n, f.p + 1, cuts))
 
 
 def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:

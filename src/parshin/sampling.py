@@ -2,7 +2,8 @@
 
 All randomness flows through :class:`random.Random` seeded by the caller
 (CPython's Mersenne Twister, MT19937), so every trial is reproducible from
-its seed.  Seed 0 is reserved by the CLI for the fixed fixture suites.
+its seed.  Any integer is a seed, 0 included; the CLI's fixture suite ignores
+``--seed`` and draws its rho check from seed 0.
 """
 
 from __future__ import annotations

@@ -115,18 +115,21 @@ NOT_INT = [True, False, 1.0, 2.5, "1", [1], None, {"n": 1}]
 NOT_RATIONAL = [True, False, 1.5, 0.1, "1.5", "x", "1/0", "", None, [1], {}]
 
 
+def near_miss_kinds(flavor):
+    kinds = ("n", "terms", "term", "factors", "factor", "exp", "coeff", "exp length",
+             "count", "mixed", "over MAX_N", "digits")
+    return kinds + ("basis",) if flavor == "sl2" else kinds
+
+
 @st.composite
-def near_miss(draw, flavor):
-    """(document, error type): one edit that the reader or the cocycle must refuse."""
+def near_miss(draw, flavor, kind=None):
+    """(document, error type): one edit, of the given kind or a drawn one, that must be refused."""
     doc, _ = draw(valid_chain(flavor))
     n = doc["n"]
     term = draw(st.sampled_from(doc["terms"]))
     factor = draw(st.sampled_from(term["factors"]))
-    kinds = ["n", "terms", "term", "factors", "factor", "exp", "coeff", "exp length",
-             "count", "mixed", "over MAX_N", "digits"]
-    if flavor == "sl2":
-        kinds.append("basis")
-    kind = draw(st.sampled_from(kinds))
+    if kind is None:
+        kind = draw(st.sampled_from(near_miss_kinds(flavor)))
     if kind == "n":
         choice = draw(st.sampled_from(["range", "type", "missing"]))
         if choice == "missing":
@@ -219,6 +222,21 @@ def sl2_file(tmp_path_factory):
     return path
 
 
+def run_chain(sl2_file, doc, options=()):
+    text = json.dumps(doc).replace(json.dumps(SL2_REF), json.dumps(str(sl2_file)))
+    text = text.replace(json.dumps(BIG_REF), "7" * (sys.get_int_max_str_digits() + 1))
+    path = sl2_file.parent / "chain.json"
+    path.write_text(text)
+    return run(["cocycle", "--input", str(path), *options, "--json"])
+
+
+def assert_refused(sl2_file, doc, expected):
+    """The error payload of the expected type; one that refuses n names it."""
+    n = doc.get("n") if isinstance(doc, dict) else None
+    named = f"n = {n}" if type(n) is int and not 1 <= n <= MAX_N else ""
+    assert_error_payload(*run_chain(sl2_file, doc), expected, doc, named)
+
+
 def n_outside(n):
     """A chain whose n is outside 1..MAX_N; its factors are for n = 1."""
     return {"n": n, "algebra": "scalar", "terms": [{"factors": [{"exp": [-1]}, {"exp": [1]}]}]}, "ArityError"
@@ -231,25 +249,27 @@ def n_outside(n):
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_chain_documents_through_the_cli(sl2_file, case, flavor_arg):
     doc, expected = case
-    text = json.dumps(doc).replace(json.dumps(SL2_REF), json.dumps(str(sl2_file)))
-    text = text.replace(json.dumps(BIG_REF), "7" * (sys.get_int_max_str_digits() + 1))
-    path = sl2_file.parent / "chain.json"
-    path.write_text(text)
-    argv = ["cocycle", "--input", str(path), "--json"]
     if isinstance(expected, str):
-        n = doc.get("n") if isinstance(doc, dict) else None
-        named = f"n = {n}" if type(n) is int and not 1 <= n <= MAX_N else ""
-        assert_error_payload(*run(argv), expected, doc, named)
+        assert_refused(sl2_file, doc, expected)
         return
-    if flavor_arg is not None:
-        argv[3:3] = ["--flavor", flavor_arg]
-    code, out = run(argv)
+    code, out = run_chain(sl2_file, doc, () if flavor_arg is None else ("--flavor", flavor_arg))
     flavor = "multiloop" if doc["algebra"] == SL2_REF else "scalar"
     if flavor_arg not in (None, flavor):
         assert_error_payload(code, out, "MixedFlavors", doc)
         return
     assert code == 0, doc
     assert out == {"flavor": flavor, "n": doc["n"], "value": str(expected)}, doc
+
+
+# the derandomized draws above leave whole near-miss kinds out, and which ones
+# changes with that test's source, so every kind is drawn here; 16 examples a
+# kind reach every choice within the n and exp kinds
+@pytest.mark.parametrize("flavor, kind", [(flavor, kind) for flavor in ("scalar", "sl2")
+                                          for kind in near_miss_kinds(flavor)])
+@given(data=st.data())
+@settings(max_examples=16, deadline=timedelta(seconds=5))
+def test_every_near_miss_kind_through_the_cli(sl2_file, flavor, kind, data):
+    assert_refused(sl2_file, *data.draw(near_miss(flavor, kind)))
 
 
 # -- --cuts ---------------------------------------------------------------------

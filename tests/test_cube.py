@@ -27,7 +27,7 @@ from parshin.cube import (
 )
 from parshin.errors import IdealViolation, RepeatedIndex
 from parshin.laurent import LaurentPoly, parse_poly
-from parshin.opalg import Box, LatticeOperator, mul_operator, projector, region
+from parshin.opalg import Box, KernelAtom, LatticeOperator, mul_operator, projector, region
 from parshin.residue import raw_sum
 from parshin.sampling import random_cube_element, random_exponent, random_nonzero_fraction, random_operator
 from parshin.verify import check_cube_identities
@@ -214,13 +214,90 @@ def test_one_normalization_per_component_matches_the_chains():
             assert once == chained
 
 
+def _composed(rng, f, cuts):
+    """Two or three composed maps of f: a difference that an identity makes zero, or a plain map."""
+    n = f.n
+    i, j = rng.randint(1, n), rng.randint(1, n)
+    cases = [
+        lambda: homotopy(homotopy(f, cuts), cuts),
+        lambda: epsilon(epsilon(f, i, cuts), i, cuts) - epsilon(f, i, cuts),
+        lambda: homotopy_axis(homotopy_axis(f, j, cuts), i, cuts) + homotopy_axis(homotopy_axis(f, i, cuts), j, cuts),
+        lambda: homotopy_axis(epsilon(f, j, cuts), i, cuts) - epsilon(homotopy_axis(f, i, cuts), j, cuts),
+        lambda: epsilon_all(epsilon(f, i, cuts), cuts) - epsilon_all(f, cuts),
+        lambda: epsilon(homotopy_axis(f, i, cuts), j, cuts),
+    ]
+    if f.p >= 2:
+        cases += [
+            lambda: boundary(homotopy(f, cuts)) + homotopy(boundary(f), cuts) - (f - epsilon_all(f, cuts)),
+            lambda: boundary_axis(epsilon(f, j, cuts), i) - epsilon(boundary_axis(f, i), j, cuts),
+            lambda: boundary_axis(homotopy_axis(f, j, cuts), i),
+        ]
+    return rng.choice(cases)()
+
+
+def test_cancelling_region_coefficients_decide_is_zero_as_normalization_does():
+    rng = random.Random(17)
+    seen = {"cancelled": 0, "normalized to zero": 0, "nonzero": 0}
+    for case in range(120):
+        n, d = rng.randint(1, 3), rng.choice((1, 3))
+        cuts = tuple(rng.randint(-2, 2) for _ in range(n))
+        e = _composed(rng, random_cube_element(rng, n, rng.randint(1, n + 1), d), cuts)
+        if case % 2 and e.terms:
+            # perturb one coefficient
+            terms = {s: dict(t) for s, t in e.terms.items()}
+            s = rng.choice(sorted(terms))
+            key = rng.choice(list(terms[s]))
+            terms[s][key] *= 2
+            e = CubeElement(e.n, e.d, e.p, terms, e.sources)
+        cancelled = all(cube._cancels(t) for t in e.terms.values())
+        normalized = all(op.is_zero() for op in e.components.values())
+        assert e.is_zero() == normalized
+        assert normalized or not cancelled
+        seen["cancelled" if cancelled else "normalized to zero" if normalized else "nonzero"] += 1
+    assert all(seen.values()), seen
+
+
+def test_regions_that_tile_the_lattice_cancel_without_normalizing():
+    # n = 1, p = 2: H d f = P^- f_0 + P^+ f_0 and eps_all f = 0, so d H f + H d f - (f - eps f)
+    # is (P^- + P^+ - 1) f_0, zero as a function of the regions alone
+    f = random_cube_element(random.Random(19), 1, 2, d=1)
+    e = boundary(homotopy(f)) + homotopy(boundary(f)) - (f - epsilon_all(f))
+    assert sorted(e.terms["0"].values()) == [-1, 1, 1]
+    assert e.is_zero() and e._components is None
+
+
+def test_only_normalization_decides_equal_sources_and_missed_regions():
+    rng = random.Random(18)
+    # two distinct but equal source operators with opposite coefficients
+    a = random_operator(rng, 2, 3)
+    b = LatticeOperator.make(2, 3, a.atoms)
+    e = CubeElement.make(2, 3, 1, {"+-": a}) - CubeElement.make(2, 3, 1, {"+-": b})
+    assert not cube._cancels(e.terms["+-"])
+    assert e.is_zero()
+    # the atoms of g all land in [0, 3): P^- misses every one, and P^+ keeps them all
+    g = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), LaurentPoly.one(1), Box.of([(0, 3)]))])
+    e = homotopy_hat(g) - CubeElement.make(1, 1, 1, {"+": g})
+    assert e.terms.keys() == {"+", "-"}
+    assert not any(cube._cancels(t) for t in e.terms.values())
+    assert e.is_zero()
+
+
+@pytest.fixture
+def cold_rules(request, monkeypatch):
+    """An empty rule memo, before a patch and again after it: warm tables would hide the patch,
+    and tables built while it holds would leak into later tests."""
+    cube._rule.cache_clear()
+    request.addfinalizer(cube._rule.cache_clear)
+    return monkeypatch
+
+
 @pytest.mark.parametrize("name, wrong", [
     ("_zeros_after", lambda s, i: 1),        # one sign: (-1)^(#zeros after i) taken as +1
     ("_flip", lambda sign: sign),            # one region: P_i^g in place of P_i^(-g)
 ])
-def test_a_wrong_sign_or_region_fails_the_identities(monkeypatch, name, wrong):
-    # the maps cancel terms symbolically; a wrong map must still be caught
-    monkeypatch.setattr(cube, name, wrong)
+def test_a_wrong_sign_or_region_fails_the_identities(cold_rules, name, wrong):
+    # the maps cancel terms symbolically and build each rule once; a wrong map must still be caught
+    cold_rules.setattr(cube, name, wrong)
     for seed in (1, 2, 3):
         report = check_cube_identities(2, 2, seed)
         assert not report.passed and report.failures
