@@ -28,8 +28,8 @@ MAX_N = 4
 # the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
 MAX_M = 1000
 
-# one n = 4 cube trial takes about 0.03 s (seed 1, in process), so 1000
-# take about 30 s
+# the slowest suite that only this caps is lift: one n = 4 lift trial takes
+# about 0.12-0.19 s (seeds 1-2, in process), so 1000 take about 2-3 minutes
 MAX_TRIALS = 1000
 
 # A cocycle trial costs far more than a cube trial, so the cocycle and all

@@ -12,13 +12,14 @@ lam_i >= cuts[i] (default 0).  Identities are expected to hold for any cuts.
 
 Every map has the form "sum of sign * P_region * (a component of the input)",
 so a component is held as signed region terms over normalized source
-operators.  Each map's rule, the (output string, sign, input string, region)
-tuples, is built once per (n, p, axis or prefix, cuts).  The maps, ``+``,
-``-`` and ``scale`` only rewrite terms.  ``is_zero`` (and so ``==``) first
-sums each source's region coefficients as a function on Z^n; when every such
-function vanishes, the element is zero and nothing is normalized.  Otherwise,
-and whenever a component is read, it is normalized by one
-``LatticeOperator.combine``.
+operators; a region is a box, the plain bounds tuple of ``opalg``.  Each
+map's rule, the (output string, sign, input string, region) tuples, is built
+once per (n, p, axis or prefix, cuts).  The maps, ``+``, ``-`` and ``scale``
+only rewrite terms.  ``is_zero`` (and so ``==``) first sums each source's
+region coefficients as a function on Z^n, cell by cell through the
+arrangement walk ``opalg._iter_cells``; when every such function vanishes,
+the element is zero and nothing is normalized.  Otherwise, and whenever a
+component is read, it is normalized by one ``LatticeOperator.combine``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
 from .matrices import rational
-from .opalg import Box, LatticeOperator, _cut, _cuts, projector_commutator, region
+from .opalg import Box, LatticeOperator, _cut, _cuts, _iter_cells, projector_commutator, region
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -76,7 +77,7 @@ class CubeElement:
     """Element of N^p: a map from degree-p sign strings to lattice operators.
 
     A component is held as signed region terms: ``terms[s]`` maps a key
-    (id of a source operator, region bounds) to a nonzero coefficient c, and
+    (id of a source operator, region box) to a nonzero coefficient c, and
     the component is the sum of c * P_region source.  Sources are normalized
     ``LatticeOperator``s, which are unhashable, so they are keyed by identity
     and ``sources`` holds a reference to each.  The maps below only rewrite
@@ -102,7 +103,7 @@ class CubeElement:
                 raise DimensionMismatch("component operator on the wrong space")
             if not op.is_structurally_zero():
                 clean[s] = op
-        whole = _whole(n)
+        whole = Box.full(n)
         element = _element(n, d, p, {s: [(1, op, whole)] for s, op in clean.items()})
         element._components = clean
         return element
@@ -201,28 +202,10 @@ class CubeElement:
 # Signed region terms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _whole(n):
-    """The bounds of the whole lattice Z^n: the region of a term with no cut."""
-    return ((None, None),) * n
-
-
-@lru_cache(maxsize=4096)
-def _region(cuts, signs):
-    """The bounds of ``region(cuts, dict(signs))`` for a tuple of (axis, sign) pairs."""
-    return region(cuts, dict(signs)).bounds
-
-
 @lru_cache(maxsize=4096)
 def _meet(a, b):
     """The bounds of the box a & b, or None when it is empty: P_a P_b = P_(a & b)."""
     return _cut(a, b, (0,) * len(a))
-
-
-@lru_cache(maxsize=4096)
-def _image(bounds):
-    """The Box with these bounds for ``combine``, or None when it cuts nothing."""
-    return None if bounds == _whole(len(bounds)) else Box(bounds)
 
 
 def _add(acc, key, c):
@@ -278,29 +261,27 @@ def _cancels(terms):
 
     Then the component, the sum of c * P_region source, is that function
     applied after the source, so it is zero whatever the source is.  The
-    function is constant on each cell of the arrangement of the source's finite
-    region bounds, so it is evaluated at a point of every cell: v - 1 and v for
-    each bound v on an axis, and 0 on an axis with none.  Regions are never
-    empty, so a source with a single term does not cancel.
+    function is constant on each cell of the arrangement of the source's
+    regions, so the coefficients are summed per cell by ``opalg._iter_cells``.
+    Regions are never empty, so a source with a single term does not cancel.
     """
     by_source = {}
     for (sid, bounds), c in terms.items():
-        by_source.setdefault(sid, []).append((Box(bounds), c))
+        by_source.setdefault(sid, []).append((bounds, c))
     for pieces in by_source.values():
-        if len(pieces) == 1:
+        if len(pieces) == 1 or any(sum(cs) for _, cs in _iter_cells(len(pieces[0][0]), pieces)):
             return False
-        axes = [{x for box, _ in pieces for v in box.bounds[i] if v is not None for x in (v - 1, v)} or (0,)
-                for i in range(pieces[0][0].n)]
-        for point in itertools.product(*axes):
-            if sum(c for box, c in pieces if box.contains(point)):
-                return False
     return True
 
 
 def _read(n, d, terms, sources) -> LatticeOperator:
-    """The sum of c * P_region source over one component's terms, by one ``combine``."""
+    """The sum of c * P_region source over one component's terms, by one ``combine``.
+
+    A term over the whole lattice is passed uncut (None).
+    """
+    whole = Box.full(n)
     return LatticeOperator.combine(n, d, [
-        (c, sources[sid], _image(bounds)) for (sid, bounds), c in terms.items()
+        (c, sources[sid], None if bounds == whole else bounds) for (sid, bounds), c in terms.items()
     ])
 
 
@@ -340,7 +321,7 @@ def _epsilon_rule(n, p, axis, cuts):
     i = axis - 1
     for s in sign_strings(n, p):
         if s[i] != "0":
-            image = _region(cuts, ((axis, s[i]),))
+            image = region(cuts, ((axis, s[i]),))
             for g in SIGNS:
                 yield s, _sign_value(s[i]) * _sign_value(g), s[:i] + g + s[i + 1:], image
 
@@ -348,7 +329,7 @@ def _epsilon_rule(n, p, axis, cuts):
 def _epsilon_prefix_rule(n, p, upto, cuts):
     for s in sign_strings(n, p):
         if "0" not in s[:upto]:
-            image = _region(cuts, tuple(enumerate(s[:upto], 1)))
+            image = region(cuts, enumerate(s[:upto], 1))
             for word in sign_strings(upto, 1):
                 yield s, _minus_parity(s[:upto]) * _minus_parity(word), word + s[upto:], image
 
@@ -359,7 +340,7 @@ def _homotopy_axis_rule(n, p, axis, cuts):
     for s in sign_strings(n, p):
         if s[i] == "0":
             for g in SIGNS:
-                yield s, _zeros_after(s, i), s[:i] + g + s[i + 1:], _region(cuts, ((axis, _flip(g)),))
+                yield s, _zeros_after(s, i), s[:i] + g + s[i + 1:], region(cuts, ((axis, _flip(g)),))
 
 
 def _homotopy_rule(n, p, cuts):
@@ -368,7 +349,7 @@ def _homotopy_rule(n, p, cuts):
         b = s.index("0")  # 0-based slot of the leftmost zero
         outer = (-1 if degree(s) % 2 else 1) * _minus_parity(s[:b])
         for word in sign_strings(b + 1, 1):
-            image = _region(cuts, tuple(enumerate(s[:b] + _flip(word[b]), 1)))
+            image = region(cuts, enumerate(s[:b] + _flip(word[b]), 1))
             yield s, outer * _minus_parity(word[:b]), word + s[b + 1:], image
 
 
@@ -452,7 +433,7 @@ def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
     """N^0 -> N^1: (H^ g)_s = (-1)^(s_1+...+s_n) P_1^(s_1) ... P_n^(s_n) g."""
     cuts = _cuts(g.n, cuts)
     return _element(g.n, g.d, 1, {
-        s: [(_minus_parity(s), g, _region(cuts, tuple(enumerate(s, 1))))] for s in sign_strings(g.n, 1)
+        s: [(_minus_parity(s), g, region(cuts, enumerate(s, 1)))] for s in sign_strings(g.n, 1)
     })
 
 
@@ -584,7 +565,7 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
             inner = projector_commutator(fs[w_tuple[n - axis]], axis, cuts).compose(inner)
         sums = heads.setdefault(tuple(sorted(w_tuple)), {})
         for word in sign_strings(n - p, 1):
-            image = _region(cuts, tuple(enumerate(word, 1)))
+            image = region(cuts, enumerate(word, 1))
             sums.setdefault(word + "0" * p, []).append((base_sign * _minus_parity(word), inner, image))
 
     terms = [LiftTerm(key, (), _element(n, d, p + 1, sums)) for key, sums in sorted(heads.items())]

@@ -3,23 +3,26 @@
 An operator is a finite sum of kernel atoms.  Each atom sends the basis
 vector v (x) e_lam to  [lam in box] * weight(lam) * (matrix v) (x) e_(lam+shift),
 with an exact rational matrix, a weight polynomial in the lattice coordinate
-lam (a ``LaurentPoly`` with exponents >= 0), and a half-open integer box
-(axes may be unbounded).  This class of operators is closed under addition
-and composition and contains everything the residue and cocycle formulas
-generate: multiplication operators, derivations t^s d/dt_i, the half-space
-projectors P_i^+-, and their products.  A product of projectors is the
-indicator of a box (``region``) and is applied by cutting atom boxes
-(``LatticeOperator.restrict``, ``projector_commutator``), not by
-composition.  Every box cut, there and in ``compose``, is one ``_cut``.
+lam (a ``LaurentPoly`` with exponents >= 0), and a half-open integer box.
+A box is its bounds, the plain tuple ((lo, hi), ...) with None for an
+unbounded end; ``Box.of`` and ``Box.full`` build one.  This class of
+operators is closed under addition and composition and contains everything
+the residue and cocycle formulas generate: multiplication operators,
+derivations t^s d/dt_i, the half-space projectors P_i^+-, and their
+products.  A product of projectors is the indicator of a box (``region``)
+and is applied by cutting atom boxes (``LatticeOperator.restrict``,
+``projector_commutator``), not by composition.  Every box cut, there and in ``compose``, is one ``_cut``.
 Every sum of normalized operators (``+``, ``-``, ``restrict``,
 ``projector_commutator``, the cube maps) is merged and glued once by the
 path of ``LatticeOperator.combine``; ``make``'s zero/empty/fold filter is
 kept for atoms built fresh.
 
-Operator identity is semantic.  Equality and the trace both refine the atoms
-into box-arrangement cells per axis and decide vanishing of the cell-wise
-polynomial sums on a sample grid (degree + 2 points per axis, capped at the
-cell width), which is exact for polynomial weights.
+Operator identity is semantic.  One arrangement walk, ``_iter_cells``,
+refines (box, value) pieces into cells per axis and yields each covered cell
+with the values covering it.  ``is_zero`` (and so ``==``) and ``trace`` walk
+their atoms' boxes and decide vanishing of the cell-wise polynomial sums on a
+sample grid (degree + 2 points per axis, capped at the cell width), which is
+exact for polynomial weights; ``cube._cancels`` walks region coefficients.
 """
 
 from __future__ import annotations
@@ -46,46 +49,28 @@ from .matrices import (
 # Boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Box:
-    """Product of half-open integer intervals [lo, hi); None means unbounded."""
+    """The two constructors of a box, the tuple ((lo, hi), ...) of its bounds.
 
-    bounds: tuple  # ((lo, hi), ...) with lo, hi int or None
-
-    @staticmethod
-    def full(n) -> "Box":
-        return Box(((None, None),) * n)
+    Each axis is a half-open integer interval [lo, hi); None means unbounded.
+    """
 
     @staticmethod
-    def of(bounds) -> "Box":
-        return Box(tuple((lo, hi) for lo, hi in bounds))
+    def full(n) -> tuple:
+        return ((None, None),) * n
 
-    @property
-    def n(self):
-        return len(self.bounds)
+    @staticmethod
+    def of(bounds) -> tuple:
+        return tuple((lo, hi) for lo, hi in bounds)
 
-    def is_empty(self):
-        return any(lo is not None and hi is not None and lo >= hi for lo, hi in self.bounds)
 
-    def contains(self, point):
-        for (lo, hi), x in zip(self.bounds, point):
-            if lo is not None and x < lo:
-                return False
-            if hi is not None and x >= hi:
-                return False
-        return True
-
-    def bounded_axis(self, i, side):
-        lo, hi = self.bounds[i]
-        return (lo is not None) if side == "+" else (hi is not None)
-
-    def sort_key(self):
-        """Total order on boxes: per axis, an unbounded end sorts beyond every bound."""
-        return tuple((lo is not None, lo or 0, hi is None, hi or 0) for lo, hi in self.bounds)
+def sort_key(box):
+    """Total order on boxes: per axis, an unbounded end sorts beyond every bound."""
+    return tuple((lo is not None, lo or 0, hi is None, hi or 0) for lo, hi in box)
 
 
 def _cut(bounds, image, shift):
-    """The bounds of box & (image - shift) from the three bounds tuples, or None when empty."""
+    """The box bounds & (image - shift), or None when it is empty."""
     out = []
     for (lo, hi), (ilo, ihi), s in zip(bounds, image, shift):
         if ilo is not None and (lo is None or lo < ilo - s):
@@ -100,8 +85,8 @@ def _cut(bounds, image, shift):
 
 def _check_boxes(n, *boxes):
     for box in boxes:
-        if box.n != n:
-            raise DimensionMismatch(f"box over {box.n} axes for an operator on n={n}")
+        if len(box) != n:
+            raise DimensionMismatch(f"box over {len(box)} axes for an operator on n={n}")
 
 
 # Weights are polynomials in lam: LaurentPolys with exponents >= 0.
@@ -117,12 +102,12 @@ class KernelAtom:
     shift: tuple
     matrix: tuple
     weight: LaurentPoly
-    box: Box
+    box: tuple  # ((lo, hi), ...)
 
 
 def atom_key(atom):
     """Total order on atoms; a normalized operator lists its atoms in this order."""
-    return (atom.shift, atom.box.sort_key(), atom.weight.terms, atom.matrix)
+    return (atom.shift, sort_key(atom.box), atom.weight.terms, atom.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +157,7 @@ class LatticeOperator:
     def combine(n, d, terms) -> "LatticeOperator":
         """The sum of c * P_image A over the (c, A, image) terms, normalized once.
 
-        ``image`` is a Box, or None for no cut.  Every term's atoms come from
+        ``image`` is a box, or None for no cut.  Every term's atoms come from
         ``_restricted``.  The operands are normalized, so their atoms need no
         second pass through ``make``'s filter and go straight to the
         merge-and-glue loop, as in ``restrict`` and ``projector_commutator``.
@@ -212,8 +197,8 @@ class LatticeOperator:
         atoms = []
         for a in self.atoms:
             for b in other.atoms:
-                bounds = _cut(b.box.bounds, a.box.bounds, b.shift)
-                if bounds is None:
+                box = _cut(b.box, a.box, b.shift)
+                if box is None:
                     continue
                 weight = a.weight.shift_argument(b.shift) * b.weight
                 if weight.is_zero():
@@ -222,7 +207,7 @@ class LatticeOperator:
                 if is_zero_matrix(matrix):
                     continue
                 shift = tuple(x + y for x, y in zip(a.shift, b.shift))
-                atoms.append(KernelAtom(shift, matrix, weight, Box(bounds)))
+                atoms.append(KernelAtom(shift, matrix, weight, box))
         return LatticeOperator.make(self.n, self.d, atoms)
 
     def restrict(self, image, domain) -> "LatticeOperator":
@@ -249,7 +234,8 @@ class LatticeOperator:
             if not isinstance(v, tuple):
                 v = (Fraction(v),) if self.d == 1 else tuple(Fraction(x) for x in v)
             for atom in self.atoms:
-                if not atom.box.contains(lam):
+                if any((lo is not None and x < lo) or (hi is not None and x >= hi)
+                       for (lo, hi), x in zip(atom.box, lam)):
                     continue
                 w = atom.weight.evaluate(lam)
                 if w == 0:
@@ -263,12 +249,12 @@ class LatticeOperator:
     # -- semantics -----------------------------------------------------------
 
     def is_zero(self):
-        if not self.atoms:
-            return True
-        for _, group in _shift_groups(self.atoms):
-            if not _group_vanishes(self.n, group):
-                return False
-        return True
+        """True iff the cell-wise sums of every shift's atoms vanish."""
+        by_shift = {}
+        for atom in self.atoms:
+            by_shift.setdefault(atom.shift, []).append((atom.box, atom))
+        return all(_cell_sum_vanishes(cell, alive)
+                   for pieces in by_shift.values() for cell, alive in _iter_cells(self.n, pieces))
 
     def __eq__(self, other):
         if not isinstance(other, LatticeOperator):
@@ -287,7 +273,7 @@ class LatticeOperator:
         if not diagonal:
             return Fraction(0)
         total = Fraction(0)
-        for cell, alive in _iter_cells(self.n, diagonal):
+        for cell, alive in _iter_cells(self.n, [(a.box, a) for a in diagonal]):
             if all(lo is not None and hi is not None for lo, hi in cell):
                 for atom in alive:
                     tr = mat_trace(atom.matrix)
@@ -309,9 +295,8 @@ class LatticeOperator:
         """
         i = axis - 1
         for atom in self.atoms:
-            if sign in ("+", "0") and not atom.box.bounded_axis(i, "+"):
-                return False
-            if sign in ("-", "0") and not atom.box.bounded_axis(i, "-"):
+            lo, hi = atom.box[i]
+            if (sign in ("+", "0") and lo is None) or (sign in ("-", "0") and hi is None):
                 return False
         return True
 
@@ -319,7 +304,7 @@ class LatticeOperator:
         if not self.atoms:
             return "0"
         return " + ".join(
-            f"[shift={a.shift}, box={a.box.bounds}, w={a.weight}]" for a in self.atoms
+            f"[shift={a.shift}, box={a.box}, w={a.weight}]" for a in self.atoms
         )
 
 
@@ -337,15 +322,13 @@ def _restricted(c, op, image, domain=None):
         return
     zero = (0,) * op.n
     for a in op.atoms:
-        bounds = a.box.bounds
+        box = a.box
         if domain is not None:
-            bounds = _cut(bounds, domain.bounds, zero)
-        if image is not None and bounds is not None:
-            bounds = _cut(bounds, image.bounds, a.shift)
-        if bounds is None:
-            continue
-        box = a.box if bounds is a.box.bounds else Box(bounds)
-        yield KernelAtom(a.shift, a.matrix, a.weight.scale(c), box)
+            box = _cut(box, domain, zero)
+        if image is not None and box is not None:
+            box = _cut(box, image, a.shift)
+        if box is not None:
+            yield KernelAtom(a.shift, a.matrix, a.weight.scale(c), box)
 
 
 def _fold_scalar(d, atom):
@@ -359,15 +342,16 @@ def _fold_scalar(d, atom):
 def _normalize(n, d, atoms):
     return _merge_and_glue([
         _fold_scalar(d, atom) for atom in atoms
-        if not (atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix))
+        if not (any(lo is not None and hi is not None and lo >= hi for lo, hi in atom.box)
+                or atom.weight.is_zero() or is_zero_matrix(atom.matrix))
     ])
 
 
 def _merge_and_glue(pending):
     """Merge and glue filtered atoms to the fixpoint, in ``atom_key`` order.
 
-    Dicts are keyed on plain tuples (``box.bounds``, ``weight.terms``), whose
-    hashes run in C, not on the frozen dataclasses.  Each step keeps its input
+    Dicts are keyed on plain tuples (the box, ``weight.terms``), whose hashes
+    run in C, not on the frozen dataclasses.  Each step keeps its input
     list when it changes nothing.  The weight merge is idempotent on its own
     output, so a round whose matrix merge and glue change nothing is the
     fixpoint.
@@ -378,7 +362,7 @@ def _merge_and_glue(pending):
         # merge equal (shift, box, matrix): sum the weights
         merged = {}
         for atom in pending:
-            key = (atom.shift, atom.box.bounds, atom.matrix)
+            key = (atom.shift, atom.box, atom.matrix)
             prev = merged.get(key)
             merged[key] = atom if prev is None else KernelAtom(
                 atom.shift, atom.matrix, prev.weight + atom.weight, atom.box)
@@ -388,7 +372,7 @@ def _merge_and_glue(pending):
         # merge equal (shift, box, weight): sum the matrices
         merged = {}
         for atom in pending:
-            key = (atom.shift, atom.box.bounds, atom.weight.terms)
+            key = (atom.shift, atom.box, atom.weight.terms)
             prev = merged.get(key)
             merged[key] = atom if prev is None else KernelAtom(
                 atom.shift, mat_add(prev.matrix, atom.matrix), atom.weight, atom.box)
@@ -416,7 +400,7 @@ def _merge_and_glue(pending):
 
 def _glue_group(boxes):
     """Glue a group's boxes greedily in box order, not input order, until none abut."""
-    boxes = sorted(boxes, key=Box.sort_key)
+    boxes = sorted(boxes, key=sort_key)
     merged_any = True
     while merged_any:
         merged_any = False
@@ -433,44 +417,35 @@ def _glue_group(boxes):
     return boxes
 
 
-def _glue_boxes(b1: Box, b2: Box):
+def _glue_boxes(b1, b2):
     """Union of two boxes when they abut along exactly one axis, else None."""
     diff_axis = None
-    for i, (p, q) in enumerate(zip(b1.bounds, b2.bounds)):
+    for i, (p, q) in enumerate(zip(b1, b2)):
         if p != q:
             if diff_axis is not None:
                 return None
             diff_axis = i
     if diff_axis is None:
         return None  # identical boxes would have merged by weight already
-    (lo1, hi1), (lo2, hi2) = b1.bounds[diff_axis], b2.bounds[diff_axis]
+    (lo1, hi1), (lo2, hi2) = b1[diff_axis], b2[diff_axis]
     if hi1 is not None and lo2 is not None and hi1 == lo2:
         joined = (lo1, hi2)
     elif hi2 is not None and lo1 is not None and hi2 == lo1:
         joined = (lo2, hi1)
     else:
         return None
-    bounds = list(b1.bounds)
-    bounds[diff_axis] = joined
-    return Box(tuple(bounds))
+    return b1[:diff_axis] + (joined,) + b1[diff_axis + 1:]
 
 
 # ---------------------------------------------------------------------------
 # Cell refinement: semantic vanishing and traces
 # ---------------------------------------------------------------------------
 
-def _shift_groups(atoms):
-    groups = {}
-    for atom in atoms:
-        groups.setdefault(atom.shift, []).append(atom)
-    return sorted(groups.items())
-
-
-def _axis_cells(atoms, i):
+def _axis_cells(pieces, i):
     """Arrangement cells of axis i: half-open intervals refined by all bounds."""
     points = set()
-    for atom in atoms:
-        lo, hi = atom.box.bounds[i]
+    for box, _ in pieces:
+        lo, hi = box[i]
         if lo is not None:
             points.add(lo)
         if hi is not None:
@@ -494,22 +469,25 @@ def _interval_covers(bounds, cell):
     return True
 
 
-def _iter_cells(n, atoms):
-    """Yield (cell, alive_atoms) over arrangement cells met by at least one atom."""
-    cells_per_axis = [_axis_cells(atoms, i) for i in range(n)]
+def _iter_cells(n, pieces):
+    """Yield (cell, values) over the arrangement cells of the (box, value) pieces.
 
-    def rec(axis, alive, prefix):
-        if axis == n:
-            yield tuple(prefix), alive
-            return
-        for cell in cells_per_axis[axis]:
-            sub = [a for a in alive if _interval_covers(a.box.bounds[axis], cell)]
-            if sub:
-                prefix.append(cell)
-                yield from rec(axis + 1, sub, prefix)
-                prefix.pop()
-
-    yield from rec(0, list(atoms), [])
+    The cells refine every box bound on every axis, one axis at a time; each
+    cell met by at least one piece is yielded once, in lexicographic order,
+    with the values of the pieces whose boxes contain it, in the pieces' order.
+    """
+    cells = [((), pieces)]
+    for i in range(n):
+        axis_cells = _axis_cells(pieces, i)
+        refined = []
+        for prefix, alive in cells:
+            for cell in axis_cells:
+                sub = [piece for piece in alive if _interval_covers(piece[0][i], cell)]
+                if sub:
+                    refined.append((prefix + (cell,), sub))
+        cells = refined
+    for cell, alive in cells:
+        yield cell, [value for _, value in alive]
 
 
 def _cell_points(cell, degrees):
@@ -549,13 +527,6 @@ def _cell_sum_vanishes(cell, atoms):
     return True
 
 
-def _group_vanishes(n, atoms):
-    for cell, alive in _iter_cells(n, atoms):
-        if not _cell_sum_vanishes(cell, alive):
-            return False
-    return True
-
-
 def _power_sum(e, lo, hi):
     """Sum of lam^e for lam in [lo, hi)."""
     total = Fraction(0)
@@ -590,15 +561,18 @@ def _cuts(n, cuts):
     return cuts
 
 
-def region(cuts, signs) -> Box:
-    """Where every P_axis^sign in ``signs`` (1-based axis -> sign) is 1; other axes are free."""
+def region(cuts, signs) -> tuple:
+    """The box where every P_axis^sign is 1; other axes are free.
+
+    ``signs`` maps 1-based axes to signs, as a dict or as (axis, sign) pairs.
+    """
     bounds = [(None, None)] * len(cuts)
-    for axis, sign in signs.items():
+    for axis, sign in dict(signs).items():
         if sign not in ("+", "-"):
             raise ValueError(f"projector sign must be '+' or '-', got {sign!r}")
         cut = cuts[axis - 1]
         bounds[axis - 1] = (cut, None) if sign == "+" else (None, cut)
-    return Box(tuple(bounds))
+    return tuple(bounds)
 
 
 def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:

@@ -64,7 +64,7 @@ def random_weight(rng, n, max_degree=1) -> LaurentPoly:
     return LaurentPoly.make(n, terms)
 
 
-def random_box_for_sign(rng, sign_string, bound=3) -> Box:
+def random_box_for_sign(rng, sign_string, bound=3) -> tuple:
     """A box satisfying the axis constraints of a cube sign string."""
     bounds = []
     for ch in sign_string:

@@ -401,7 +401,7 @@ def test_json_integer_over_the_digit_limit_names_the_file(tmp_path, capsys):
 
 
 def test_verify_caps_trials(capsys, monkeypatch):
-    # 1000000 is over the cap: one n = 4 cube trial takes about 0.03 s
+    # 1000000 is over the cap: one n = 4 lift trial takes about 0.12-0.19 s
     for trials in ("0", "-2", "1001", "1000000"):
         assert_error(capsys, ["verify", "--suite", "rho", "--trials", trials, "--json"],
                      "ArityError", "--trials")

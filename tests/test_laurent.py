@@ -567,13 +567,16 @@ def _poly_text(draw, n=3):
 
 
 _STRAY = ["@", "x", "t", ".", "(", "é", "_", "T", "٫", "~", ";"]
+_NEAR_MISSES = ["stray", "caret", "exponent", "zero", "t0", "trailing", "delete", "long"]
+# the character an edit needs in the text; without it the edit falls through to "trailing"
+_NEEDS = {"caret": "^", "exponent": "^", "zero": "/", "t0": "t"}
 
 
 @st.composite
-def _near_miss(draw, text):
-    """One edit of a valid text that the grammar (usually) rejects."""
-    kind = draw(st.sampled_from(["stray", "caret", "exponent", "zero", "t0", "trailing",
-                                 "delete", "long"]))
+def _near_miss(draw, text, kind=None):
+    """One edit of a valid text that the grammar (usually) rejects; a kind is drawn unless given."""
+    if kind is None:
+        kind = draw(st.sampled_from(_NEAR_MISSES))
     if kind == "stray":
         at = draw(st.integers(0, len(text)))
         return text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
@@ -634,10 +637,8 @@ def test_form_scanner_matches_the_reference_parser(form):
     _assert_same_outcome(form, _outcome(parse_form, form), _outcome(_ref_parse_form, form))
 
 
-@given(_form_case())
-@settings(max_examples=80, deadline=timedelta(seconds=5))
-def test_form_cases_through_the_cli(form):
-    """Each form ends in an oracle-agreeing report or the reference's error payload."""
+def _assert_cli_matches_the_reference(form):
+    """The form ends in an oracle-agreeing report or the reference's error payload."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["residue", "--form=" + form, "--json"])
@@ -650,6 +651,26 @@ def test_form_cases_through_the_cli(form):
     else:
         _, kind, message, _ = _digit_limit_error(form) if ref == ("limit",) else ref
         assert code == 1 and doc == {"error": {"type": kind, "message": message}}, form
+
+
+@given(_form_case())
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+def test_form_cases_through_the_cli(form):
+    _assert_cli_matches_the_reference(form)
+
+
+@pytest.mark.parametrize("kind", _NEAR_MISSES)
+@given(data=st.data())
+@settings(max_examples=15, deadline=timedelta(seconds=5))
+def test_each_near_miss_kind_through_the_cli(kind, data):
+    # a drawn kind is uneven under the derandomized profile, so each kind is applied here
+    n = data.draw(st.integers(1, 3))
+    form = " ; ".join(data.draw(_poly_text(n)) for _ in range(n + 1))
+    if _NEEDS.get(kind, "") not in form:
+        form += " + 1/2*t1^2"  # gives the edit its character, keeping the form valid
+    edited = data.draw(_near_miss(form, kind))
+    assert edited != form
+    _assert_cli_matches_the_reference(edited)
 
 
 def test_scanner_keeps_the_grammar_corners():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parshin.errors import DimensionMismatch, NotTraceClass
 from parshin.laurent import GLaurent, LaurentPoly, parse_poly
@@ -16,6 +18,7 @@ from parshin.opalg import (
     LatticeOperator,
     _fold_scalar,
     _glue_boxes,
+    _iter_cells,
     _normalize,
     atom_key,
     derivation_operator,
@@ -249,11 +252,15 @@ def test_glued_atoms_are_independent_of_input_order():
         assert LatticeOperator.make(2, 1, atoms).atoms == LatticeOperator.make(2, 1, shuffled).atoms, cells
 
 
+def _is_empty(box):
+    return any(lo is not None and hi is not None and lo >= hi for lo, hi in box)
+
+
 def _reference_normalize(n, d, atoms):
     """The plain fixpoint loop: every step rebuilds its list, and rounds repeat until one changes nothing."""
     pending = []
     for atom in atoms:
-        if atom.box.is_empty() or atom.weight.is_zero() or is_zero_matrix(atom.matrix):
+        if _is_empty(atom.box) or atom.weight.is_zero() or is_zero_matrix(atom.matrix):
             continue
         pending.append(_fold_scalar(d, atom))
 
@@ -285,7 +292,8 @@ def _reference_normalize(n, d, atoms):
             groups.setdefault((atom.shift, atom.weight, atom.matrix), []).append(atom.box)
         glued = []
         for (shift, weight, mat), boxes in groups.items():
-            boxes = sorted(boxes, key=Box.sort_key)
+            boxes = sorted(boxes, key=lambda box: tuple((lo is not None, lo or 0, hi is None, hi or 0)
+                                                        for lo, hi in box))
             merged_any = True
             while merged_any:
                 merged_any = False
@@ -325,18 +333,18 @@ def _random_atom_list(rng, n, d):
             k = rng.randrange(len(points) - 1)
             bounds.append((points[k], points[min(k + rng.choice((1, 2)), len(points) - 1)]))
         shift = tuple(rng.choice((0, 0, 1)) for _ in range(n))
-        return KernelAtom(shift, rng.choice(matrices), rng.choice(weights), Box.of(bounds))
+        return KernelAtom(shift, rng.choice(matrices), rng.choice(weights), tuple(bounds))
 
     def split(atom):
         # two boxes abutting along one axis, which glue back into the atom's box
         i = rng.randrange(n)
-        lo, hi = atom.box.bounds[i]
+        lo, hi = atom.box[i]
         cut = rng.randint(-3, 3) if lo is None or hi is None else rng.randint(lo, hi)
         halves = []
         for part in ((lo, cut), (cut, hi)):
-            bounds = list(atom.box.bounds)
+            bounds = list(atom.box)
             bounds[i] = part
-            halves.append(KernelAtom(atom.shift, atom.matrix, atom.weight, Box.of(bounds)))
+            halves.append(KernelAtom(atom.shift, atom.matrix, atom.weight, tuple(bounds)))
         return halves
 
     atoms = []
@@ -369,7 +377,7 @@ def test_normalize_matches_the_reference_fixpoint_loop():
         rng.shuffle(shuffled)
         assert _normalize(n, d, shuffled) == got, seed
         assert _normalize(n, d, got) == got, seed
-        kept = [_fold_scalar(d, a) for a in atoms if not a.box.is_empty()]
+        kept = [_fold_scalar(d, a) for a in atoms if not _is_empty(a.box)]
         pairs = [(a, b) for a, b in itertools.combinations(kept, 2) if (a.shift, a.box) == (b.shift, b.box)]
         kinds["duplicates"] += any(a == b for a, b in pairs)
         kinds["weights cancel"] += any(a.matrix == b.matrix and (a.weight + b.weight).is_zero()
@@ -444,11 +452,11 @@ def test_combine_matches_the_scale_add_restrict_chain():
 def _box_cut(box, image, shift):
     """box & (image - shift), axis by axis; empty cuts are kept as empty boxes."""
     bounds = []
-    for (lo, hi), (ilo, ihi), s in zip(box.bounds, image.bounds, shift):
+    for (lo, hi), (ilo, ihi), s in zip(box, image, shift):
         los = [x for x in (lo, None if ilo is None else ilo - s) if x is not None]
         his = [x for x in (hi, None if ihi is None else ihi - s) if x is not None]
         bounds.append((max(los, default=None), min(his, default=None)))
-    return Box(tuple(bounds))
+    return tuple(bounds)
 
 
 def _reference_combine(n, d, terms):
@@ -496,8 +504,8 @@ def test_combine_matches_the_per_term_make_reference():
         assert LatticeOperator.combine(n, d, terms).atoms == got.atoms, seed
         cut = [_box_cut(a.box, image, a.shift)
                for c, op, image in terms if image is not None for a in op.atoms]
-        kinds["emptied"] += any(box.is_empty() for box in cut)
-        kinds["unbounded"] += any(None in bound for box in cut for bound in box.bounds)
+        kinds["emptied"] += any(_is_empty(box) for box in cut)
+        kinds["unbounded"] += any(None in bound for box in cut for bound in box)
         kinds["zero coefficient"] += any(c == 0 and op.atoms for c, op, _ in terms)
         kinds["uncut"] += any(image is None and op.atoms for _, op, image in terms)
         kinds["cancelled"] += len(got.atoms) < sum(len(op.atoms) for c, op, _ in terms if c != 0)
@@ -604,3 +612,31 @@ def test_cut_parameter():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         LatticeOperator.identity(1).compose(LatticeOperator.identity(2))
+
+
+def _inside(box, point):
+    return all((lo is None or lo <= x) and (hi is None or x < hi) for (lo, hi), x in zip(box, point))
+
+
+@st.composite
+def _pieces(draw):
+    n = draw(st.integers(1, 3))
+    bound = st.one_of(st.none(), st.integers(-3, 3))
+    boxes = st.lists(st.tuples(bound, bound), min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(st.tuples(boxes, st.integers(-5, 5)), max_size=4))
+
+
+@given(_pieces())
+@settings(max_examples=150, deadline=None)
+def test_arrangement_walk_matches_brute_force(drawn):
+    n, pieces = drawn
+    cells = list(_iter_cells(n, pieces))
+    ends = [v for box, _ in pieces for bounds in box for v in bounds if v is not None]
+    window = range(min(ends, default=0) - 2, max(ends, default=0) + 3)
+    for point in itertools.product(window, repeat=n):
+        values = [value for box, value in pieces if _inside(box, point)]
+        hits = [listed for cell, listed in cells if _inside(cell, point)]
+        if hits:
+            assert len(hits) == 1 and hits[0] == values and sum(hits[0]) == sum(values), point
+        else:
+            assert values == [], point
