@@ -10,7 +10,7 @@ arithmetic.
 """
 
 from .chains import TensorChain
-from .cocycle import CocycleInput, phi, phi_closed_form, virasoro_phi, virasoro_table
+from .cocycle import flavor, phi, phi_closed_form, virasoro_phi, virasoro_table
 from .cube import (
     CubeElement,
     boundary,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "CocycleInput",
     "CubeElement",
     "GLaurent",
     "KernelAtom",
@@ -60,6 +59,7 @@ __all__ = [
     "boundary_hat",
     "derivation_operator",
     "epsilon",
+    "flavor",
     "heisenberg3",
     "homotopy",
     "homotopy_hat",

@@ -133,16 +133,14 @@ def cmd_cocycle(args) -> int:
         algebra = load_algebra(algebra_ref)
     n, terms = read_chain(doc, algebra, MAX_N)
     # the first factor is the distinguished f0 slot; order is preserved
-    wedges = [_cocycle.CocycleInput.classify(factors) for _, factors in terms]
-    flavors = sorted({wedge.flavor for wedge in wedges})
+    flavors = sorted({_cocycle.flavor(factors) for _, factors in terms})
     if len(flavors) != 1:
         raise MixedFlavors(f"chain terms must share one flavor, got {flavors or 'no terms'}")
     flavor = flavors[0]
     if args.flavor is not None and args.flavor != flavor:
         raise MixedFlavors(f"--flavor {args.flavor} given, but the chain's entries are {flavor}")
-    total = Fraction(0)
-    for (coeff, _), wedge in zip(terms, wedges):
-        total += coeff * _cocycle.phi(wedge, cuts=_cuts_arg(args, n))
+    cuts = _cuts_arg(args, n)
+    total = sum((coeff * _cocycle.phi(factors, cuts) for coeff, factors in terms), Fraction(0))
     value = exact_text(total)
     payload = {"flavor": flavor, "n": n, "value": value}
     _emit(payload, args.json, [f"flavor = {flavor}", f"n      = {n}", f"value  = {value}"])

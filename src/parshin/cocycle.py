@@ -11,6 +11,8 @@ n = 1 specializations below fix this normalization) on three input flavors:
 * ``vectorfield`` -- n = 1 derivations t^s d/dt; on L_m = t^(m+1) d/dt this
   is the Virasoro cocycle  phi(L_m ^ L_-m) = -(m^3 - m)/6.
 
+``flavor`` reads the one flavor a wedge's entries share from their types;
+``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
 multiloop wedges.  The seeded checks of the cocycle identity and of the
 closed form live in :mod:`parshin.verify`.
@@ -19,7 +21,6 @@ closed form live in :mod:`parshin.verify`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import TensorChain
@@ -29,84 +30,55 @@ from .liealg import is_centreless, killing_nform
 from .opalg import LatticeOperator, derivation_operator, mul_operator
 from .residue import raw_sum
 
-FLAVORS = ("multiloop", "scalar", "vectorfield")
+_FLAVOR_OF_TYPE = {GLaurent: "multiloop", LaurentPoly: "scalar", LatticeOperator: "vectorfield"}
+FLAVORS = tuple(sorted(_FLAVOR_OF_TYPE.values()))
 
 
-@dataclass(frozen=True)
-class CocycleInput:
-    """A classified wedge f_0 ^ ... ^ f_n of one flavor."""
-
-    n: int
-    flavor: str
-    entries: tuple
-
-    @staticmethod
-    def classify(entries) -> "CocycleInput":
-        entries = tuple(entries)
-        if not entries:
-            raise MixedFlavors("empty cocycle input")
-        kinds = set()
-        for e in entries:
-            if isinstance(e, GLaurent):
-                kinds.add("multiloop")
-            elif isinstance(e, LaurentPoly):
-                kinds.add("scalar")
-            elif isinstance(e, LatticeOperator):
-                kinds.add("vectorfield")
-            else:
-                raise MixedFlavors(f"unsupported cocycle entry type {type(e).__name__}")
-        if len(kinds) != 1:
-            raise MixedFlavors(f"entries mix flavors {sorted(kinds)}")
-        flavor = kinds.pop()
-        first = entries[0]
-        if flavor == "multiloop":
-            alg = first.algebra
-            if any(e.algebra != alg for e in entries):
-                raise MixedFlavors("multiloop entries over different algebras")
-        if flavor == "vectorfield" and first.n != 1:
-            raise DimensionMismatch("the derivation flavor is restricted to n = 1")
-        return CocycleInput(first.n, flavor, entries)
-
-
-def entry_operator(entry) -> LatticeOperator:
-    """The lattice operator an input entry acts by."""
-    if isinstance(entry, (GLaurent, LaurentPoly)):
-        return mul_operator(entry)
-    if isinstance(entry, LatticeOperator):
-        return entry
-    raise MixedFlavors(f"cannot interpret {type(entry).__name__} as a cocycle entry")
+def flavor(entries) -> str:
+    """The one flavor the sequence f_0, ..., f_n shares, read from the entry
+    types; MixedFlavors or DimensionMismatch when no flavor admits them."""
+    if not entries:
+        raise MixedFlavors("empty cocycle input")
+    kinds = set()
+    for e in entries:
+        kind = _FLAVOR_OF_TYPE.get(type(e))
+        if kind is None:
+            raise MixedFlavors(f"unsupported cocycle entry type {type(e).__name__}")
+        kinds.add(kind)
+    if len(kinds) != 1:
+        raise MixedFlavors(f"entries mix flavors {sorted(kinds)}")
+    kind = kinds.pop()
+    first = entries[0]
+    if kind == "multiloop" and any(e.algebra != first.algebra for e in entries):
+        raise MixedFlavors("multiloop entries over different algebras")
+    if kind == "vectorfield" and first.n != 1:
+        raise DimensionMismatch("the derivation flavor is restricted to n = 1")
+    return kind
 
 
 def phi(entries, cuts=None) -> Fraction:
     """The cocycle value on a single wedge f_0 ^ ... ^ f_n."""
-    inp = entries if isinstance(entries, CocycleInput) else CocycleInput.classify(entries)
-    if len(inp.entries) != inp.n + 1:
-        raise DimensionMismatch(
-            f"a wedge over n = {inp.n} needs {inp.n + 1} entries, got {len(inp.entries)}"
-        )
-    return raw_sum([entry_operator(e) for e in inp.entries], cuts)
+    entries = tuple(entries)
+    flavor(entries)
+    n = entries[0].n
+    if len(entries) != n + 1:
+        raise DimensionMismatch(f"a wedge over n = {n} needs {n + 1} entries, got {len(entries)}")
+    return raw_sum([e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries], cuts)
 
 
-def phi_wedge_chain(chain: TensorChain, cuts=None) -> Fraction:
-    """Linear extension of phi to a formal sum of wedges (scalar heads).
+def phi_chain(chain: TensorChain, cuts=None) -> Fraction:
+    """Linear extension of phi to a sum of head (x) tail terms.
 
-    Each canonical wedge is read with its first factor in the f_0 slot.
-    Since the formula's f_0 slot is distinguished, this is only meaningful
-    on chains where slot-0 exchange is harmless (e.g. cycles); prefer
-    :func:`phi_tensor_chain` when a tensor representative is available.
+    A ``Fraction`` head scales phi of its tail; any other head sits in the
+    f_0 slot.  The f_0 slot is distinguished, so a wedge chain read this way
+    means something only where slot-0 exchange is harmless (e.g. on cycles).
     """
     total = Fraction(0)
-    for coeff, factors in chain.terms:
-        total += coeff * phi(factors, cuts)
-    return total
-
-
-def phi_tensor_chain(chain: TensorChain, cuts=None) -> Fraction:
-    """phi on a sum of head (x) tail terms, the head held in the f_0 slot."""
-    total = Fraction(0)
     for head, tail in chain.terms:
-        ops = [entry_operator(head)] + [entry_operator(f) for f in tail]
-        total += raw_sum(ops, cuts)
+        if isinstance(head, Fraction):
+            total += head * phi(tail, cuts)
+        else:
+            total += phi((head,) + tail, cuts)
     return total
 
 

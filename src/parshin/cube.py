@@ -6,6 +6,8 @@ I_i^(s_i).  The module implements the differential, the idempotent-built
 homotopies and averaging maps, the combinatorial sign function rho, and the
 spectral-sequence lifting theta_(p,q) both iteratively (alternating the
 Chevalley-Eilenberg differential with the homotopy) and in closed form.
+A lift state holds plain dicts: its heads keyed by the consumed wedge slots,
+and the homotopy images of the bracket-led terms that must die.
 
 Everything is parametrized by the idempotent cut points: P_i^+ projects onto
 lam_i >= cuts[i] (default 0).  Identities are expected to hold for any cuts.
@@ -441,38 +443,29 @@ def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
 # The spectral-sequence lifting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftTerm:
-    """One summand of a lift state.
-
-    ``omitted`` lists the wedge slots already consumed (sorted, 1-based);
-    ``bracket`` marks a [f_a, f_b]-led tail produced by the second half of
-    the differential (those heads must die under the homotopy).
-    """
-
-    omitted: tuple
-    bracket: tuple  # () for plain terms, (a, b) for bracket-led terms
-    head: CubeElement
-
-
 @dataclass
 class LiftState:
-    """theta_(p,q): the lift after p - 1 differential/homotopy rounds."""
+    """theta_(p,q): the lift after p - 1 differential/homotopy rounds.
+
+    ``heads`` maps the sorted, 1-based wedge slots already consumed to the
+    cube element standing before the remaining wedge tail.  ``residual``
+    maps (omitted, (a, b)) to the homotopy image of the [f_a, f_b]-led
+    terms that the second half of the differential produced; they must die.
+    """
 
     p: int
     q: int
-    terms: list
-    bracket_residual: list = field(default_factory=list)
+    heads: dict
+    residual: dict = field(default_factory=dict)
 
     def term(self, omitted) -> CubeElement:
         omitted = tuple(sorted(omitted))
-        for t in self.terms:
-            if t.omitted == omitted and t.bracket == ():
-                return t.head
-        raise KeyError(f"no term with omitted={omitted}")
+        if omitted not in self.heads:
+            raise KeyError(f"no term with omitted={omitted}")
+        return self.heads[omitted]
 
     def residual_is_zero(self):
-        return all(t.head.is_zero() for t in self.bracket_residual)
+        return all(head.is_zero() for head in self.residual.values())
 
 
 def _check_operator_family(fs):
@@ -480,6 +473,8 @@ def _check_operator_family(fs):
     for f in fs:
         if f.n != n or f.d != d:
             raise DimensionMismatch("lift inputs on different spaces")
+    if len(fs) != n + 1:
+        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(fs)}")
     return n, d
 
 
@@ -489,26 +484,23 @@ def lift_iterative(fs, cuts=None):
     Each round applies the Chevalley-Eilenberg differential (with the
     commutator action on cube elements) and then the contracting homotopy.
     Bracket-led terms produced by the second half of the differential are
-    recorded after the homotopy in ``bracket_residual`` (they vanish when
-    the machinery is consistent) and are not propagated.
+    recorded after the homotopy in ``residual`` (they vanish when the
+    machinery is consistent) and are not propagated.
     """
     fs = list(fs)
     n, d = _check_operator_family(fs)
-    if len(fs) != n + 1:
-        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(fs)}")
     cuts = _cuts(n, cuts)
-    ops = {i: fs[i] for i in range(len(fs))}
 
-    theta = {(): homotopy_hat(ops[0], cuts)}
-    states = [LiftState(1, n, [LiftTerm((), (), head) for _, head in sorted(theta.items())])]
+    theta = {(): homotopy_hat(fs[0], cuts)}
+    states = [LiftState(1, n, theta)]
 
-    for _ in range(n):
+    for p in range(2, n + 2):
         acc_plain = {}
         acc_bracket = {}
         for omitted, head in theta.items():
             remaining = [j for j in range(1, n + 1) if j not in omitted]
             for pos, w in enumerate(remaining, start=1):
-                contrib = head.bracket(ops[w]).scale((-1) ** pos)
+                contrib = head.bracket(fs[w]).scale((-1) ** pos)
                 key = tuple(sorted(omitted + (w,)))
                 acc_plain[key] = acc_plain[key] + contrib if key in acc_plain else contrib
             for (pa, wa), (pb, wb) in itertools.combinations(enumerate(remaining, 1), 2):
@@ -516,19 +508,10 @@ def lift_iterative(fs, cuts=None):
                 key = (omitted, (wa, wb))
                 acc_bracket[key] = acc_bracket[key] + contrib if key in acc_bracket else contrib
 
-        theta = {}
-        terms = []
-        for key in sorted(acc_plain):
-            lifted = homotopy(acc_plain[key], cuts)
-            if lifted.components:
-                theta[key] = lifted
-            terms.append(LiftTerm(key, (), lifted))
-        residual = [
-            LiftTerm(omitted, pair, homotopy(value, cuts))
-            for (omitted, pair), value in sorted(acc_bracket.items())
-        ]
-        prev = states[-1]
-        states.append(LiftState(prev.p + 1, prev.q - 1, terms, residual))
+        heads = {key: homotopy(acc_plain[key], cuts) for key in sorted(acc_plain)}
+        theta = {key: head for key, head in heads.items() if head.components}
+        residual = {key: homotopy(value, cuts) for key, value in sorted(acc_bracket.items())}
+        states.append(LiftState(p, n + 1 - p, heads, residual))
     return states
 
 
@@ -550,8 +533,6 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
     """
     fs = list(fs)
     n, d = _check_operator_family(fs)
-    if len(fs) != n + 1:
-        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(fs)}")
     if not 0 <= p <= n:
         raise DimensionMismatch(f"stage p={p} outside 0..{n}")
     cuts = _cuts(n, cuts)
@@ -568,5 +549,5 @@ def lift_closed_form(fs, p, cuts=None) -> LiftState:
             image = region(cuts, enumerate(word, 1))
             sums.setdefault(word + "0" * p, []).append((base_sign * _minus_parity(word), inner, image))
 
-    terms = [LiftTerm(key, (), _element(n, d, p + 1, sums)) for key, sums in sorted(heads.items())]
-    return LiftState(p + 1, n - p, terms)
+    heads = {key: _element(n, d, p + 1, sums) for key, sums in sorted(heads.items())}
+    return LiftState(p + 1, n - p, heads)

@@ -293,6 +293,10 @@ class LatticeOperator:
         sign '+' requires every atom box bounded below in the axis, '-' above,
         '0' both.
         """
+        if not 1 <= axis <= self.n:
+            raise DimensionMismatch(f"axis {axis} outside 1..{self.n}")
+        if sign not in ("+", "-", "0"):
+            raise ValueError(f"ideal sign must be '+', '-' or '0', got {sign!r}")
         i = axis - 1
         for atom in self.atoms:
             lo, hi = atom.box[i]

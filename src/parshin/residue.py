@@ -27,7 +27,7 @@ from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_co
 # point at a time (opalg._power_sum, about 2.3 us a point), so a wider slab
 # is refused before any commutator is built: "t1^-3000000 ; t1^3000000" took
 # 7 s.  The cap is four times the widest shift trace_wide draws (24,003) and
-# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 2b's
+# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 2's
 # closed-form power sums make a trace's cost independent of the width, and
 # lift this cap.
 MAX_SLAB_WIDTH = 100_000

@@ -22,6 +22,7 @@ from .opalg import mul_operator
 from .residue import ack_residue_n1, raw_sum, residue, residue_det_monomial
 from .sampling import (
     random_cube_element,
+    random_exponent,
     random_laurent,
     random_lie_element,
     random_nonzero_fraction,
@@ -71,10 +72,8 @@ def check_classical_residue() -> CheckReport:
     return report
 
 
-def _random_monomial_matrix(rng, n, bound=4, balanced=None):
+def _random_monomial_matrix(rng, n, bound, balanced):
     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n + 1)]
-    if balanced is None:
-        balanced = rng.random() < 0.5
     if balanced:
         for j in range(n):
             rows[0][j] = -sum(rows[i][j] for i in range(1, n + 1))
@@ -87,7 +86,7 @@ def check_det_theorem(n, trials=200, seed=1, cuts=None) -> CheckReport:
     rng = random.Random(seed)
     values = []
     for trial in range(trials):
-        rows = _random_monomial_matrix(rng, n, balanced=(trial % 2 == 0))
+        rows = _random_monomial_matrix(rng, n, 4, trial % 2 == 0)
         f0 = LaurentPoly.monomial(n, tuple(rows[0]), 1)
         fs = [LaurentPoly.monomial(n, tuple(r), 1) for r in rows[1:]]
         rep = residue(f0, fs, cuts)
@@ -251,8 +250,6 @@ def check_rho(trials=500, seed=1) -> CheckReport:
 
 def check_lift_equivalence(trials=25, seed=1, n=2, cuts=None) -> CheckReport:
     """Closed-form lift components equal the iterative descent; bracket branch dies."""
-    from .sampling import random_exponent
-
     report = CheckReport(f"lift_equivalence_n{n}")
     rng = random.Random(seed)
     for trial in range(trials):
@@ -265,11 +262,11 @@ def check_lift_equivalence(trials=25, seed=1, n=2, cuts=None) -> CheckReport:
             report.record(state.residual_is_zero(),
                           {"trial": trial, "p": p, "check": "bracket residual"})
             closed = _cube.lift_closed_form(fs, p, cuts)
-            for ct in closed.terms:
-                it_head = state.term(ct.omitted)
-                for s, op in ct.head.components.items():
+            for omitted, head in closed.heads.items():
+                it_head = state.term(omitted)
+                for s, op in head.components.items():
                     report.record((it_head.component(s) - op).is_zero(),
-                                  {"trial": trial, "p": p, "omitted": list(ct.omitted), "s": s})
+                                  {"trial": trial, "p": p, "omitted": list(omitted), "s": s})
         # the final head reproduces the raw trace sum on the nose
         final = states[-1].term(tuple(range(1, n + 1)))
         tr = final.component("0" * n).trace()
@@ -394,7 +391,7 @@ def verify_cocycle(flavor, n, degree_bound=2, trials=50, seed=1, algebra=None, c
     for trial in range(trials):
         entries = _boundary_trial_entries(rng, flavor, n, degree_bound, algebra)
         chain = TensorChain.single(entries[0], tuple(entries[1:]))
-        value = _cocycle.phi_tensor_chain(chain.ce_diff(), cuts)
+        value = _cocycle.phi_chain(chain.ce_diff(), cuts)
         if value != 0:
             nonzero.append({"trial": trial, "value": str(value)})
     report = CheckReport(f"cocycle_property_{flavor}_n{n}")
@@ -415,7 +412,7 @@ def naive_wedge_coboundary(flavor, n, degree_bound=2, trials=10, seed=1, algebra
     values = []
     for _ in range(trials):
         wedge = TensorChain.single(Fraction(1), _boundary_trial_entries(rng, flavor, n, degree_bound, algebra))
-        values.append(_cocycle.phi_wedge_chain(wedge.ce_diff(), cuts))
+        values.append(_cocycle.phi_chain(wedge.ce_diff(), cuts))
     return values
 
 
@@ -424,10 +421,7 @@ def operator_vs_closed_form(n, trials=25, seed=1, algebra=None, cuts=None) -> Ch
     rng, algebra = _seeded(seed, algebra)
     mismatches = []
     for trial in range(trials):
-        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + 1)]
-        if trial % 2 == 0:
-            for j in range(n):
-                rows[0][j] = -sum(rows[i][j] for i in range(1, n + 1))
+        rows = _random_monomial_matrix(rng, n, 2, trial % 2 == 0)
         elements = [random_lie_element(rng, algebra) for _ in range(n + 1)]
         entries = [GLaurent.monomial(n, el, tuple(row)) for el, row in zip(elements, rows)]
         direct = _cocycle.phi(entries, cuts)

@@ -7,17 +7,18 @@ import pytest
 
 from parshin.chains import TensorChain
 from parshin.cocycle import (
-    CocycleInput,
+    flavor,
     phi,
+    phi_chain,
     phi_closed_form,
-    phi_tensor_chain,
     virasoro_generator,
     virasoro_phi,
     virasoro_table,
 )
-from parshin.errors import MixedFlavors, NotCentreless
+from parshin.errors import DimensionMismatch, MixedFlavors, NotCentreless
 from parshin.laurent import GLaurent, LaurentPoly
-from parshin.liealg import abelian, killing_nform, sl2
+from parshin.liealg import abelian, heisenberg3, killing_nform, sl2
+from parshin.opalg import derivation_operator
 from parshin.sampling import random_lie_element
 from parshin.verify import naive_wedge_coboundary, operator_vs_closed_form, verify_cocycle
 
@@ -28,14 +29,29 @@ def gl(alg, name, exp):
 
 # -- flavors ---------------------------------------------------------------------
 
-def test_classify():
+def test_flavor():
     alg = sl2()
-    inp = CocycleInput.classify([gl(alg, "E", 1), gl(alg, "F", -1)])
-    assert inp.flavor == "multiloop" and inp.n == 1
-    inp = CocycleInput.classify([LaurentPoly.monomial(1, (2,), 1), LaurentPoly.monomial(1, (-2,), 1)])
-    assert inp.flavor == "scalar"
-    inp = CocycleInput.classify([virasoro_generator(2), virasoro_generator(-2)])
-    assert inp.flavor == "vectorfield"
+    assert flavor([gl(alg, "E", 1), gl(alg, "F", -1)]) == "multiloop"
+    assert flavor([LaurentPoly.monomial(1, (2,), 1), LaurentPoly.monomial(1, (-2,), 1)]) == "scalar"
+    assert flavor([virasoro_generator(2), virasoro_generator(-2)]) == "vectorfield"
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    (lambda: [], MixedFlavors, "empty cocycle input"),
+    (lambda: [sl2().by_name("E"), sl2().by_name("F")], MixedFlavors,
+     "unsupported cocycle entry type LieElement"),
+    (lambda: [LaurentPoly.monomial(1, (1,), 1), virasoro_generator(-1)], MixedFlavors,
+     "entries mix flavors ['scalar', 'vectorfield']"),
+    (lambda: [gl(sl2(), "E", 1), gl(heisenberg3(), "x", -1)], MixedFlavors,
+     "multiloop entries over different algebras"),
+    (lambda: [derivation_operator(2, (1, 0), 1), derivation_operator(2, (0, 1), 2),
+              derivation_operator(2, (-1, -1), 1)], DimensionMismatch,
+     "the derivation flavor is restricted to n = 1"),
+], ids=["empty", "unsupported type", "mixed", "different algebras", "vector fields at n = 2"])
+def test_flavor_refusals(entries, error, message):
+    with pytest.raises(error) as caught:
+        flavor(entries())
+    assert str(caught.value) == message
 
 
 def test_mixed_flavors_rejected():
@@ -180,10 +196,14 @@ def test_cocycle_shifted_cuts():
     assert verify_cocycle("multiloop", 1, trials=10, seed=4, cuts=(2,)).passed
 
 
-def test_phi_tensor_chain_matches_phi_on_single_terms():
+def test_phi_chain_matches_phi_on_single_terms():
     alg = sl2()
     chain = TensorChain.single(gl(alg, "E", 2), (gl(alg, "F", -2),))
-    assert phi_tensor_chain(chain) == phi([gl(alg, "E", 2), gl(alg, "F", -2)])
+    assert phi_chain(chain) == phi([gl(alg, "E", 2), gl(alg, "F", -2)])
+    # a Fraction head scales phi of its wedge tail: 3 * phi(t^2 ^ t^-2) = 3 * 2
+    wedge = TensorChain.single(Fraction(3), (LaurentPoly.monomial(1, (2,), 1),
+                                             LaurentPoly.monomial(1, (-2,), 1)))
+    assert phi_chain(wedge) == 6
 
 
 def test_naive_wedge_evaluation_n1_vanishes():

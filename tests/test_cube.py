@@ -421,9 +421,9 @@ def test_lift_closed_form_equals_iterative():
             assert all(state.residual_is_zero() for state in states)
             for p in range(n + 1):
                 closed = lift_closed_form(fs, p)
-                for term in closed.terms:
-                    iterative_head = states[p].term(term.omitted)
-                    for s, op in term.head.components.items():
+                for omitted, head in closed.heads.items():
+                    iterative_head = states[p].term(omitted)
+                    for s, op in head.components.items():
                         assert (iterative_head.component(s) - op).is_zero(), (n, p, s)
 
 
@@ -434,9 +434,9 @@ def test_lift_closed_form_equals_iterative_shifted_cuts():
     states = lift_iterative(fs, cuts)
     for p in range(3):
         closed = lift_closed_form(fs, p, cuts)
-        for term in closed.terms:
-            iterative_head = states[p].term(term.omitted)
-            for s, op in term.head.components.items():
+        for omitted, head in closed.heads.items():
+            iterative_head = states[p].term(omitted)
+            for s, op in head.components.items():
                 assert (iterative_head.component(s) - op).is_zero()
 
 

@@ -4,9 +4,10 @@ Speed work on the operator kernel and the cube complex must leave every
 printed byte unchanged.  The strings below were recorded from the CLI and
 are compared verbatim, so a change in any value, key order, spacing or exit
 code fails here.  The commands cover residue forms at n = 1..3 with and
-without ``--cuts``, scalar and sl2 multiloop cocycle chains, the cube suite
-at n = 2 and 3, the n = 2 lift suite, the cocycle suite at n = 1 and 2, the
-Virasoro table and the error payloads.
+without ``--cuts``, scalar, sl2 multiloop and vector-field cocycle chains,
+the cube suite at n = 2 and 3, the n = 2 lift suite, the cocycle suite at
+n = 1 and 2, the Virasoro table and the error payloads, among them every
+flavor refusal of a cocycle chain.
 """
 
 import json
@@ -56,6 +57,32 @@ SCALAR_CHAIN = {
         {"coeff": "5/2", "factors": [{"exp": [-3]}, {"exp": [3]}]},
         {"factors": [{"exp": [-1]}, {"exp": [1]}]},
     ],
+}
+
+# 3/2 phi(L_2 ^ L_-2) + phi(t^4 d/dt ^ t^-2 d/dt) = 3/2 (-1) + (-4) = -11/2
+VECTORFIELD_CHAIN = {
+    "n": 1,
+    "terms": [
+        {"coeff": "3/2", "factors": [{"s": [3], "i": 1}, {"s": [-1], "i": 1}]},
+        {"factors": [{"s": [4]}, {"s": [-2]}]},
+    ],
+}
+
+VECTORFIELD_N2_CHAIN = {
+    "n": 2,
+    "terms": [{"factors": [{"s": [1, 0], "i": 1}, {"s": [0, 1], "i": 2},
+                           {"s": [-1, -1], "i": 1}]}],
+}
+
+MIXED_TERM_CHAIN = {
+    "n": 1,
+    "terms": [{"factors": [{"exp": [3]}, {"s": [-1], "i": 1}]}],
+}
+
+MIXED_CHAIN = {
+    "n": 1,
+    "terms": [{"factors": [{"exp": [3]}, {"exp": [-3]}]},
+              {"factors": [{"s": [4]}, {"s": [-2]}]}],
 }
 
 # name -> (argv, exit code, stdout); "{sl2_chain}" and the other braced
@@ -132,6 +159,30 @@ GOLDEN = {
     "cocycle_scalar_n1": (
         ("cocycle", "--input", "{scalar_chain}", "--json"), 0,
         '{\n  "flavor": "scalar",\n  "n": 1,\n  "value": "-17/2"\n}\n',
+    ),
+    "cocycle_vectorfield_n1": (
+        ("cocycle", "--input", "{vectorfield_chain}", "--json"), 0,
+        '{\n  "flavor": "vectorfield",\n  "n": 1,\n  "value": "-11/2"\n}\n',
+    ),
+    "cocycle_vectorfield_as_multiloop": (
+        ("cocycle", "--input", "{vectorfield_chain}", "--flavor", "multiloop", "--json"), 1,
+        '{"error": {"message": "--flavor multiloop given, but the chain\'s entries are vectorfield", '
+        '"type": "MixedFlavors"}}\n',
+    ),
+    "cocycle_term_mixes_flavors": (
+        ("cocycle", "--input", "{mixed_term_chain}", "--json"), 1,
+        '{"error": {"message": "entries mix flavors [\'scalar\', \'vectorfield\']", '
+        '"type": "MixedFlavors"}}\n',
+    ),
+    "cocycle_terms_differ_in_flavor": (
+        ("cocycle", "--input", "{mixed_chain}", "--json"), 1,
+        '{"error": {"message": "chain terms must share one flavor, got [\'scalar\', \'vectorfield\']", '
+        '"type": "MixedFlavors"}}\n',
+    ),
+    "cocycle_vectorfield_n2_refused": (
+        ("cocycle", "--input", "{vectorfield_n2_chain}", "--json"), 1,
+        '{"error": {"message": "the derivation flavor is restricted to n = 1", '
+        '"type": "DimensionMismatch"}}\n',
     ),
     "verify_cube_n2": (
         ("verify", "--suite", "cube", "--n", "2", "--seed", "7", "--trials", "2", "--json"), 0,
@@ -210,7 +261,10 @@ def chain_files(tmp_path):
     sl2_chain.write_text(json.dumps({**SL2_CHAIN, "algebra": str(algebra)}))
     files = {"sl2_chain": str(sl2_chain)}
     for name, doc in (("sl2_unbalanced_chain", {**SL2_UNBALANCED_CHAIN, "algebra": str(algebra)}),
-                      ("scalar_chain", SCALAR_CHAIN), ("scalar_n5_chain", SCALAR_N5_CHAIN)):
+                      ("scalar_chain", SCALAR_CHAIN), ("scalar_n5_chain", SCALAR_N5_CHAIN),
+                      ("vectorfield_chain", VECTORFIELD_CHAIN),
+                      ("vectorfield_n2_chain", VECTORFIELD_N2_CHAIN),
+                      ("mixed_term_chain", MIXED_TERM_CHAIN), ("mixed_chain", MIXED_CHAIN)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         files[name] = str(path)

@@ -174,6 +174,18 @@ def test_in_ideal_examples():
     assert not t1.in_ideal(1, "-")
 
 
+@pytest.mark.parametrize("axis", [0, 3, -1])
+def test_in_ideal_refuses_an_axis_outside_the_lattice(axis):
+    with pytest.raises(DimensionMismatch, match=rf"^axis {axis} outside 1\.\.2$"):
+        projector(2, 2, "+").in_ideal(axis, "+")
+
+
+@pytest.mark.parametrize("sign", ["x", "", "+-", None])
+def test_in_ideal_refuses_a_sign_that_names_no_ideal(sign):
+    with pytest.raises(ValueError, match="ideal sign must be '\\+', '-' or '0'"):
+        LatticeOperator.identity(1).in_ideal(1, sign)
+
+
 def test_ideal_decomposition_and_products():
     rng = random.Random(8)
     for _ in range(20):
