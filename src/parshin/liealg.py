@@ -6,9 +6,11 @@ constructed :class:`LieAlgebra` is always an actual Lie algebra.
 
 Structure constants, element coefficients and adjoint matrices are stored as
 :mod:`parshin.matrices` stores matrix entries: an ``int`` where integral and
-a :class:`fractions.Fraction` otherwise.  Brackets, the validation checks and
-``ad`` work on a sparse row form of the constants built once in
-:func:`validate`.  Public scalar results (``killing_nform``) are Fractions.
+a :class:`fractions.Fraction` otherwise.  The constants are kept once, as the
+sparse rows :func:`validate` builds; brackets, the validation checks and
+``ad`` read them.  :func:`is_centreless` decides a trivial centre by the
+Gram determinant of the adjoint representation.  Public scalar results
+(``killing_nform``) are Fractions.
 """
 
 from __future__ import annotations
@@ -16,21 +18,22 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (AntisymmetryViolation, ArityError, DimensionMismatch, JacobiViolation,
                      MixedAlgebras, ParshinError, shown)
-from .matrices import canonical, mat_mul, mat_trace, rank, rational
+from .matrices import canonical, det, mat_mul, mat_trace, rational
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """A Lie algebra with basis ``basis_names`` and bracket table ``table``.
+    """A Lie algebra with basis ``basis_names`` and structure constants ``rows``.
 
-    ``table[i][j]`` is the coefficient vector of [e_i, e_j], and
-    ``rows[i][j]`` holds its nonzero entries as sorted ``(k, c)`` pairs.
+    ``rows[i][j]`` holds the nonzero coefficients of [e_i, e_j] as sorted
+    ``(k, c)`` pairs, ints where integral, so equal algebras have equal rows.
     Instances are immutable and hashable; construct them through
     :func:`validate` or the fixture constructors below, which enforce the Lie
     axioms.
@@ -38,8 +41,7 @@ class LieAlgebra:
 
     dim: int
     basis_names: tuple
-    table: tuple  # table[i][j] -> coefficients of [e_i, e_j], ints where integral
-    rows: tuple = field(compare=False, repr=False)  # rows[i][j] -> ((k, c), ...), c != 0
+    rows: tuple  # rows[i][j] -> ((k, c), ...), c != 0
 
     def element(self, coeffs) -> "LieElement":
         coeffs = tuple(rational(c) for c in coeffs)
@@ -56,9 +58,6 @@ class LieAlgebra:
                 f"unknown basis element {name!r}; the basis is {', '.join(self.basis_names)}"
             )
         return self.basis_element(self.basis_names.index(name))
-
-    def zero(self) -> "LieElement":
-        return self.element((0,) * self.dim)
 
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -128,9 +127,7 @@ def validate(structure, dim, basis_names=None) -> LieAlgebra:
     rows = tuple(tuple(tuple(sorted(pairs.get((i, j), {}).items())) for j in range(dim))
                  for i in range(dim))
     _check_jacobi(rows)
-    table = tuple(tuple(tuple(pairs.get((i, j), {}).get(k, 0) for k in range(dim)) for j in range(dim))
-                  for i in range(dim))
-    return LieAlgebra(dim, tuple(basis_names or (f"e{i}" for i in range(dim))), table, rows)
+    return LieAlgebra(dim, tuple(basis_names or (f"e{i}" for i in range(dim))), rows)
 
 
 def _check_jacobi(rows):
@@ -190,15 +187,16 @@ def killing_nform(*elements) -> Fraction:
 
 @lru_cache(maxsize=None)
 def is_centreless(alg: LieAlgebra) -> bool:
-    """True iff Y -> ad(Y) has trivial kernel (exact rank of the stacked system)."""
-    if alg.dim == 0:
-        return True
-    rows = []
-    ad_basis = [ad(alg.basis_element(i)) for i in range(alg.dim)]
-    for r in range(alg.dim):
-        for c in range(alg.dim):
-            rows.append(tuple(ad_basis[b][r][c] for b in range(alg.dim)))
-    return rank(tuple(rows)) == alg.dim
+    """True iff Y -> ad(Y) has trivial kernel.
+
+    Column i of A holds the entries of ad(e_i), scaled to ints by the lcm of
+    their denominators.  A^T A x = 0 gives |A x|^2 = 0, so A is injective
+    exactly when det(A^T A) != 0; at dim 0 that is the empty determinant 1.
+    """
+    cols = [[x for line in ad(alg.basis_element(i)) for x in line] for i in range(alg.dim)]
+    scale = lcm(*(x.denominator for col in cols for x in col))
+    cols = [[int(x * scale) for x in col] for col in cols]
+    return det([[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]) != 0
 
 
 # ---------------------------------------------------------------------------

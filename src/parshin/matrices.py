@@ -8,8 +8,6 @@ of entry give the same dict keys and the same order; ints only hash faster.
 from decimal import Decimal
 from fractions import Fraction
 
-Matrix = tuple
-
 
 def canonical(x):
     """An int or Fraction x as an int where integral, else unchanged."""
@@ -65,44 +63,21 @@ def is_zero_matrix(a):
 
 
 def det(a):
-    """Determinant as a Fraction.
+    """Determinant of a square matrix of ints, as a Fraction.
 
-    An all-``int`` matrix goes through fraction-free (Bareiss) elimination,
-    any other through fraction-preserving Gaussian elimination.
+    Bareiss elimination (Sylvester's identity): every division is exact, so
+    the entries stay ints.  A non-``int`` entry raises TypeError.
     """
-    if all(type(x) is int for row in a for x in row):
-        return Fraction(_det_int(a))
     m = [list(row) for row in a]
-    d = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, d):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, d):
-                    m[r][c] -= factor * m[col][c]
-    return sign * result
-
-
-def _det_int(a):
-    """Bareiss elimination: every division is exact, so entries stay ints."""
-    m = [list(row) for row in a]
+    if any(type(x) is not int for row in m for x in row):
+        raise TypeError("det takes a matrix of ints")
     d = len(m)
     sign, prev = 1, 1
     for col in range(d - 1):
         if m[col][col] == 0:
             pivot = next((r for r in range(col + 1, d) if m[r][col] != 0), None)
             if pivot is None:
-                return 0
+                return Fraction(0)
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         pivot_value = m[col][col]
@@ -111,32 +86,7 @@ def _det_int(a):
             for c in range(col + 1, d):
                 row[c] = (row[c] * pivot_value - head * m[col][c]) // prev
         prev = pivot_value
-    return sign * m[-1][-1] if d else 1
-
-
-def rank(a):
-    """Exact rank of a (possibly rectangular) rational matrix."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col] * inv
-                for c in range(col, cols):
-                    m[i][c] -= factor * m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return Fraction(sign * m[-1][-1] if d else 1)
 
 
 def mat_vec(a, v):

@@ -58,6 +58,25 @@ def test_dd_zero_trivial_heisenberg_and_sl2():
             assert wedge(rnd() for _ in range(4)).ce_diff().ce_diff().is_zero()
 
 
+def test_dd_zero_over_plain_lie_elements():
+    moved = 0
+    for alg, seed in ((sl2(), 9), (heisenberg3(), 10)):
+        rng = random.Random(seed)
+        for _ in range(10):
+            head, *tail = (random_lie_element(rng, alg) for _ in range(4))
+            chain = TensorChain.single(head, tuple(tail))
+            moved += not chain.ce_diff().is_zero()
+            assert chain.ce_diff().ce_diff().is_zero()
+    assert moved >= 10
+
+
+def test_a_lie_sum_in_a_factor_slot_expands_over_the_basis():
+    alg = sl2()
+    e, f = alg.by_name("E"), alg.by_name("F")
+    assert not wedge((e + f, e)).is_zero()
+    assert (wedge((e + f, e)) - wedge((f, e))).is_zero()
+
+
 def test_map_I_signs():
     rnd = glaurent_sampler(sl2(), 5)
     f0, f1 = rnd(), rnd()

@@ -81,6 +81,24 @@ def test_residue_error_text_goes_to_stderr(capsys):
     assert code == 1 and out == "" and "offset 3" in err
 
 
+def test_residue_form_from_a_file(tmp_path, capsys):
+    form = "t1^-2*t2^-3 ; t1*t2 ; t1*t2^2"
+    path = tmp_path / "form.txt"
+    path.write_text(f"\n{form}\n")
+    want = run_cli(capsys, "residue", "--form", form, "--json")
+    assert want[0] == 0
+    assert run_cli(capsys, "residue", "--input", str(path), "--json") == want
+
+
+def test_residue_needs_a_form_or_an_input(capsys):
+    assert_error(capsys, ["residue", "--json"], "ArityError", "provide --form TEXT or --input PATH")
+
+
+def test_residue_input_that_is_missing(tmp_path, capsys):
+    path = tmp_path / "missing.txt"
+    assert_error(capsys, ["residue", "--input", str(path), "--json"], "FileNotFoundError", str(path))
+
+
 def test_json_determinism(capsys):
     args = ("residue", "--form", "2*t1^-1 + t1 ; t1 + t1^2", "--json")
     _, first, _ = run_cli(capsys, *args)

@@ -6,8 +6,8 @@ are compared verbatim, so a change in any value, key order, spacing or exit
 code fails here.  The commands cover residue forms at n = 1..3 with and
 without ``--cuts``, scalar, sl2 multiloop and vector-field cocycle chains,
 the cube suite at n = 2 and 3, the n = 2 lift suite, the cocycle suite at
-n = 1 and 2, the Virasoro table and the error payloads, among them every
-flavor refusal of a cocycle chain.
+n = 1 and 2, every suite at n = 1 and 2, the Virasoro table and the error
+payloads, among them every flavor refusal of a cocycle chain.
 """
 
 import json
@@ -221,6 +221,48 @@ GOLDEN = {
         '  },\n  "failures": [],\n'
         '  "name": "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n2+operator_vs_closed_form_n2",\n'
         '  "passed": true\n}\n',
+    ),
+    # every suite, so check_liealg, check_laurent, check_opalg, check_chains,
+    # the residue suite and choice independence run; --trials 3 gives check_chains a round
+    "verify_all_n1": (
+        ("verify", "--suite", "all", "--n", "1", "--seed", "3", "--trials", "3", "--json"), 0,
+        '{\n  "checks": 584,\n  "details": {\n'
+        '    "classical_residue+det_theorem_n1+oracle_agreement_n1+ack_formula": {\n'
+        '      "det_theorem_n1": {\n        "values": [\n          "4",\n          "0",\n'
+        '          "-3"\n        ]\n      },\n      "oracle_agreement_n1": {\n'
+        '        "values": [\n          "1/3",\n          "0",\n          "0"\n        ]\n'
+        '      }\n    },\n'
+        '    "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n1+'
+        'operator_vs_closed_form_n1": {\n      "cocycle_property_multiloop_n1": {\n'
+        '        "degree_bound": 2,\n        "flavor": "multiloop",\n        "n": 1,\n'
+        '        "nonzero": [],\n        "passed": true,\n        "seed": 3,\n'
+        '        "trials": 3\n      },\n      "operator_vs_closed_form_n1": {\n'
+        '        "mismatches": [],\n        "n": 1,\n        "passed": true,\n'
+        '        "seed": 3,\n        "trials": 3\n      }\n    }\n  },\n  "failures": [],\n'
+        '  "name": "liealg+laurent+opalg+chains+cube_identities_n1+rho_combinatorics+'
+        'lift_equivalence_n1+classical_residue+det_theorem_n1+oracle_agreement_n1+'
+        'ack_formula+choice_independence_n1+heisenberg+kac_moody_sl2+virasoro+'
+        'cocycle_property_multiloop_n1+operator_vs_closed_form_n1",\n  "passed": true\n}\n'
+    ),
+    "verify_all_n2": (
+        ("verify", "--suite", "all", "--n", "2", "--seed", "3", "--trials", "3", "--json"), 0,
+        '{\n  "checks": 747,\n  "details": {\n'
+        '    "classical_residue+det_theorem_n2+oracle_agreement_n2+ack_formula": {\n'
+        '      "det_theorem_n2": {\n        "values": [\n          "3",\n          "0",\n'
+        '          "-14"\n        ]\n      },\n      "oracle_agreement_n2": {\n'
+        '        "values": [\n          "0",\n          "0",\n          "0"\n        ]\n'
+        '      }\n    },\n'
+        '    "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n2+'
+        'operator_vs_closed_form_n2": {\n      "cocycle_property_multiloop_n2": {\n'
+        '        "degree_bound": 2,\n        "flavor": "multiloop",\n        "n": 2,\n'
+        '        "nonzero": [],\n        "passed": true,\n        "seed": 3,\n'
+        '        "trials": 3\n      },\n      "operator_vs_closed_form_n2": {\n'
+        '        "mismatches": [],\n        "n": 2,\n        "passed": true,\n'
+        '        "seed": 3,\n        "trials": 3\n      }\n    }\n  },\n  "failures": [],\n'
+        '  "name": "liealg+laurent+opalg+chains+cube_identities_n2+rho_combinatorics+'
+        'lift_equivalence_n2+classical_residue+det_theorem_n2+oracle_agreement_n2+'
+        'ack_formula+choice_independence_n2+heisenberg+kac_moody_sl2+virasoro+'
+        'cocycle_property_multiloop_n2+operator_vs_closed_form_n2",\n  "passed": true\n}\n'
     ),
     "virasoro": (
         ("virasoro", "--max-m", "3", "--json"), 0,

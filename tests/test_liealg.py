@@ -1,5 +1,6 @@
 """Lie algebra layer: validation, adjoint matrices, the generalized Killing form."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ def brute_ad(alg, coeffs):
 def test_abelian_validates():
     alg = abelian(3)
     assert alg.dim == 3
-    assert all(all(c == 0 for c in alg.table[i][j]) for i in range(3) for j in range(3))
+    assert all(alg.basis_element(i).bracket(alg.basis_element(j)).coeffs == (0, 0, 0)
+               for i in range(3) for j in range(3))
 
 
 def test_sl2_validates():
@@ -134,12 +136,46 @@ def test_centreless():
     assert not is_centreless(heisenberg3())  # z is central
 
 
+def test_centreless_matches_the_direct_sum_centre():
+    """The centre of a direct sum is the sum of the centres, and rescaling the
+    basis (e_i -> s_i e_i, so c_ij^k -> c_ij^k s_i s_j / s_k) keeps it."""
+    assert is_centreless(abelian(0))
+    two_dim = validate({(0, 1): {1: 1}, (1, 0): {1: -1}}, dim=2)  # [e0, e1] = e1: centre 0
+    blocks = [(sl2(), True), (two_dim, True), (heisenberg3(), False), (abelian(1), False)]
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        chosen = [rng.choice(blocks) for _ in range(rng.randint(1, 3))]
+        rows, offset = {}, 0
+        for block, _ in chosen:
+            for i in range(block.dim):
+                for j in range(block.dim):
+                    rows[(offset + i, offset + j)] = {offset + k: c for k, c in block.rows[i][j]}
+            offset += block.dim
+        scale = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+                 for _ in range(offset)]
+        structure = {(i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in vec.items()}
+                     for (i, j), vec in rows.items()}
+        want = all(centreless for _, centreless in chosen)
+        assert is_centreless(validate(structure, dim=offset)) is want, chosen
+        seen[want] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def test_json_round_trip():
     alg = sl2()
     doc = to_json_dict(alg)
     assert doc["basis"] == ["H", "E", "F"]
     again = from_json_dict(doc)
     assert again == alg
+
+
+def test_equality_and_hash_follow_the_structure_constants():
+    heis = {(0, 1): {2: 1}, (1, 0): {2: -1}}
+    same = validate({(0, 1): {2: Fraction(2, 2), 0: 0}, (1, 0): {2: Fraction(-1)}}, dim=3)
+    assert same == validate(heis, dim=3) and hash(same) == hash(validate(heis, dim=3))
+    assert validate(heis, dim=3) != abelian(3)
+    assert validate(heis, dim=3, basis_names=("x", "y", "z")) == heisenberg3()
 
 
 def test_json_rational_strings():
@@ -149,8 +185,9 @@ def test_json_rational_strings():
         "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/2"}}],
     }
     alg = from_json_dict(doc)
-    assert alg.table[0][1] == (Fraction(1, 2), Fraction(0))
-    assert alg.table[1][0] == (Fraction(-1, 2), Fraction(0))
+    a, b = alg.basis()
+    assert a.bracket(b).coeffs == (Fraction(1, 2), 0)
+    assert b.bracket(a).coeffs == (Fraction(-1, 2), 0)
 
 
 # -- fuzzing the JSON reader against a dense reference ---------------------------
@@ -357,7 +394,6 @@ def test_reader_agrees_with_the_dense_reference(doc):
     assert not isinstance(got, Exception), got
     basis, table = want
     assert got.basis_names == tuple(basis)
-    assert got.table == tuple(tuple(tuple(vec) for vec in row) for row in table)
     for i, x in enumerate(got.basis()):
         for j, y in enumerate(got.basis()):
             assert x.bracket(y).coeffs == tuple(table[i][j])
@@ -388,6 +424,8 @@ def test_validate_reports_the_reference_pair_and_triple(case):
     want = outcome(reference_check, table)
     got = outcome(lambda s: validate(s, dim=dim), structure)
     if want is None:
-        assert got.table == tuple(tuple(tuple(vec) for vec in row) for row in table)
+        for i, x in enumerate(got.basis()):
+            for j, y in enumerate(got.basis()):
+                assert x.bracket(y).coeffs == tuple(table[i][j])
     else:
         assert type(got) is type(want) and str(got) == str(want)

@@ -292,7 +292,14 @@ def test_monomial_det_example():
     assert residue_det_monomial([(-2, -3), (1, 1), (1, 2)]) == 1
 
 
-def test_integer_det_matches_fraction_elimination():
+def leibniz_det(rows):
+    """The sum over permutations of sign times the product of the picked entries."""
+    size = len(rows)
+    return sum(_perm_sign(perm) * math.prod(rows[i][perm[i]] for i in range(size))
+               for perm in itertools.permutations(range(size)))
+
+
+def test_integer_det_matches_leibniz_expansion():
     rng = random.Random(17)
     seen = {"singular": 0, "pivot swap": 0}
     for trial in range(400):
@@ -304,11 +311,16 @@ def test_integer_det_matches_fraction_elimination():
             rows[0][0] = 0
         got = det(tuple(map(tuple, rows)))
         assert type(got) is Fraction
-        assert got == det(tuple(tuple(Fraction(x) for x in row) for row in rows)), rows
+        assert got == leibniz_det(rows), rows
         seen["singular"] += got == 0
         seen["pivot swap"] += rows[0][0] == 0 and got != 0
     assert min(seen.values()) >= 20, seen
     assert det(()) == 1
+
+
+def test_det_refuses_a_non_int_entry():
+    with pytest.raises(TypeError):
+        det(((1, 0), (0, Fraction(1, 2))))
 
 
 def test_det_formula_shapes():
