@@ -25,7 +25,8 @@ from .residue import residue
 # the trace sum walks up to n! words per monomial tuple
 MAX_N = 4
 
-# the Virasoro table costs about max_m^2 (5.4 s at 1000, in process)
+# the Virasoro table costs about max_m^2 (2.9-3.1 s at 1000 in process, up to
+# 5.4 s on a loaded host)
 MAX_M = 1000
 
 # the slowest suite that only this caps is lift: one n = 4 lift trial takes

@@ -13,6 +13,10 @@ n = 1 specializations below fix this normalization) on three input flavors:
 
 ``flavor`` reads the one flavor a wedge's entries share from their types;
 ``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
+A wedge whose entries are each one atom on the whole lattice (every monomial
+and derivation the chain reader builds) is traced by ``residue.word_sum``;
+any other (a sum, a zero entry such as the ad of a centre element, a
+restricted operator) by the operator walk ``residue.raw_sum``.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
 multiloop wedges.  The seeded checks of the cocycle identity and of the
 closed form live in :mod:`parshin.verify`.
@@ -27,8 +31,9 @@ from .chains import TensorChain
 from .errors import DimensionMismatch, MixedFlavors, NotCentreless
 from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import is_centreless, killing_nform
+from .matrices import integer
 from .opalg import LatticeOperator, derivation_operator, mul_operator
-from .residue import raw_sum
+from .residue import _whole_lattice_atoms, raw_sum, word_sum
 
 _FLAVOR_OF_TYPE = {GLaurent: "multiloop", LaurentPoly: "scalar", LatticeOperator: "vectorfield"}
 FLAVORS = tuple(sorted(_FLAVOR_OF_TYPE.values()))
@@ -57,13 +62,20 @@ def flavor(entries) -> str:
 
 
 def phi(entries, cuts=None) -> Fraction:
-    """The cocycle value on a single wedge f_0 ^ ... ^ f_n."""
+    """The cocycle value on a single wedge f_0 ^ ... ^ f_n.
+
+    ``word_sum`` when every entry's operator is one atom on the whole
+    lattice, else ``raw_sum``; both give the same value.
+    """
     entries = tuple(entries)
     flavor(entries)
     n = entries[0].n
     if len(entries) != n + 1:
         raise DimensionMismatch(f"a wedge over n = {n} needs {n + 1} entries, got {len(entries)}")
-    return raw_sum([e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries], cuts)
+    operators = [e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries]
+    if _whole_lattice_atoms(operators) is None:
+        return raw_sum(operators, cuts)
+    return word_sum(operators, cuts)
 
 
 def phi_chain(chain: TensorChain, cuts=None) -> Fraction:
@@ -92,7 +104,7 @@ def phi_closed_form(elements, exponents) -> Fraction:
     algebra (faithful adjoint representation).
     """
     elements = list(elements)
-    rows = [tuple(int(x) for x in row) for row in exponents]
+    rows = [tuple(integer(x, "exponent") for x in row) for row in exponents]
     n = len(elements) - 1
     if len(rows) != n + 1 or any(len(r) != n for r in rows):
         raise DimensionMismatch("exponent matrix must be (n+1) x n matching the elements")

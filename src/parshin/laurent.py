@@ -29,7 +29,7 @@ from math import comb
 
 from .errors import DimensionMismatch, MixedAlgebras, ParseError
 from .liealg import LieAlgebra, LieElement
-from .matrices import canonical, det, rational
+from .matrices import canonical, det, integer, rational
 
 
 def _canonical(terms):
@@ -47,7 +47,7 @@ class LaurentPoly:
     def make(n, mapping) -> "LaurentPoly":
         out = {}
         for exp, c in mapping.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(integer(e, "exponent") for e in exp)
             if len(exp) != n:
                 raise DimensionMismatch(f"exponent {exp} has length {len(exp)}, expected {n}")
             c = rational(c)
@@ -261,7 +261,7 @@ class GLaurent:
     def make(n, algebra, mapping) -> "GLaurent":
         out = {}
         for exp, el in mapping.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(integer(e, "exponent") for e in exp)
             if len(exp) != n:
                 raise DimensionMismatch(f"exponent {exp} has length {len(exp)}, expected {n}")
             if el.algebra != algebra:

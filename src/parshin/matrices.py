@@ -21,6 +21,17 @@ def rational(x):
     return canonical(x if type(x) is Fraction else Fraction(x))
 
 
+def integer(x, what):
+    """Lattice data x as an int: an int (not a bool), or a Fraction with
+    denominator 1.  Anything else raises TypeError naming ``what``, rather
+    than being truncated as ``int(x)`` would."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
 def exact_text(q):
     """str(q) of an int or Fraction, for any number of digits.
 

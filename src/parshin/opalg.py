@@ -36,6 +36,7 @@ from .laurent import GLaurent, LaurentPoly
 from .liealg import ad
 from .matrices import (
     identity,
+    integer,
     is_zero_matrix,
     mat_add,
     mat_mul,
@@ -559,7 +560,7 @@ def _cuts(n, cuts):
     """The cut points of the n projectors P_i^+-: 0 on every axis by default."""
     if cuts is None:
         return (0,) * n
-    cuts = tuple(int(c) for c in cuts)
+    cuts = tuple(integer(c, "cut point") for c in cuts)
     if len(cuts) != n:
         raise DimensionMismatch(f"need {n} cut points, got {len(cuts)}")
     return cuts
@@ -583,7 +584,7 @@ def projector(n, axis, sign, d=1, cut=0) -> LatticeOperator:
     """P_axis^+ = indicator(lam_axis >= cut); P_axis^- = 1 - P_axis^+ (1-based axis)."""
     if not 1 <= axis <= n:
         raise DimensionMismatch(f"axis {axis} outside 1..{n}")
-    return LatticeOperator.identity(n, d).restrict(region((cut,) * n, {axis: sign}), Box.full(n))
+    return LatticeOperator.identity(n, d).restrict(region(_cuts(n, (cut,) * n), {axis: sign}), Box.full(n))
 
 
 def projector_commutator(f, axis, cuts) -> LatticeOperator:
@@ -620,7 +621,7 @@ def derivation_operator(n, s, axis) -> LatticeOperator:
     """t^s d/dt_axis acting on k[t_1^+-, ...]: e_lam -> lam_axis e_(lam + s - e_axis)."""
     if not 1 <= axis <= n:
         raise DimensionMismatch(f"axis {axis} outside 1..{n}")
-    s = tuple(int(x) for x in s)
+    s = tuple(integer(x, "derivation shift") for x in s)
     if len(s) != n:
         raise DimensionMismatch(f"shift {s} has length {len(s)}, expected {n}")
     shift = tuple(x - (1 if i == axis - 1 else 0) for i, x in enumerate(s))

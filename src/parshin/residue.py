@@ -6,6 +6,13 @@ sign.  ``residue`` normalizes by (-1)^n, which is the convention that
 matches the classical coefficient-extraction residue (checked against
 ``parshin_oracle`` on every call and reported side by side with the
 alternative global sign ``paper_res_star``).
+
+``raw_sum``'s walk over lattice operators is the definition.  ``word_sum``
+evaluates the same sum word by word when every operator is one atom on the
+whole lattice, and ``cocycle.phi`` takes it there.  ``residue`` and every
+check against a closed form keep the walk: for constant weights the word
+kernel evaluates the same Leibniz sum as the determinant formula, so
+checking one against the other would not be independent.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
-from .laurent import LaurentPoly, parshin_oracle
-from .matrices import det, exact_text
-from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
+from .laurent import LaurentPoly, _perm_sign, parshin_oracle
+from .matrices import det, exact_text, integer, mat_mul, mat_trace
+from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projector, projector_commutator
 
 
 # [f_j, P_axis^+] is nonzero only on a slab of the axis as wide as the
@@ -27,10 +34,32 @@ from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_co
 # point at a time (opalg._power_sum, about 2.3 us a point), so a wider slab
 # is refused before any commutator is built: "t1^-3000000 ; t1^3000000" took
 # 7 s.  The cap is four times the widest shift trace_wide draws (24,003) and
-# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 2's
+# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 3's
 # closed-form power sums make a trace's cost independent of the width, and
 # lift this cap.
 MAX_SLAB_WIDTH = 100_000
+
+
+def _trace_sum_input(operators, cuts):
+    """(operators, n, d, cuts) after the refusals ``raw_sum`` and ``word_sum`` share.
+
+    There must be n + 1 operators on one space, and no commutator slab wider
+    than MAX_SLAB_WIDTH.
+    """
+    operators = list(operators)
+    if not operators:
+        raise DimensionMismatch("a trace sum needs n+1 operators, got none")
+    n, d = operators[0].n, operators[0].d
+    for op in operators:
+        if op.n != n or op.d != d:
+            raise DimensionMismatch("trace sum operators on different spaces")
+    if len(operators) != n + 1:
+        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
+    cuts = _cuts(n, cuts)
+    widest = max((abs(s) for op in operators[1:] for a in op.atoms for s in a.shift), default=0)
+    if widest > MAX_SLAB_WIDTH:
+        raise ArityError(f"a commutator slab {widest} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}")
+    return operators, n, d, cuts
 
 
 def raw_sum(operators, cuts=None) -> Fraction:
@@ -60,18 +89,11 @@ def raw_sum(operators, cuts=None) -> Fraction:
     cancel changes no trace.  Before any commutator is built, f_0 keeps only
     the atoms some word can bring back to shift 0, and the sum is 0 when
     none is left.
+
+    This walk defines the value: ``word_sum`` is checked against it, and the
+    residue and the closed-form checks trace through it.
     """
-    operators = list(operators)
-    n, d = operators[0].n, operators[0].d
-    for op in operators:
-        if op.n != n or op.d != d:
-            raise DimensionMismatch("raw_sum operators on different spaces")
-    if len(operators) != n + 1:
-        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
-    cuts = _cuts(n, cuts)
-    widest = max((abs(s) for op in operators[1:] for a in op.atoms for s in a.shift), default=0)
-    if widest > MAX_SLAB_WIDTH:
-        raise ArityError(f"a commutator slab {widest} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}")
+    operators, n, d, cuts = _trace_sum_input(operators, cuts)
 
     # the negated shifts a product of f_1..f_n can take (the Minkowski sum
     # of their atom shifts)
@@ -106,6 +128,65 @@ def raw_sum(operators, cuts=None) -> Fraction:
         return total
 
     return walk(n, f0, 1, ())
+
+
+def _whole_lattice_atoms(operators):
+    """The atom of each operator when every one is a single atom on the whole
+    lattice (the operators ``word_sum`` takes), else None."""
+    atoms = []
+    for op in operators:
+        if len(op.atoms) != 1 or any(bound != (None, None) for bound in op.atoms[0].box):
+            return None
+        atoms.append(op.atoms[0])
+    return atoms
+
+
+def word_sum(operators, cuts=None) -> Fraction:
+    """``raw_sum`` of operators that are each one atom on the whole lattice,
+    traced word by word without building any lattice operator.
+
+    For such an f = w t^s M, the commutator [f, P_i^+] is one atom on the
+    slab [c_i, c_i - s_i) of axis i when s_i < 0, minus one atom on
+    [c_i - s_i, c_i) when s_i > 0, and 0 when s_i = 0.  Each axis takes one
+    commutator, so the word of a permutation pi is a single atom: walking
+    the axes from n down to 1 from f_0, with o the shift so far, axis i
+    bounds the domain by its slab minus o_i, the weight becomes
+    f.weight(lam + o) * weight and the matrix f.matrix * matrix.  Only a
+    balanced tuple (shifts summing to 0) has a diagonal, and the word's
+    trace is its sign times tr(matrix) times the weight summed over the box.
+    ValueError when an operator is not one atom on the whole lattice.
+    """
+    operators, n, _, cuts = _trace_sum_input(operators, cuts)
+    atoms = _whole_lattice_atoms(operators)
+    if atoms is None:
+        raise ValueError("word_sum takes operators that are each one atom on the whole lattice")
+    if any(sum(col) for col in zip(*(a.shift for a in atoms))):
+        return Fraction(0)
+    f0 = atoms[0]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(1, n + 1)):
+        sign = _perm_sign(perm)
+        offset, weight, matrix = f0.shift, f0.weight, f0.matrix
+        bounds = [None] * n
+        for i in range(n - 1, -1, -1):
+            a, c = atoms[perm[i]], cuts[i]
+            s = a.shift[i]
+            if s == 0:
+                break
+            if s > 0:
+                sign = -sign
+                lo, hi = c - s, c
+            else:
+                lo, hi = c, c - s
+            bounds[i] = (lo - offset[i], hi - offset[i])
+            weight = a.weight.shift_argument(offset) * weight
+            matrix = mat_mul(a.matrix, matrix)
+            offset = tuple(x + y for x, y in zip(offset, a.shift))
+        else:
+            tr = mat_trace(matrix)
+            if tr != 0:
+                total += sign * tr * _weight_box_sum(weight, bounds)
+    return total
 
 
 @dataclass(frozen=True)
@@ -208,7 +289,7 @@ def residue_det_monomial(exponents) -> Fraction:
     index the variables.  The value is det of rows 1..n when every column
     sums to zero, and 0 otherwise.
     """
-    rows = [tuple(int(x) for x in row) for row in exponents]
+    rows = [tuple(integer(x, "exponent") for x in row) for row in exponents]
     if not rows:
         raise ShapeMismatch("empty exponent matrix")
     n = len(rows) - 1

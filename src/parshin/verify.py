@@ -424,7 +424,9 @@ def operator_vs_closed_form(n, trials=25, seed=1, algebra=None, cuts=None) -> Ch
         rows = _random_monomial_matrix(rng, n, 2, trial % 2 == 0)
         elements = [random_lie_element(rng, algebra) for _ in range(n + 1)]
         entries = [GLaurent.monomial(n, el, tuple(row)) for el, row in zip(elements, rows)]
-        direct = _cocycle.phi(entries, cuts)
+        # the operator walk, not phi's word kernel: for constant weights the
+        # kernel evaluates the closed form's own Leibniz sum
+        direct = raw_sum([mul_operator(e) for e in entries], cuts)
         closed = _cocycle.phi_closed_form(elements, rows)
         if direct != closed:
             mismatches.append({"trial": trial, "operator": str(direct),

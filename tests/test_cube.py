@@ -114,6 +114,16 @@ def test_boundary_squares_to_zero():
         assert boundary(boundary(f)).is_zero()
 
 
+def test_negation_and_difference_laws():
+    rng = random.Random(5)
+    for n, p, d in ((1, 1, 1), (2, 1, 1), (2, 2, 3)):
+        f = random_cube_element(rng, n, p, d=d)
+        assert not f.is_zero()
+        assert (f - f).is_zero() and (f + (-f)).is_zero()
+        assert all((-(-f)).component(s) == op for s, op in f.components.items())
+        assert (-(-f) - f).is_zero()
+
+
 def test_zero_element_maps_to_zero():
     z = CubeElement.zero(2, 1, 2)
     assert boundary(z).is_zero()

@@ -4,18 +4,22 @@ Speed work on the operator kernel and the cube complex must leave every
 printed byte unchanged.  The strings below were recorded from the CLI and
 are compared verbatim, so a change in any value, key order, spacing or exit
 code fails here.  The commands cover residue forms at n = 1..3 with and
-without ``--cuts``, scalar, sl2 multiloop and vector-field cocycle chains,
+without ``--cuts``, scalar, sl2 multiloop (n = 2..4, fractional factor
+coefficients) and heisenberg3 and vector-field cocycle chains,
 the cube suite at n = 2 and 3, the n = 2 lift suite, the cocycle suite at
 n = 1 and 2, every suite at n = 1 and 2, the Virasoro table and the error
 payloads, among them every flavor refusal of a cocycle chain.
 """
 
+import importlib
 import json
+import sys
 
 import pytest
 
 from parshin.cli import main
-from parshin.liealg import sl2, to_json_dict
+from parshin.liealg import heisenberg3, sl2, to_json_dict
+from parshin.verify import operator_vs_closed_form
 
 SL2_CHAIN = {
     "n": 2,
@@ -37,6 +41,37 @@ SL2_UNBALANCED_CHAIN = {
                "factors": [{"Y": "H", "exp": [1, 1]}, {"Y": "E", "exp": [-1, 1]},
                            {"Y": "F", "exp": [1, 0]}]},
               SL2_CHAIN["terms"][1]],
+}
+
+# "3/2" and "-5/3" factor coefficients over the three axes
+SL2_N3_CHAIN = {
+    "n": 3,
+    "terms": [
+        {"coeff": "1",
+         "factors": [{"Y": "E", "exp": [1, 0, -1], "coeff": "3/2"}, {"Y": "H", "exp": [-1, 1, 0]},
+                     {"Y": "H", "exp": [0, -1, 2], "coeff": "-5/3"}, {"Y": "F", "exp": [0, 0, -1]}]},
+        {"coeff": "-2",
+         "factors": [{"Y": "E", "exp": [2, -1, 0]}, {"Y": "F", "exp": [-1, 1, 1], "coeff": "-5/3"},
+                     {"Y": "H", "exp": [-1, 1, 0]}, {"Y": "H", "exp": [0, -1, -1], "coeff": "3/2"}]},
+    ],
+}
+
+SL2_N4_CHAIN = {
+    "n": 4,
+    "terms": [{"factors": [{"Y": "H", "exp": [-1, 0, -2, 1]}, {"Y": "H", "exp": [1, 1, 0, 0]},
+                           {"Y": "E", "exp": [0, -1, 1, 0]}, {"Y": "F", "exp": [1, 0, 1, -2]},
+                           {"Y": "H", "exp": [-1, 0, 0, 1]}]}],
+}
+
+# z spans the centre of heisenberg3, so ad(z) = 0 and the first term has a
+# zero operator among its entries
+HEISENBERG_CHAIN = {
+    "n": 2,
+    "terms": [
+        {"factors": [{"Y": "x", "exp": [1, 0]}, {"Y": "z", "exp": [-1, 1]}, {"Y": "y", "exp": [0, -1]}]},
+        {"coeff": "2",
+         "factors": [{"Y": "x", "exp": [1, -1]}, {"Y": "y", "exp": [-1, 0]}, {"Y": "x", "exp": [0, 1]}]},
+    ],
 }
 
 SCALAR_N5_CHAIN = {
@@ -155,6 +190,18 @@ GOLDEN = {
     "cocycle_sl2_n2_unbalanced_term": (
         ("cocycle", "--input", "{sl2_unbalanced_chain}", "--json"), 0,
         '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "12"\n}\n',
+    ),
+    "cocycle_sl2_n3_fraction_factors_cuts": (
+        ("cocycle", "--input", "{sl2_n3_chain}", "--cuts=-2,1,3", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 3,\n  "value": "-100"\n}\n',
+    ),
+    "cocycle_sl2_n4": (
+        ("cocycle", "--input", "{sl2_n4_chain}", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 4,\n  "value": "-48"\n}\n',
+    ),
+    "cocycle_heisenberg_zero_operator": (
+        ("cocycle", "--input", "{heisenberg_chain}", "--json"), 0,
+        '{\n  "flavor": "multiloop",\n  "n": 2,\n  "value": "0"\n}\n',
     ),
     "cocycle_scalar_n1": (
         ("cocycle", "--input", "{scalar_chain}", "--json"), 0,
@@ -301,8 +348,13 @@ def chain_files(tmp_path):
     algebra.write_text(json.dumps(to_json_dict(sl2())))
     sl2_chain = tmp_path / "sl2_chain.json"
     sl2_chain.write_text(json.dumps({**SL2_CHAIN, "algebra": str(algebra)}))
+    heisenberg = tmp_path / "heisenberg3.json"
+    heisenberg.write_text(json.dumps(to_json_dict(heisenberg3())))
     files = {"sl2_chain": str(sl2_chain)}
     for name, doc in (("sl2_unbalanced_chain", {**SL2_UNBALANCED_CHAIN, "algebra": str(algebra)}),
+                      ("sl2_n3_chain", {**SL2_N3_CHAIN, "algebra": str(algebra)}),
+                      ("sl2_n4_chain", {**SL2_N4_CHAIN, "algebra": str(algebra)}),
+                      ("heisenberg_chain", {**HEISENBERG_CHAIN, "algebra": str(heisenberg)}),
                       ("scalar_chain", SCALAR_CHAIN), ("scalar_n5_chain", SCALAR_N5_CHAIN),
                       ("vectorfield_chain", VECTORFIELD_CHAIN),
                       ("vectorfield_n2_chain", VECTORFIELD_N2_CHAIN),
@@ -319,3 +371,49 @@ def test_json_output_is_unchanged(name, chain_files, capsys):
     argv = [arg.format(**chain_files) for arg in argv]
     assert main(argv) == code
     assert capsys.readouterr().out == expected
+
+
+# -- which trace sum each command reaches -----------------------------------------
+#
+# phi traces chains of single-atom entries with the word kernel, while the
+# residue command and every check against a closed form trace through the
+# operator walk, so that they stay independent of the kernel.
+
+def refuse_everywhere(monkeypatch, name):
+    """Rebind every parshin binding of residue.<name> to a stub that raises."""
+    original = getattr(importlib.import_module("parshin.residue"), name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "parshin" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("cocycle_sl2")))
+def test_sl2_chains_never_reach_the_operator_walk(name, chain_files, capsys, monkeypatch):
+    refuse_everywhere(monkeypatch, "raw_sum")
+    argv, code, expected = GOLDEN[name]
+    assert main([arg.format(**chain_files) for arg in argv]) == code
+    assert capsys.readouterr().out == expected
+
+
+def test_a_zero_entry_operator_falls_back_to_the_walk(chain_files, monkeypatch):
+    refuse_everywhere(monkeypatch, "raw_sum")
+    with pytest.raises(AssertionError, match="raw_sum was called"):
+        main(["cocycle", "--input", chain_files["heisenberg_chain"], "--json"])
+
+
+def test_the_oracle_checks_never_reach_the_word_kernel(chain_files, capsys, monkeypatch):
+    refuse_everywhere(monkeypatch, "word_sum")
+    for name in sorted(name for name in GOLDEN if GOLDEN[name][0][0] == "residue"):
+        argv, code, expected = GOLDEN[name]
+        assert main(list(argv)) == code
+        assert capsys.readouterr().out == expected, name
+    for suite in ("residue", "lift"):
+        for n in ("1", "2", "3"):
+            assert main(["verify", "--suite", suite, "--n", n, "--trials", "3", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"]
+    for n in (1, 2, 3):
+        assert operator_vs_closed_form(n, trials=8, seed=n).passed

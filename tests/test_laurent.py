@@ -27,6 +27,7 @@ from parshin.cocycle import phi, virasoro_phi
 from parshin.liealg import sl2
 from parshin.opalg import Box, mul_operator
 from parshin.residue import raw_sum, residue
+from parshin.sampling import random_lie_element
 
 
 def mono(n, exp, c=1):
@@ -57,6 +58,22 @@ def test_glaurent_bracket():
     f_tinv = GLaurent.monomial(1, alg.by_name("F"), (-1,))
     br = e_t.bracket(f_tinv)
     assert br.terms == (((0,), (Fraction(1), Fraction(0), Fraction(0))),)  # H t^0
+
+
+def test_glaurent_negation_and_difference_laws():
+    rng = random.Random(6)
+    alg = sl2()
+    zero = GLaurent.zero(2, alg)
+    assert zero.is_zero() and zero.terms == ()
+    for _ in range(10):
+        x = GLaurent.make(2, alg, {tuple(rng.randint(-2, 2) for _ in range(2)):
+                                   random_lie_element(rng, alg).scale(Fraction(rng.randint(1, 5), 3))
+                                   for _ in range(3)})
+        assert not x.is_zero()
+        assert x - x == zero
+        assert -(-x) == x
+        assert x + (-x) == zero
+        assert (-x).terms == tuple((e, tuple(-c for c in cs)) for e, cs in x.terms)
 
 
 def polys_with_exponents_from(low):

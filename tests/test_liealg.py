@@ -124,6 +124,18 @@ def test_killing_multilinear():
         assert lhs == killing_nform(x, y, x) + c * killing_nform(x, z, x)
 
 
+def test_negation_and_difference_laws():
+    rng = random.Random(4)
+    for alg in (sl2(), heisenberg3()):
+        zero = alg.element([0] * alg.dim)
+        for _ in range(10):
+            x = alg.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim)])
+            assert x - x == zero
+            assert -(-x) == x
+            assert x + (-x) == zero
+            assert (-x).coeffs == tuple(-c for c in x.coeffs)
+
+
 def test_mixed_algebras_rejected():
     with pytest.raises(MixedAlgebras):
         killing_nform(sl2().by_name("H"), abelian(3).basis_element(0))

@@ -22,6 +22,7 @@ from parshin.opalg import (
     projector,
 )
 from parshin.residue import (
+    MAX_SLAB_WIDTH,
     MAX_WORK,
     ResidueReport,
     ack_residue_n1,
@@ -29,6 +30,7 @@ from parshin.residue import (
     raw_sum_polys,
     residue,
     residue_det_monomial,
+    word_sum,
 )
 from parshin.sampling import (
     random_cube_element,
@@ -206,6 +208,72 @@ def test_pruned_walk_matches_enumeration_multi_atom():
             assert outcome(raw_sum, ops, cuts) == expected, (ops, cuts)
             nonzero += expected != 0 and any(len({a.shift for a in f.atoms}) > 1 for f in fs)
     assert nonzero >= 10  # multi-shift f_j whose words reach the trace
+
+
+# -- the word kernel against the walk -------------------------------------------
+
+def random_word_operator(rng, n, exp, kind):
+    """One atom on the whole lattice shifting by exp: a scalar monomial with a
+    Fraction coefficient, an sl2 monomial with a Fraction scalar, or a scaled
+    derivation t^s d/dt_axis (weight lam_axis)."""
+    if kind == "sl2":
+        element = random_lie_element(rng, sl2()).scale(random_nonzero(rng))
+        return mul_operator(GLaurent.monomial(n, element, exp))
+    if kind == "derivation":
+        axis = rng.randint(1, n)
+        s = tuple(x + (i == axis - 1) for i, x in enumerate(exp))
+        return derivation_operator(n, s, axis).scale(random_nonzero(rng))
+    return mul_operator(mono(n, exp, random_nonzero(rng)))
+
+
+def test_word_sum_matches_the_walk_on_single_atom_tuples():
+    rng = random.Random(23)
+    nonzero = unbalanced = zero_exponents = 0
+    for n, trials in ((1, 40), (2, 40), (3, 24), (4, 8)):
+        for trial in range(trials):
+            balanced = trial % 4 != 3
+            rows = random_rows(rng, n, balanced, bound=3)
+            if trial % 5 == 0:
+                # one f_j without a step on some axis: its commutator there is 0
+                rows[rng.randint(1, n)][rng.randrange(n)] = 0
+                if balanced:
+                    rows[0] = [-sum(rows[i][j] for i in range(1, n + 1)) for j in range(n)]
+            kinds = [("sl2",) * (n + 1), ("scalar",) * (n + 1),
+                     tuple(rng.choice(("scalar", "derivation")) for _ in range(n + 1))][trial % 3]
+            ops = [random_word_operator(rng, n, tuple(row), kind) for row, kind in zip(rows, kinds)]
+            cuts = tuple(rng.randint(-4, 4) for _ in range(n)) if trial % 4 else None
+            expected = raw_sum(ops, cuts)
+            assert word_sum(ops, cuts) == expected, (rows, kinds, cuts)
+            nonzero += expected != 0
+            unbalanced += any(sum(a.shift[i] for op in ops for a in op.atoms) for i in range(n))
+            zero_exponents += any(0 in a.shift for op in ops[1:] for a in op.atoms)
+    assert nonzero >= 40 and unbalanced >= 20 and zero_exponents >= 20
+
+
+def test_word_sum_takes_only_whole_lattice_atoms():
+    t = mul_operator(mono(1, (1,)))
+    for bad in (mul_operator(parse_poly("t1 + t1^2")), LatticeOperator.zero(1),
+                projector(1, 1, "+").compose(mul_operator(mono(1, (-1,))))):
+        with pytest.raises(ValueError, match="one atom on the whole lattice"):
+            word_sum([bad, t])
+    assert word_sum([mul_operator(mono(1, (-1,))), t]) == raw_sum([mul_operator(mono(1, (-1,))), t])
+
+
+def test_word_sum_shares_the_walks_refusals():
+    from parshin.errors import DimensionMismatch
+
+    t1, t12 = mul_operator(mono(1, (1,))), mul_operator(mono(2, (1, 1)))
+    wide = mul_operator(mono(1, (MAX_SLAB_WIDTH + 1,)))
+    for ops, cuts, error in (([], None, DimensionMismatch),
+                             ([t1, t12], None, DimensionMismatch), ([t1] * 3, None, DimensionMismatch),
+                             ([t1, t1], (0, 0), DimensionMismatch), ([t1, t1], (Fraction(1, 2),), TypeError),
+                             ([t1, wide], None, ArityError)):
+        messages = []
+        for trace_sum in (raw_sum, word_sum):
+            with pytest.raises(error) as info:
+                trace_sum(ops, cuts)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], messages
 
 
 # -- monomial tuples: only balanced ones are traced -----------------------------
