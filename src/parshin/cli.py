@@ -37,15 +37,20 @@ MAX_TRIALS = 1000
 # suites are capped by their estimated seconds: trials times the seconds one
 # trial takes at that n.  Seconds per trial at n = 1..4 and --degree-bound 2,
 # in process, means over seeds 1-2: the cocycle identity's trial, and every
-# other suite's trial together.  A cocycle trial's trace box sums grow with
-# the exponents it draws, to at most about (1 + bound / 50) times that (n = 3:
-# 0.27 s at bound 100, 0.7-2.5 s at 1000; n = 4: 7-12 s at 1000).
+# other suite's trial together.  The estimate scales a cocycle trial by
+# (1 + bound / 50), from when its box sums walked every lattice point of the
+# exponents it draws (n = 3: 0.7-2.5 s at bound 1000).  The word kernel now
+# sums a multiloop trial's constant weights in closed form, so a trial costs
+# about the same at every bound (in process, seeds 1-2, n = 3: 0.05-0.08 s at
+# bound 2, 0.08-0.14 s at 1000; n = 4: 0.2-1.4 s at bounds 2 to 1000), and
+# the factor overestimates it, 21 times at 1000.
 COCYCLE_TRIAL_SECONDS = (0.002, 0.015, 0.10, 1.3)
 OTHER_TRIAL_SECONDS = (0.02, 0.027, 0.12, 0.8)
 MAX_VERIFY_SECONDS = 300
 
-# a cocycle trial's trace box sums grow linearly with the exponent bound (3.8 s
-# at 300000 for n = 1; at 1000, up to 5 s per n = 3 trial, in process)
+# a cocycle trial's cost no longer grows with the exponent bound; the cap
+# keeps its commutator slabs far inside residue.MAX_SLAB_WIDTH (at 3000000
+# most n = 1 trials draw a slab over it and are refused)
 MAX_DEGREE_BOUND = 1000
 
 

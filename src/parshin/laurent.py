@@ -83,6 +83,9 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
+    def is_constant(self):
+        return not any(any(exp) for exp, _ in self.terms)
+
     def _check(self, other):
         if self.n != other.n:
             raise DimensionMismatch(f"variable counts differ: {self.n} vs {other.n}")
@@ -121,8 +124,11 @@ class LaurentPoly:
         return LaurentPoly(self.n, _canonical(out))
 
     def shift_argument(self, shift) -> "LaurentPoly":
-        """The polynomial x -> self(x + shift), by binomial expansion (exponents >= 0)."""
-        if not any(shift):
+        """The polynomial x -> self(x + shift), by binomial expansion (exponents >= 0).
+
+        A zero shift or a constant polynomial returns self.
+        """
+        if not any(shift) or self.is_constant():
             return self
         out = {}
         for exp, c in self.terms:

@@ -30,13 +30,13 @@ from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projec
 
 # [f_j, P_axis^+] is nonzero only on a slab of the axis as wide as the
 # largest |shift| of f_j there, and every word's box lies in one slab per
-# axis.  A trace sums a weight term over each axis of that box one lattice
-# point at a time (opalg._power_sum, about 2.3 us a point), so a wider slab
-# is refused before any commutator is built: "t1^-3000000 ; t1^3000000" took
-# 7 s.  The cap is four times the widest shift trace_wide draws (24,003) and
-# above what --degree-bound 1000 and --max-m 1000 reach.  ROADMAP item 3's
-# closed-form power sums make a trace's cost independent of the width, and
-# lift this cap.
+# axis.  The walk's trace, and word_sum on a derivation weight, sum a weight
+# term over each axis of that box one lattice point at a time
+# (opalg._power_sum, about 2.3 us a point), so a wider slab is refused before
+# any commutator is built: "t1^-3000000 ; t1^3000000" took 7 s.  The cap is
+# four times the widest shift trace_wide draws (24,003) and above what
+# --degree-bound 1000 and --max-m 1000 reach.  Closed-form power sums
+# would make a trace's cost independent of the width, and lift this cap.
 MAX_SLAB_WIDTH = 100_000
 
 
@@ -154,6 +154,13 @@ def word_sum(operators, cuts=None) -> Fraction:
     f.weight(lam + o) * weight and the matrix f.matrix * matrix.  Only a
     balanced tuple (shifts summing to 0) has a diagonal, and the word's
     trace is its sign times tr(matrix) times the weight summed over the box.
+
+    Every word holds every operator once, so the constant weights (every
+    weight but a derivation's lam_axis) multiply each word by the same
+    number: they are read once and multiply the sum.  A word whose weights
+    are all constant sums 1 over its box, which is the product of its slab
+    widths |s_pi(i),i|, so its trace costs no polynomial and no box walk;
+    the other weights are shifted, multiplied and summed over the box.
     ValueError when an operator is not one atom on the whole lattice.
     """
     operators, n, _, cuts = _trace_sum_input(operators, cuts)
@@ -162,14 +169,20 @@ def word_sum(operators, cuts=None) -> Fraction:
         raise ValueError("word_sum takes operators that are each one atom on the whole lattice")
     if any(sum(col) for col in zip(*(a.shift for a in atoms))):
         return Fraction(0)
+    constants = [a.weight.coefficient((0,) * n) if a.weight.is_constant() else None for a in atoms]
+    scalar = math.prod(c for c in constants if c is not None)
+    if scalar == 0:
+        return Fraction(0)
     f0 = atoms[0]
     total = Fraction(0)
     for perm in itertools.permutations(range(1, n + 1)):
         sign = _perm_sign(perm)
-        offset, weight, matrix = f0.shift, f0.weight, f0.matrix
+        offset, matrix, width = f0.shift, f0.matrix, 1
+        weight = f0.weight if constants[0] is None else None
         bounds = [None] * n
         for i in range(n - 1, -1, -1):
-            a, c = atoms[perm[i]], cuts[i]
+            j, c = perm[i], cuts[i]
+            a = atoms[j]
             s = a.shift[i]
             if s == 0:
                 break
@@ -179,14 +192,17 @@ def word_sum(operators, cuts=None) -> Fraction:
             else:
                 lo, hi = c, c - s
             bounds[i] = (lo - offset[i], hi - offset[i])
-            weight = a.weight.shift_argument(offset) * weight
+            width *= hi - lo
+            if constants[j] is None:
+                shifted = a.weight.shift_argument(offset)
+                weight = shifted if weight is None else shifted * weight
             matrix = mat_mul(a.matrix, matrix)
             offset = tuple(x + y for x, y in zip(offset, a.shift))
         else:
             tr = mat_trace(matrix)
             if tr != 0:
-                total += sign * tr * _weight_box_sum(weight, bounds)
-    return total
+                total += sign * tr * (width if weight is None else _weight_box_sum(weight, bounds))
+    return scalar * total
 
 
 @dataclass(frozen=True)

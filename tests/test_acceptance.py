@@ -176,3 +176,13 @@ def test_criterion_13_lie_algebra_loading():
         ok = ok and alg.dim == doc["dim"] and elapsed <= 0.25
         print(f"dim {doc['dim']} loaded in {elapsed:.3f}s")
     _report(13, "Lie-algebra loading", ok)
+
+
+def test_criterion_14_wide_cocycle_trials():
+    # a word of constant weights sums its box as the product of its slab
+    # widths, so exponents up to 1000 cost no more than small ones: 0.28-0.38 s
+    # in process, against about 10 s when each box was summed point by point
+    start = time.perf_counter()
+    ok = verify_cocycle("multiloop", 3, degree_bound=1000, trials=3, seed=1).passed
+    elapsed = time.perf_counter() - start
+    _report(14, "wide cocycle trials", ok and elapsed < 3.0, elapsed)

@@ -468,7 +468,11 @@ def test_residue_caps_the_commutator_slab_width(tmp_path, capsys):
 
 
 def test_verify_caps_degree_bound(capsys):
-    # the trace box sums grow with the bound: 3000000 took 25 s at n = 1
+    # the cap holds, although a multiloop trial's words of constant weights
+    # now take their box sums in closed form and no longer cost more at a
+    # larger bound (3000000 took 25 s at n = 1 when every box was summed
+    # point by point); past the cap, residue.MAX_SLAB_WIDTH refuses most
+    # trials' slabs in the library as well
     for bound in ("-1", "1001", "3000000"):
         assert_error(capsys, ["verify", "--suite", "cocycle", "--n", "1", "--trials", "1",
                               "--degree-bound", bound, "--json"], "ArityError", "--degree-bound")

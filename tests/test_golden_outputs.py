@@ -7,7 +7,7 @@ code fails here.  The commands cover residue forms at n = 1..3 with and
 without ``--cuts``, scalar, sl2 multiloop (n = 2..4, fractional factor
 coefficients) and heisenberg3 and vector-field cocycle chains,
 the cube suite at n = 2 and 3, the n = 2 lift suite, the cocycle suite at
-n = 1 and 2, every suite at n = 1 and 2, the Virasoro table and the error
+n = 1 and 2 and at n = 3 with --degree-bound 1000, every suite at n = 1 and 2, the Virasoro table and the error
 payloads, among them every flavor refusal of a cocycle chain.
 """
 
@@ -267,6 +267,18 @@ GOLDEN = {
         '      "n": 2,\n      "passed": true,\n      "seed": 3,\n      "trials": 2\n    }\n'
         '  },\n  "failures": [],\n'
         '  "name": "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n2+operator_vs_closed_form_n2",\n'
+        '  "passed": true\n}\n',
+    ),
+    # exponents up to 1000: the word kernel's constant-weight box sums
+    "verify_cocycle_n3_degree_bound_1000": (
+        ("verify", "--suite", "cocycle", "--n", "3", "--degree-bound", "1000", "--trials", "3", "--json"), 0,
+        '{\n  "checks": 182,\n  "details": {\n    "cocycle_property_multiloop_n3": {\n'
+        '      "degree_bound": 1000,\n      "flavor": "multiloop",\n      "n": 3,\n'
+        '      "nonzero": [],\n      "passed": true,\n      "seed": 1,\n      "trials": 3\n'
+        '    },\n    "operator_vs_closed_form_n3": {\n      "mismatches": [],\n'
+        '      "n": 3,\n      "passed": true,\n      "seed": 1,\n      "trials": 3\n    }\n'
+        '  },\n  "failures": [],\n'
+        '  "name": "heisenberg+kac_moody_sl2+virasoro+cocycle_property_multiloop_n3+operator_vs_closed_form_n3",\n'
         '  "passed": true\n}\n',
     ),
     # every suite, so check_liealg, check_laurent, check_opalg, check_chains,

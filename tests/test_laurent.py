@@ -120,6 +120,18 @@ def test_shift_argument_refuses_negative_exponents():
     assert mono(2, (1, -1)).shift_argument((1, 0)) == mono(2, (1, -1)) + mono(2, (0, -1))
 
 
+def test_shift_argument_returns_a_constant_itself():
+    for constant in (LaurentPoly.zero(2), LaurentPoly.one(2), mono(2, (0, 0), Fraction(-3, 2))):
+        assert constant.is_constant()
+        for s in ((0, 0), (1, 0), (-4, 7)):
+            assert constant.shift_argument(s) is constant
+    # a weight with a nonzero exponent still expands: 3/2 (x+2)^2 y + 1
+    weight = mono(2, (2, 1), Fraction(3, 2)) + LaurentPoly.one(2)
+    assert not weight.is_constant()
+    assert weight.shift_argument((2, 0)) == (mono(2, (2, 1), Fraction(3, 2)) + mono(2, (1, 1), 6)
+                                             + mono(2, (0, 1), 6) + LaurentPoly.one(2))
+
+
 # -- derivatives --------------------------------------------------------------
 
 def _random_poly(rng, n, low=-2):

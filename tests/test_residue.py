@@ -214,11 +214,17 @@ def test_pruned_walk_matches_enumeration_multi_atom():
 
 def random_word_operator(rng, n, exp, kind):
     """One atom on the whole lattice shifting by exp: a scalar monomial with a
-    Fraction coefficient, an sl2 monomial with a Fraction scalar, or a scaled
+    Fraction coefficient, an sl2 monomial with a Fraction scalar or with
+    rational coefficients (so ad holds Fraction entries), or a scaled
     derivation t^s d/dt_axis (weight lam_axis)."""
     if kind == "sl2":
         element = random_lie_element(rng, sl2()).scale(random_nonzero(rng))
         return mul_operator(GLaurent.monomial(n, element, exp))
+    if kind == "sl2 rational":
+        while True:
+            element = sl2().element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
+            if not element.is_zero():
+                return mul_operator(GLaurent.monomial(n, element, exp))
     if kind == "derivation":
         axis = rng.randint(1, n)
         s = tuple(x + (i == axis - 1) for i, x in enumerate(exp))
@@ -228,7 +234,7 @@ def random_word_operator(rng, n, exp, kind):
 
 def test_word_sum_matches_the_walk_on_single_atom_tuples():
     rng = random.Random(23)
-    nonzero = unbalanced = zero_exponents = 0
+    nonzero = rational = unbalanced = zero_exponents = 0
     for n, trials in ((1, 40), (2, 40), (3, 24), (4, 8)):
         for trial in range(trials):
             balanced = trial % 4 != 3
@@ -238,16 +244,59 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
                 rows[rng.randint(1, n)][rng.randrange(n)] = 0
                 if balanced:
                     rows[0] = [-sum(rows[i][j] for i in range(1, n + 1)) for j in range(n)]
-            kinds = [("sl2",) * (n + 1), ("scalar",) * (n + 1),
+            kinds = [tuple(rng.choice(("sl2", "sl2 rational")) for _ in range(n + 1)), ("scalar",) * (n + 1),
                      tuple(rng.choice(("scalar", "derivation")) for _ in range(n + 1))][trial % 3]
             ops = [random_word_operator(rng, n, tuple(row), kind) for row, kind in zip(rows, kinds)]
             cuts = tuple(rng.randint(-4, 4) for _ in range(n)) if trial % 4 else None
             expected = raw_sum(ops, cuts)
             assert word_sum(ops, cuts) == expected, (rows, kinds, cuts)
             nonzero += expected != 0
+            rational += expected != 0 and "sl2 rational" in kinds
             unbalanced += any(sum(a.shift[i] for op in ops for a in op.atoms) for i in range(n))
             zero_exponents += any(0 in a.shift for op in ops[1:] for a in op.atoms)
-    assert nonzero >= 40 and unbalanced >= 20 and zero_exponents >= 20
+    assert nonzero >= 40 and rational >= 10 and unbalanced >= 20 and zero_exponents >= 20
+
+    # Fraction scalar weights, 3/2 t1^a, and n = 1 wedges of every mix of
+    # derivation and monomial entries
+    for a in range(-3, 4):
+        for kinds in itertools.product(("scalar", "derivation"), repeat=2):
+            for cut in (0, 2, -3):
+                ops = [random_word_operator(rng, 1, (-a,), kinds[0]),
+                       random_word_operator(rng, 1, (a,), kinds[1])]
+                assert word_sum(ops, (cut,)) == raw_sum(ops, (cut,)), (a, kinds, cut)
+        ops = [mul_operator(mono(1, (-a,), Fraction(-5, 7))), mul_operator(mono(1, (a,), Fraction(3, 2)))]
+        assert word_sum(ops) == raw_sum(ops) == Fraction(15, 14) * a
+
+    # constant weights on slabs at and just under MAX_SLAB_WIDTH, where the
+    # word's box sum is its width; a derivation weight is still summed point
+    # by point (a tenth of the cap keeps the walk's reference value quick)
+    w, v = MAX_SLAB_WIDTH, MAX_SLAB_WIDTH - 1
+    for ops, cuts in (([mul_operator(mono(1, (w,), Fraction(3, 2))), mul_operator(mono(1, (-w,)))], (5,)),
+                      ([derivation_operator(1, (1 - w // 10,), 1), derivation_operator(1, (w // 10 + 1,), 1)], None),
+                      ([mul_operator(mono(2, (-v, -1))), mul_operator(mono(2, (v, 0))),
+                        mul_operator(mono(2, (0, 1), -2))], (-1, 3))):
+        assert word_sum(ops, cuts) == raw_sum(ops, cuts), cuts
+
+
+def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
+    import parshin.opalg
+
+    alg = sl2()
+    constant = [mul_operator(GLaurent.monomial(2, alg.element(c), e))
+                for c, e in (((1, 0, 0), (-1, -2)), ((0, Fraction(1, 3), 0), (1, 0)), ((0, 0, 2), (0, 2)))]
+    scalar = [mul_operator(mono(2, (-2, 1), Fraction(3, 2))), mul_operator(mono(2, (1, 0))),
+              mul_operator(mono(2, (1, -1), -1))]
+    derivation = [derivation_operator(1, (4,), 1), derivation_operator(1, (-2,), 1)]
+    expected = [raw_sum(ops) for ops in (constant, scalar, derivation)]
+    assert expected[0] != 0 and expected[1] != 0
+
+    def refuse(*args):
+        raise AssertionError("_power_sum was called")
+
+    monkeypatch.setattr(parshin.opalg, "_power_sum", refuse)
+    assert [word_sum(constant), word_sum(scalar)] == expected[:2]
+    with pytest.raises(AssertionError, match="_power_sum was called"):
+        word_sum(derivation)
 
 
 def test_word_sum_takes_only_whole_lattice_atoms():
