@@ -213,12 +213,22 @@ class TensorChain:
 #
 # The first factor of each term is f_0, the rest form the wedge tail.  Scalar
 # factors use {"exp": [...], "coeff": "3/2"?}; vector-field factors (n = 1)
-# use {"s": [2], "i": 1} for t^s d/dt_i.  Every coeff is an int or a "p" /
-# "p/q" string (``liealg.rational_from_json``).
+# use {"s": [2], "i": 1, "coeff": "3/2"?} for t^s d/dt_i.  Every coeff is an
+# int or a "p" / "p/q" string (``liealg.rational_from_json``).
 
 def factor_from_json(doc, n, algebra=None):
     if not isinstance(doc, dict):
         raise ValueError(f"a chain factor must be an object, got {doc!r}")
+    if "s" in doc:
+        if "Y" in doc or "exp" in doc:
+            raise ValueError(f"chain factor {doc!r} holds 's' with 'Y' or 'exp'; give one of them")
+        axis = doc.get("i", 1)
+        if type(axis) is not int:
+            raise ValueError(f"chain factor {doc!r} needs an integer 'i'")
+        operator = derivation_operator(n, _int_list(doc, "s"), axis)
+        if "coeff" in doc:
+            operator = operator.scale(rational_from_json(doc["coeff"], "chain factor"))
+        return operator
     if "Y" in doc:
         if algebra is None:
             raise ValueError("Lie-algebra factors need an algebra")
@@ -226,11 +236,6 @@ def factor_from_json(doc, n, algebra=None):
         if "coeff" in doc:
             element = element.scale(rational_from_json(doc["coeff"], "chain factor"))
         return GLaurent.monomial(n, element, _int_list(doc, "exp"))
-    if "s" in doc:
-        axis = doc.get("i", 1)
-        if type(axis) is not int:
-            raise ValueError(f"chain factor {doc!r} needs an integer 'i'")
-        return derivation_operator(n, _int_list(doc, "s"), axis)
     return LaurentPoly.monomial(n, _int_list(doc, "exp"), rational_from_json(doc.get("coeff", 1), "chain factor"))
 
 

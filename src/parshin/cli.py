@@ -20,7 +20,7 @@ from .errors import ArityError, MixedFlavors, ParseError, ParshinError, shown
 from .laurent import _from_terms, _scan
 from .liealg import load_algebra, read_json
 from .matrices import exact_text
-from .residue import residue
+from .residue import MAX_SLAB_WIDTH, residue
 
 # the trace sum walks up to n! words per monomial tuple
 MAX_N = 4
@@ -33,25 +33,10 @@ MAX_M = 1000
 # about 0.12-0.19 s (seeds 1-2, in process), so 1000 take about 2-3 minutes
 MAX_TRIALS = 1000
 
-# A cocycle trial costs far more than a cube trial, so the cocycle and all
-# suites are capped by their estimated seconds: trials times the seconds one
-# trial takes at that n.  Seconds per trial at n = 1..4 and --degree-bound 2,
-# in process, means over seeds 1-2: the cocycle identity's trial, and every
-# other suite's trial together.  The estimate scales a cocycle trial by
-# (1 + bound / 50), from when its box sums walked every lattice point of the
-# exponents it draws (n = 3: 0.7-2.5 s at bound 1000).  The word kernel now
-# sums a multiloop trial's constant weights in closed form, so a trial costs
-# about the same at every bound (in process, seeds 1-2, n = 3: 0.05-0.08 s at
-# bound 2, 0.08-0.14 s at 1000; n = 4: 0.2-1.4 s at bounds 2 to 1000), and
-# the factor overestimates it, 21 times at 1000.
-COCYCLE_TRIAL_SECONDS = (0.002, 0.015, 0.10, 1.3)
-OTHER_TRIAL_SECONDS = (0.02, 0.027, 0.12, 0.8)
-MAX_VERIFY_SECONDS = 300
-
-# a cocycle trial's cost no longer grows with the exponent bound; the cap
-# keeps its commutator slabs far inside residue.MAX_SLAB_WIDTH (at 3000000
-# most n = 1 trials draw a slab over it and are refused)
-MAX_DEGREE_BOUND = 1000
+# the cocycle and all suites at n = MAX_N are the only ones whose MAX_TRIALS
+# trials run past 300 s: one trial takes about 0.4-0.8 s there at any
+# --degree-bound (seeds 1-2, in process), so 250 take about 3.5 minutes
+MAX_COCYCLE_TRIALS = 250
 
 
 def _check_n(n):
@@ -171,17 +156,15 @@ def cmd_verify(args) -> int:
         raise ArityError(f"--trials {args.trials} exceeds the cap {MAX_TRIALS}")
     if args.degree_bound < 0:
         raise ArityError("--degree-bound must be at least 0")
-    if args.degree_bound > MAX_DEGREE_BOUND:
-        raise ArityError(f"--degree-bound {args.degree_bound} exceeds the cap {MAX_DEGREE_BOUND}")
-    if args.suite in ("cocycle", "all"):
-        per_trial = COCYCLE_TRIAL_SECONDS[args.n - 1] * (1 + args.degree_bound / 50)
-        if args.suite == "all":
-            per_trial += OTHER_TRIAL_SECONDS[args.n - 1]
-        if args.trials * per_trial > MAX_VERIFY_SECONDS:
-            raise ArityError(
-                f"--trials {args.trials} of the {args.suite} suite at n = {args.n} and --degree-bound "
-                f"{args.degree_bound} would take about {args.trials * per_trial:.0f} s, over the cap "
-                f"of {MAX_VERIFY_SECONDS} s")
+    # a trial's exponents lie within the bound, its balancing entry within
+    # n + 1 times it, and a bracket adds two of them, so no commutator slab
+    # passes residue.MAX_SLAB_WIDTH
+    bound_cap = MAX_SLAB_WIDTH // (args.n + 2)
+    if args.degree_bound > bound_cap:
+        raise ArityError(f"--degree-bound {args.degree_bound} exceeds the cap {bound_cap} at n = {args.n}")
+    if args.suite in ("cocycle", "all") and args.n == MAX_N and args.trials > MAX_COCYCLE_TRIALS:
+        raise ArityError(f"--trials {args.trials} of the {args.suite} suite at n = {args.n} "
+                         f"exceeds the cap {MAX_COCYCLE_TRIALS}")
     report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
                                trials=args.trials, degree_bound=args.degree_bound)
     payload = report.to_json_dict()

@@ -279,8 +279,11 @@ def from_json_dict(doc) -> LieAlgebra:
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
         raise ValueError(f"'basis' must list {dim} distinct names, got {basis!r}")
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ValueError(f"'brackets' must be a list of bracket entries, got {shown(brackets)}")
     structure = {}
-    for entry in doc.get("brackets", ()):
+    for entry in brackets:
         if (not isinstance(entry, dict) or type(entry.get("i")) is not int
                 or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
             raise ValueError(f"bracket entry {entry!r} needs integer 'i', 'j' and a 'coeffs' object")

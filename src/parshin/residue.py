@@ -35,8 +35,9 @@ from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projec
 # (opalg._power_sum, about 2.3 us a point), so a wider slab is refused before
 # any commutator is built: "t1^-3000000 ; t1^3000000" took 7 s.  The cap is
 # four times the widest shift trace_wide draws (24,003) and above what
-# --degree-bound 1000 and --max-m 1000 reach.  Closed-form power sums
-# would make a trace's cost independent of the width, and lift this cap.
+# --max-m 1000 reaches; cli.cmd_verify derives its --degree-bound cap from
+# it.  Closed-form power sums would make a trace's cost independent of the
+# width, and lift this cap.
 MAX_SLAB_WIDTH = 100_000
 
 
@@ -265,6 +266,7 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
             raise DimensionMismatch("residue inputs with mismatched variable counts")
     if len(fs) != n:
         raise DimensionMismatch(f"need n+1 = {n + 1} polynomials, got {len(fs) + 1}")
+    cuts = _cuts(n, cuts)
     work = math.factorial(n) * math.prod(len(f.terms) for f in fs)
     if work > MAX_WORK:
         raise ArityError(f"work n! * |f1| * ... * |fn| = {work} exceeds the limit {MAX_WORK}")

@@ -144,6 +144,21 @@ def test_cocycle_scalar_and_vectorfield(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == "-1"
 
 
+def test_cocycle_vectorfield_factor_coeff(tmp_path, capsys):
+    # the coeff of an "s" factor used to be dropped, and "Y" silently won over "s"
+    for coeff, value in (("5", "-5"), (-2, "2"), ("1/3", "-1/3"), (0, "0")):
+        chain = write_chain(tmp_path, [{"factors": [{"s": [3], "i": 1, "coeff": coeff}, {"s": [-1], "i": 1}]}])
+        code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+        assert code == 0 and json.loads(out)["value"] == value
+    chain = write_chain(tmp_path, [{"factors": [{"s": [3], "i": 1, "coeff": 1.5}, {"s": [-1], "i": 1}]}])
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "1.5", "rational")
+    for extra in ({"Y": "E"}, {"exp": [3]}):
+        factor = {"s": [3], "i": 1, **extra}
+        chain = write_chain(tmp_path, [{"factors": [factor, {"s": [-1], "i": 1}]}])
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError",
+                     f"chain factor {factor!r}", "'s' with 'Y' or 'exp'")
+
+
 def test_virasoro_command(capsys):
     code, out, _ = run_cli(capsys, "virasoro", "--max-m", "3", "--json")
     assert code == 0
@@ -180,6 +195,13 @@ def assert_error(capsys, argv, error_type, *fragments):
     assert set(doc) == {"error"} and doc["error"]["type"] == error_type
     for fragment in fragments:
         assert fragment in doc["error"]["message"]
+
+
+def test_residue_checks_cuts_on_an_unbalanced_form(capsys):
+    # a form with no balanced tuple used to print a residue of 0 and exit 0
+    for form in ("t1^-1 ; t1", "t1 ; t1"):
+        assert_error(capsys, ["residue", "--form", form, "--cuts", "1,2,3", "--json"],
+                     "DimensionMismatch", "need 1 cut points, got 3")
 
 
 def test_residue_caps_n(capsys):
@@ -280,6 +302,14 @@ def test_cocycle_algebra_bracket_key_must_be_a_plain_index(tmp_path, capsys, key
     chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {key: "1"}}]})
     assert_error(capsys, ["cocycle", "--input", chain, "--algebra", str(tmp_path / "algebra.json"),
                           "--json"], "ValueError", "bracket (0, 1)", repr(key), "plain decimal index")
+
+
+def test_cocycle_algebra_brackets_must_be_a_list(tmp_path, capsys):
+    # 5 and null used to end in a TypeError traceback
+    for brackets in (5, None, {}, "x"):
+        chain = algebra_chain(tmp_path, {"dim": 3, "brackets": brackets})
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError",
+                     f"'brackets' must be a list of bracket entries, got {brackets!r}")
 
 
 def test_cocycle_algebra_basis_of_non_strings(tmp_path, capsys):
@@ -430,27 +460,29 @@ def test_verify_caps_trials(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "verify", "--suite", "cube", "--n", "2", "--trials", trials, "--json")
         assert code == 0 and json.loads(out)["passed"]
 
-    # cocycle and all are capped by trials x seconds per trial, before the first trial
+    # at n = MAX_N the cocycle and all suites take up to about 0.8 s a trial,
+    # so their trials have a cap of their own, checked before the first trial
     from parshin import cli
 
     runs = []
     monkeypatch.setattr(cli._verify, "run_suite",
                         lambda name, **kw: runs.append((name, kw)) or cli._verify.CheckReport(name))
-    for suite, n, bound in (("cocycle", 4, 2), ("all", 4, 2), ("cocycle", 3, 1000), ("all", 3, 1000)):
-        per_trial = cli.COCYCLE_TRIAL_SECONDS[n - 1] * (1 + bound / 50)
-        if suite == "all":
-            per_trial += cli.OTHER_TRIAL_SECONDS[n - 1]
-        largest = int(cli.MAX_VERIFY_SECONDS // per_trial)
-        argv = ["verify", "--suite", suite, "--n", str(n), "--degree-bound", str(bound), "--json"]
-        assert largest < cli.MAX_TRIALS
-        for trials in (largest + 1, 1000):
-            assert_error(capsys, [*argv, "--trials", str(trials)], "ArityError",
-                         f"--trials {trials} of the {suite} suite", "over the cap")
-        assert not runs
-        assert run_cli(capsys, *argv, "--trials", str(largest))[0] == 0
-        assert runs.pop() == (suite, {"n": n, "seed": 1, "trials": largest, "degree_bound": bound})
-    # an n = 4 cocycle trial takes 1-2 s: 1000 of them would run for about half an hour
-    assert 1000 * cli.COCYCLE_TRIAL_SECONDS[3] > cli.MAX_VERIFY_SECONDS
+    for suite in ("cocycle", "all"):
+        for n in (1, 2, 3, 4):
+            argv = ["verify", "--suite", suite, "--n", str(n), "--degree-bound", "1000", "--json"]
+            largest = cli.MAX_TRIALS
+            if n == cli.MAX_N:
+                largest = cli.MAX_COCYCLE_TRIALS
+                for trials in (largest + 1, 1000):
+                    assert_error(capsys, [*argv, "--trials", str(trials)], "ArityError",
+                                 f"--trials {trials} of the {suite} suite at n = {n}",
+                                 f"cap {cli.MAX_COCYCLE_TRIALS}")
+                assert not runs
+            assert run_cli(capsys, *argv, "--trials", str(largest))[0] == 0
+            assert runs.pop() == (suite, {"n": n, "seed": 1, "trials": largest, "degree_bound": 1000})
+    # every run the former seconds estimate accepted stays accepted: it
+    # allowed at most 221 cocycle and 139 all trials at n = 4
+    assert cli.MAX_COCYCLE_TRIALS >= 221
 
 
 def test_residue_caps_the_commutator_slab_width(tmp_path, capsys):
@@ -467,18 +499,32 @@ def test_residue_caps_the_commutator_slab_width(tmp_path, capsys):
     assert code == 0 and json.loads(out)["residue"] == "24003"
 
 
-def test_verify_caps_degree_bound(capsys):
-    # the cap holds, although a multiloop trial's words of constant weights
-    # now take their box sums in closed form and no longer cost more at a
-    # larger bound (3000000 took 25 s at n = 1 when every box was summed
-    # point by point); past the cap, residue.MAX_SLAB_WIDTH refuses most
-    # trials' slabs in the library as well
-    for bound in ("-1", "1001", "3000000"):
-        assert_error(capsys, ["verify", "--suite", "cocycle", "--n", "1", "--trials", "1",
-                              "--degree-bound", bound, "--json"], "ArityError", "--degree-bound")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "cocycle", "--n", "1", "--trials", "1",
-                           "--degree-bound", "1000", "--json")
-    assert code == 0 and json.loads(out)["passed"]
+def test_verify_caps_degree_bound(capsys, monkeypatch):
+    # a trial's exponents lie within the bound, its balancing entry within
+    # n + 1 times it, and a bracket adds two of them: at the cap no
+    # commutator slab is wider than residue.MAX_SLAB_WIDTH
+    from parshin import cli
+    from parshin.residue import MAX_SLAB_WIDTH
+
+    for n, trials in ((1, 5), (2, 5), (3, 2)):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "cocycle", "--n", str(n), "--trials", str(trials),
+                               "--degree-bound", str(MAX_SLAB_WIDTH // (n + 2)), "--json")
+        assert code == 0 and json.loads(out)["passed"]
+
+    runs = []
+    monkeypatch.setattr(cli._verify, "run_suite",
+                        lambda name, **kw: runs.append((name, kw)) or cli._verify.CheckReport(name))
+    for n in (1, 2, 3, 4):
+        cap = MAX_SLAB_WIDTH // (n + 2)
+        argv = ["verify", "--suite", "cocycle", "--n", str(n), "--trials", "1", "--json"]
+        assert_error(capsys, [*argv, "--degree-bound", "-1"], "ArityError", "--degree-bound must be at least 0")
+        for bound in (cap + 1, 3_000_000):
+            assert_error(capsys, [*argv, "--degree-bound", str(bound)], "ArityError",
+                         f"--degree-bound {bound} exceeds the cap {cap} at n = {n}")
+        assert not runs
+        for bound in (1000, cap):
+            assert run_cli(capsys, *argv, "--degree-bound", str(bound))[0] == 0
+            assert runs.pop() == ("cocycle", {"n": n, "seed": 1, "trials": 1, "degree_bound": bound})
 
 
 def test_cocycle_caps_n(tmp_path, capsys):

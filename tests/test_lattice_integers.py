@@ -10,16 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from parshin.cocycle import phi_closed_form
+import parshin
+from parshin.cocycle import phi, phi_closed_form, virasoro_phi
+from parshin.cube import epsilon, homotopy, homotopy_hat, lift_closed_form, lift_iterative
 from parshin.laurent import GLaurent, LaurentPoly
 from parshin.liealg import sl2
 from parshin.matrices import integer
-from parshin.opalg import _cuts, derivation_operator, projector
-from parshin.residue import residue_det_monomial
+from parshin.opalg import _cuts, derivation_operator, mul_operator, projector
+from parshin.residue import ack_residue_n1, raw_sum, residue, residue_det_monomial
 
 E, F = sl2().by_name("E"), sl2().by_name("F")
+T, T_INV = LaurentPoly.variable(1, 1), LaurentPoly.monomial(1, (-1,), 1)
+OPS = [mul_operator(T_INV), mul_operator(T)]
+N1 = homotopy_hat(OPS[0])
 
-# site -> (what the refusal names, x -> a value comparable across inputs)
+# site -> (what the refusal names, x -> a value comparable across inputs);
+# every site but _cuts is an entry point in parshin.__all__, named first
 SITES = {
     "_cuts": ("cut point", lambda x: _cuts(1, [x])),
     "projector cut": ("cut point", lambda x: projector(1, 1, "+", cut=x).atoms),
@@ -28,7 +34,23 @@ SITES = {
     "phi_closed_form rows": ("exponent", lambda x: phi_closed_form([E, F], [(x,), (-2,)])),
     "LaurentPoly.make": ("exponent", lambda x: LaurentPoly.make(1, {(x,): 1})),
     "GLaurent.make": ("exponent", lambda x: GLaurent.make(1, sl2(), {(x,): E})),
+    "residue cuts, balanced form": ("cut point", lambda x: residue(T_INV, [T], (x,))),
+    "residue cuts, unbalanced form": ("cut point", lambda x: residue(T, [T], (x,))),
+    "raw_sum cuts": ("cut point", lambda x: raw_sum(OPS, (x,))),
+    "phi cuts": ("cut point", lambda x: phi([T_INV, T], (x,))),
+    "ack_residue_n1 cut": ("cut point", lambda x: ack_residue_n1(*OPS, cut=x)),
+    "virasoro_phi cut": ("cut point", lambda x: virasoro_phi(2, cut=x)),
+    "homotopy cuts": ("cut point", lambda x: homotopy(N1, (x,))),
+    "epsilon cuts": ("cut point", lambda x: epsilon(N1, 1, (x,))),
+    "homotopy_hat cuts": ("cut point", lambda x: homotopy_hat(OPS[0], (x,))),
+    "lift_iterative cuts": ("cut point", lambda x: lift_iterative(OPS, (x,))),
+    "lift_closed_form cuts": ("cut point", lambda x: lift_closed_form(OPS, 1, (x,))),
 }
+
+
+def test_every_site_but_cuts_is_a_public_entry_point():
+    names = {site.split()[0].split(".")[0] for site in SITES} - {"_cuts"}
+    assert names <= set(parshin.__all__)
 
 
 @pytest.mark.parametrize("site", sorted(SITES))

@@ -254,6 +254,13 @@ def reference_rational(value, what):
     raise ValueError(f"{what} coefficient {value!r} is not a rational: give an integer or a \"p/q\" string")
 
 
+def test_reader_refuses_brackets_that_are_not_a_list():
+    for brackets in (5, None, {}, "x"):
+        with pytest.raises(ValueError, match=f"^'brackets' must be a list of bracket entries, got {re.escape(repr(brackets))}$"):
+            from_json_dict({"dim": 3, "brackets": brackets})
+    assert from_json_dict({"dim": 3}).dim == 3
+
+
 def reference_read(doc):
     """(basis, dense table) of a Lie-algebra document, or the reader's error."""
     if not isinstance(doc, dict) or type(doc.get("dim")) is not int or doc["dim"] < 0:

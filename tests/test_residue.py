@@ -365,6 +365,17 @@ def test_balanced_tuples_match_the_tuple_expansion():
     assert nonzero >= 10
 
 
+def test_cuts_are_checked_when_no_tuple_is_balanced():
+    from parshin.errors import DimensionMismatch
+
+    t = LaurentPoly.variable(1, 1)
+    for f0 in (mono(1, (-1,)), t):
+        with pytest.raises(DimensionMismatch, match="^need 1 cut points, got 3$"):
+            residue(f0, [t], (1, 2, 3))
+        with pytest.raises(TypeError, match="^cut point must be an integer, got Fraction"):
+            residue(f0, [t], (Fraction(3, 2),))
+
+
 def test_work_over_the_bound_is_refused_before_any_operator(monkeypatch):
     def no_operators(f):
         raise AssertionError("an operator was built for a refused form")
