@@ -132,7 +132,7 @@ def phi_closed_form(elements, exponents) -> Fraction:
 
 def virasoro_generator(m) -> LatticeOperator:
     """L_m = t^(m+1) d/dt, as the operator it acts by."""
-    return derivation_operator(1, (m + 1,), 1)
+    return derivation_operator(1, (integer(m, "Virasoro index") + 1,), 1)
 
 
 def virasoro_phi(m, cut=0) -> Fraction:

@@ -72,10 +72,11 @@ class ParseError(ParshinError):
 
 
 class ArityError(ParshinError):
-    """A CLI input out of the accepted range.
+    """An input out of the accepted range, in the CLI or the library.
 
     A residue form with the wrong number of polynomials, n over the cap,
     work over the limit, a chain document without an integer n or a terms
     list, a Lie algebra or a Virasoro table over its size cap, an unknown
-    suite, or a count or bound below its minimum.
+    suite, a count or bound below its minimum, or a trace that would sum a
+    slab wider than ``opalg.MAX_SLAB_WIDTH`` point by point.
     """

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotTraceClass
+from .errors import ArityError, DimensionMismatch, NotTraceClass
 from .laurent import GLaurent, LaurentPoly
 from .liealg import ad
 from .matrices import (
@@ -268,24 +268,33 @@ class LatticeOperator:
         """Sum over the diagonal: shift-0 atoms summed over their boxes.
 
         Raises NotTraceClass when the diagonal has unbounded nonzero support
-        (decided semantically on the cell refinement of the shift-0 part).
+        (decided semantically on the cell refinement of the shift-0 part),
+        and ArityError when an atom would be summed over more than
+        MAX_SLAB_WIDTH lattice points of an axis.
         """
         diagonal = [a for a in self.atoms if all(s == 0 for s in a.shift)]
         if not diagonal:
             return Fraction(0)
-        total = Fraction(0)
-        for cell, alive in _iter_cells(self.n, [(a.box, a) for a in diagonal]):
+        traces = [mat_trace(a.matrix) for a in diagonal]
+        summed = []
+        covered = {}  # (atom index, axis) -> the intervals it is summed over
+        for cell, alive in _iter_cells(self.n, [(a.box, k) for k, a in enumerate(diagonal)]):
             if all(lo is not None and hi is not None for lo, hi in cell):
-                for atom in alive:
-                    tr = mat_trace(atom.matrix)
-                    if tr != 0:
-                        total += tr * _weight_box_sum(atom.weight, cell)
-            else:
-                if not _cell_sum_vanishes(cell, alive):
-                    raise NotTraceClass(
-                        "diagonal part has unbounded nonzero support on cell "
-                        f"{cell}"
-                    )
+                alive = [k for k in alive if traces[k] != 0]
+                for k in alive:
+                    for i, bounds in enumerate(cell):
+                        covered.setdefault((k, i), set()).add(bounds)
+                summed.append((cell, alive))
+            elif not _cell_sum_vanishes(cell, [diagonal[k] for k in alive]):
+                raise NotTraceClass(f"diagonal part has unbounded nonzero support on cell {cell}")
+        # nested or half-bounded boxes are cut into cells that each fit the
+        # cap, so what one atom sums on one axis is checked, over all its cells
+        for intervals in covered.values():
+            _check_width(sum(hi - lo for lo, hi in intervals))
+        total = Fraction(0)
+        for cell, alive in summed:
+            for k in alive:
+                total += traces[k] * _weight_box_sum(diagonal[k].weight, cell)
         return total
 
     def in_ideal(self, axis, sign) -> bool:
@@ -532,6 +541,26 @@ def _cell_sum_vanishes(cell, atoms):
     return True
 
 
+# A residue or cocycle word's box lies in the commutator slabs [f, P_axis^+],
+# each as wide as f's shift on that axis.  _power_sum adds one lattice point
+# at a time (1.8-4.5 us a point for e = 0..2, in process; "t1^-3000000 ;
+# t1^3000000" took 7 s), so a wider range is refused before any point is
+# summed: trace checks what each diagonal atom sums per axis over all its
+# cells, _weight_box_sum the box it is given.  The message names a commutator
+# slab, as residues and cocycles are the traces users run.  The cap is four
+# times the widest shift trace_wide draws (24,003) and above what --max-m 1000
+# reaches.  word_sum takes the product of the slab widths for constant
+# weights, so multiloop and scalar cocycles take any exponent.  Closed-form
+# power sums would lift the cap with the loop.
+MAX_SLAB_WIDTH = 100_000
+
+
+def _check_width(width):
+    """ArityError when a range to be summed point by point is wider than MAX_SLAB_WIDTH."""
+    if width > MAX_SLAB_WIDTH:
+        raise ArityError(f"a commutator slab {width} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}")
+
+
 def _power_sum(e, lo, hi):
     """Sum of lam^e for lam in [lo, hi)."""
     total = Fraction(0)
@@ -541,6 +570,9 @@ def _power_sum(e, lo, hi):
 
 
 def _weight_box_sum(weight, cell):
+    """Sum of the weight over a bounded cell; the cell's widths are checked first."""
+    for lo, hi in cell:
+        _check_width(hi - lo)
     total = Fraction(0)
     for deg, c in weight.terms:
         val = c

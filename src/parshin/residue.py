@@ -28,24 +28,11 @@ from .matrices import det, exact_text, integer, mat_mul, mat_trace
 from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projector, projector_commutator
 
 
-# [f_j, P_axis^+] is nonzero only on a slab of the axis as wide as the
-# largest |shift| of f_j there, and every word's box lies in one slab per
-# axis.  The walk's trace, and word_sum on a derivation weight, sum a weight
-# term over each axis of that box one lattice point at a time
-# (opalg._power_sum, about 2.3 us a point), so a wider slab is refused before
-# any commutator is built: "t1^-3000000 ; t1^3000000" took 7 s.  The cap is
-# four times the widest shift trace_wide draws (24,003) and above what
-# --max-m 1000 reaches; cli.cmd_verify derives its --degree-bound cap from
-# it.  Closed-form power sums would make a trace's cost independent of the
-# width, and lift this cap.
-MAX_SLAB_WIDTH = 100_000
-
-
 def _trace_sum_input(operators, cuts):
     """(operators, n, d, cuts) after the refusals ``raw_sum`` and ``word_sum`` share.
 
-    There must be n + 1 operators on one space, and no commutator slab wider
-    than MAX_SLAB_WIDTH.
+    There must be n + 1 operators on one space, and n cut points.  A slab
+    too wide to sum is refused where it is summed, in ``opalg``.
     """
     operators = list(operators)
     if not operators:
@@ -56,11 +43,7 @@ def _trace_sum_input(operators, cuts):
             raise DimensionMismatch("trace sum operators on different spaces")
     if len(operators) != n + 1:
         raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
-    cuts = _cuts(n, cuts)
-    widest = max((abs(s) for op in operators[1:] for a in op.atoms for s in a.shift), default=0)
-    if widest > MAX_SLAB_WIDTH:
-        raise ArityError(f"a commutator slab {widest} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}")
-    return operators, n, d, cuts
+    return operators, n, d, _cuts(n, cuts)
 
 
 def raw_sum(operators, cuts=None) -> Fraction:

@@ -186,3 +186,13 @@ def test_criterion_14_wide_cocycle_trials():
     ok = verify_cocycle("multiloop", 3, degree_bound=1000, trials=3, seed=1).passed
     elapsed = time.perf_counter() - start
     _report(14, "wide cocycle trials", ok and elapsed < 3.0, elapsed)
+
+
+def test_criterion_15_any_degree_bound():
+    # a multiloop trial's words have constant weights, so no slab is summed
+    # point by point and no degree bound is refused: three trials at n = 3
+    # take 0.08-0.32 s in process at 10^6 and at 10^9 (seeds 1-3)
+    start = time.perf_counter()
+    ok = verify_cocycle("multiloop", 3, degree_bound=10**6, trials=3, seed=1).passed
+    elapsed = time.perf_counter() - start
+    _report(15, "any degree bound", ok and elapsed < 3.0, elapsed)

@@ -487,44 +487,46 @@ def test_verify_caps_trials(capsys, monkeypatch):
 
 def test_residue_caps_the_commutator_slab_width(tmp_path, capsys):
     # a trace sums one lattice point of a slab at a time: 3000000 took 7 s
-    from parshin.residue import MAX_SLAB_WIDTH
+    from parshin.opalg import MAX_SLAB_WIDTH
 
     for width in (MAX_SLAB_WIDTH + 1, 3_000_000, 10**9):
-        assert_error(capsys, ["residue", "--form", f"t1^-{width} ; t1^{width}", "--json"],
-                     "ArityError", f"slab {width} lattice points wide", f"cap {MAX_SLAB_WIDTH}")
+        code, out, _ = run_cli(capsys, "residue", "--form", f"t1^-{width} ; t1^{width}", "--json")
+        assert code == 1 and out == ('{"error": {"message": "a commutator slab %d lattice points wide '
+                                     'exceeds the cap %d", "type": "ArityError"}}\n' % (width, MAX_SLAB_WIDTH))
+    # a scalar chain's words have constant weights, summed as their slab widths at any width
     chain = write_chain(tmp_path, [{"factors": [{"exp": [-10**9]}, {"exp": [10**9]}]}])
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    assert code == 0 and json.loads(out)["value"] == "-1000000000"
+    # a vector field's weight lam is summed point by point
+    chain = write_chain(tmp_path, [{"factors": [{"s": [10**9], "i": 1}, {"s": [2 - 10**9], "i": 1}]}])
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ArityError", "slab")
     # the widest shift the benchmark's trace_wide workload draws
     code, out, _ = run_cli(capsys, "residue", "--form", "t1^-24003 ; t1^24003", "--json")
     assert code == 0 and json.loads(out)["residue"] == "24003"
 
 
-def test_verify_caps_degree_bound(capsys, monkeypatch):
-    # a trial's exponents lie within the bound, its balancing entry within
-    # n + 1 times it, and a bracket adds two of them: at the cap no
-    # commutator slab is wider than residue.MAX_SLAB_WIDTH
-    from parshin import cli
-    from parshin.residue import MAX_SLAB_WIDTH
+def test_residue_refuses_nested_slabs_by_the_widest(capsys):
+    # every slab of a multi-term form is within the cap or not on its own;
+    # the form is refused by its widest slab, whatever the nesting
+    from parshin.opalg import MAX_SLAB_WIDTH
 
-    for n, trials in ((1, 5), (2, 5), (3, 2)):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "cocycle", "--n", str(n), "--trials", str(trials),
-                               "--degree-bound", str(MAX_SLAB_WIDTH // (n + 2)), "--json")
-        assert code == 0 and json.loads(out)["passed"]
+    cap = MAX_SLAB_WIDTH
+    form = f"t1^-{cap} + t1^-{2 * cap} ; t1^{cap} + t1^{2 * cap}"
+    code, out, _ = run_cli(capsys, "residue", "--form", form, "--json")
+    assert code == 1 and out == ('{"error": {"message": "a commutator slab %d lattice points wide '
+                                 'exceeds the cap %d", "type": "ArityError"}}\n' % (2 * cap, cap))
 
-    runs = []
-    monkeypatch.setattr(cli._verify, "run_suite",
-                        lambda name, **kw: runs.append((name, kw)) or cli._verify.CheckReport(name))
+
+def test_verify_caps_degree_bound(capsys):
+    # only a negative bound is refused: a multiloop trial's words have
+    # constant weights, whose box sums are their slab widths at any bound
     for n in (1, 2, 3, 4):
-        cap = MAX_SLAB_WIDTH // (n + 2)
-        argv = ["verify", "--suite", "cocycle", "--n", str(n), "--trials", "1", "--json"]
-        assert_error(capsys, [*argv, "--degree-bound", "-1"], "ArityError", "--degree-bound must be at least 0")
-        for bound in (cap + 1, 3_000_000):
-            assert_error(capsys, [*argv, "--degree-bound", str(bound)], "ArityError",
-                         f"--degree-bound {bound} exceeds the cap {cap} at n = {n}")
-        assert not runs
-        for bound in (1000, cap):
-            assert run_cli(capsys, *argv, "--degree-bound", str(bound))[0] == 0
-            assert runs.pop() == ("cocycle", {"n": n, "seed": 1, "trials": 1, "degree_bound": bound})
+        assert_error(capsys, ["verify", "--suite", "cocycle", "--n", str(n), "--trials", "1",
+                              "--degree-bound", "-1", "--json"], "ArityError", "--degree-bound must be at least 0")
+    for n, trials, bound in ((1, 25, 10**9), (3, 5, 10**6)):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "cocycle", "--n", str(n), "--trials", str(trials),
+                               "--degree-bound", str(bound), "--json")
+        assert code == 0 and json.loads(out)["passed"]
 
 
 def test_cocycle_caps_n(tmp_path, capsys):

@@ -40,6 +40,7 @@ SITES = {
     "phi cuts": ("cut point", lambda x: phi([T_INV, T], (x,))),
     "ack_residue_n1 cut": ("cut point", lambda x: ack_residue_n1(*OPS, cut=x)),
     "virasoro_phi cut": ("cut point", lambda x: virasoro_phi(2, cut=x)),
+    "virasoro_phi m": ("Virasoro index", lambda x: virasoro_phi(x)),
     "homotopy cuts": ("cut point", lambda x: homotopy(N1, (x,))),
     "epsilon cuts": ("cut point", lambda x: epsilon(N1, 1, (x,))),
     "homotopy_hat cuts": ("cut point", lambda x: homotopy_hat(OPS[0], (x,))),

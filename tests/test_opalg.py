@@ -2,17 +2,19 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parshin.errors import DimensionMismatch, NotTraceClass
+from parshin.errors import ArityError, DimensionMismatch, NotTraceClass
 from parshin.laurent import GLaurent, LaurentPoly, parse_poly
 from parshin.liealg import ad, sl2
 from parshin.matrices import identity, is_zero_matrix, mat_add, matrix
 from parshin.opalg import (
+    MAX_SLAB_WIDTH,
     Box,
     KernelAtom,
     LatticeOperator,
@@ -20,6 +22,7 @@ from parshin.opalg import (
     _glue_boxes,
     _iter_cells,
     _normalize,
+    _weight_box_sum,
     atom_key,
     derivation_operator,
     mul_operator,
@@ -141,6 +144,52 @@ def test_trace_polynomial_weight():
         KernelAtom((0,), matrix([[1]]), LaurentPoly.variable(1, 1), Box.of([(-3, 4)]))
     ])
     assert op.trace() == sum(range(-3, 4))
+
+
+def test_trace_refuses_a_box_wider_than_the_slab_cap():
+    # a box is summed one lattice point at a time: at 10^9 that would take about half an hour
+    at_cap = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), LaurentPoly.one(1), ((0, MAX_SLAB_WIDTH),))])
+    assert at_cap.trace() == MAX_SLAB_WIDTH
+    for width in (MAX_SLAB_WIDTH + 1, 10**9):
+        op = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), LaurentPoly.one(1), ((0, width),))])
+        start = time.perf_counter()
+        with pytest.raises(ArityError, match=f"^a commutator slab {width} lattice points wide "
+                                             f"exceeds the cap {MAX_SLAB_WIDTH}$"):
+            op.trace()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_trace_refuses_what_one_atom_sums_over_many_cells():
+    # nested boxes and half-bounded boxes that cancel outside a slab are cut
+    # into cells of at most the cap each; the atom covering both is what counts
+    cap = MAX_SLAB_WIDTH
+    one = LaurentPoly.one(1)
+    two = one.scale(2)
+    nested = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), one, ((0, cap),)),
+                                         KernelAtom((0,), ((1,),), one, ((0, 2 * cap),))])
+    half = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), two, ((0, None),)),
+                                       KernelAtom((0,), ((1,),), -one, ((cap, None),)),
+                                       KernelAtom((0,), ((1,),), -one, ((2 * cap, None),))])
+    for op in (nested, half):
+        start = time.perf_counter()
+        with pytest.raises(ArityError, match=f"^a commutator slab {2 * cap} lattice points wide "
+                                             f"exceeds the cap {cap}$"):
+            op.trace()
+        assert time.perf_counter() - start < 0.1
+    # the same form summed through ack_residue_n1's operator
+    f0 = mul_operator(parse_poly(f"t1^-{cap} + t1^-{2 * cap}", 1))
+    f1 = mul_operator(parse_poly(f"t1^{cap} + t1^{2 * cap}", 1))
+    with pytest.raises(ArityError, match=f"^a commutator slab {2 * cap} lattice points wide"):
+        projector(1, 1, "+").commutator(f1).compose(f0).trace()
+
+
+def test_weight_box_sum_refuses_by_the_box_alone():
+    # lam_1 sums to 0 over [-5, 6), so the second axis's sum is never needed;
+    # the box is still refused, whatever the weight
+    box = ((-5, 6), (0, MAX_SLAB_WIDTH + 1))
+    for weight in (parse_poly("t1", 2), LaurentPoly.one(2)):
+        with pytest.raises(ArityError, match=f"^a commutator slab {MAX_SLAB_WIDTH + 1} lattice points"):
+            _weight_box_sum(weight, box)
 
 
 def test_trace_properties_random():

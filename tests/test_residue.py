@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from parshin.cube import lift_iterative
 from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
 from parshin.liealg import sl2
 from parshin.matrices import det
 from parshin.opalg import (
+    MAX_SLAB_WIDTH,
     Box,
     KernelAtom,
     LatticeOperator,
@@ -22,7 +24,6 @@ from parshin.opalg import (
     projector,
 )
 from parshin.residue import (
-    MAX_SLAB_WIDTH,
     MAX_WORK,
     ResidueReport,
     ack_residue_n1,
@@ -312,11 +313,14 @@ def test_word_sum_shares_the_walks_refusals():
     from parshin.errors import DimensionMismatch
 
     t1, t12 = mul_operator(mono(1, (1,))), mul_operator(mono(2, (1, 1)))
-    wide = mul_operator(mono(1, (MAX_SLAB_WIDTH + 1,)))
+    # a balanced pair of vector fields whose derivation weights are summed
+    # point by point over a slab one point wider than the cap
+    w = MAX_SLAB_WIDTH + 1
+    wide = [derivation_operator(1, (1 - w,), 1), derivation_operator(1, (w + 1,), 1)]
     for ops, cuts, error in (([], None, DimensionMismatch),
                              ([t1, t12], None, DimensionMismatch), ([t1] * 3, None, DimensionMismatch),
                              ([t1, t1], (0, 0), DimensionMismatch), ([t1, t1], (Fraction(1, 2),), TypeError),
-                             ([t1, wide], None, ArityError)):
+                             (wide, None, ArityError)):
         messages = []
         for trace_sum in (raw_sum, word_sum):
             with pytest.raises(error) as info:
@@ -526,6 +530,19 @@ def test_ack_matches_residue_random():
         f0 = random_laurent(rng, 1)
         f1 = random_laurent(rng, 1)
         assert ack_residue_n1(mul_operator(f0), mul_operator(f1)) == residue(f0, [f1]).residue
+
+
+def test_traces_outside_the_trace_sums_refuse_a_wide_slab():
+    # ack_residue_n1 and the lift's final head trace without raw_sum or word_sum
+    for width in (MAX_SLAB_WIDTH + 1, 10**9):
+        f0, f1 = mul_operator(mono(1, (-width,))), mul_operator(mono(1, (width,)))
+        message = f"^a commutator slab {width} lattice points wide exceeds the cap {MAX_SLAB_WIDTH}$"
+        final = lift_iterative([f0, f1])[-1].term((1,)).component("0")
+        for trace in (lambda: ack_residue_n1(f0, f1), final.trace):
+            start = time.perf_counter()
+            with pytest.raises(ArityError, match=message):
+                trace()
+            assert time.perf_counter() - start < 0.1
 
 
 def test_ack_cut_choice():
