@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArityError, ModuleActionUndefined
+from .errors import ArityError, ModuleActionUndefined, shown
 from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import LieElement, rational_from_json
 from .opalg import LatticeOperator, atom_key, derivation_operator
@@ -218,13 +218,13 @@ class TensorChain:
 
 def factor_from_json(doc, n, algebra=None):
     if not isinstance(doc, dict):
-        raise ValueError(f"a chain factor must be an object, got {doc!r}")
+        raise ValueError(f"a chain factor must be an object, got {shown(doc)}")
     if "s" in doc:
         if "Y" in doc or "exp" in doc:
-            raise ValueError(f"chain factor {doc!r} holds 's' with 'Y' or 'exp'; give one of them")
+            raise ValueError(f"chain factor {shown(doc)} holds 's' with 'Y' or 'exp'; give one of them")
         axis = doc.get("i", 1)
         if type(axis) is not int:
-            raise ValueError(f"chain factor {doc!r} needs an integer 'i'")
+            raise ValueError(f"chain factor {shown(doc)} needs an integer 'i'")
         operator = derivation_operator(n, _int_list(doc, "s"), axis)
         if "coeff" in doc:
             operator = operator.scale(rational_from_json(doc["coeff"], "chain factor"))
@@ -242,7 +242,7 @@ def factor_from_json(doc, n, algebra=None):
 def _int_list(doc, key):
     value = doc.get(key)
     if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"chain factor {doc!r} needs {key!r} as a list of integers")
+        raise ValueError(f"chain factor {shown(doc)} needs {key!r} as a list of integers")
     return tuple(value)
 
 
@@ -263,7 +263,7 @@ def read_chain(doc, algebra=None, max_n=None) -> tuple:
     for term in doc["terms"]:
         factors = term.get("factors") if isinstance(term, dict) else None
         if not isinstance(factors, list):
-            raise ValueError(f"chain term {term!r} needs a 'factors' list")
+            raise ValueError(f"chain term {shown(term)} needs a 'factors' list")
         terms.append((rational_from_json(term.get("coeff", 1), "chain term"),
                       tuple(factor_from_json(f, n, algebra) for f in factors)))
     return n, terms

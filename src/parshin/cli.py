@@ -117,10 +117,13 @@ def cmd_residue(args) -> int:
 def cmd_cocycle(args) -> int:
     doc = read_json(args.input)
     algebra = None
-    algebra_ref = doc.get("algebra") if isinstance(doc, dict) else None
+    algebra_ref = doc.get("algebra", "scalar") if isinstance(doc, dict) else "scalar"
+    if not isinstance(algebra_ref, str):
+        raise ValueError(f"a chain's 'algebra' must be a string, got {shown(algebra_ref)}: "
+                         "Lie-algebra factors need an algebra file path, other chains 'scalar'")
     if args.algebra:
         algebra = load_algebra(args.algebra)
-    elif isinstance(algebra_ref, str) and algebra_ref != "scalar":
+    elif algebra_ref != "scalar":
         algebra = load_algebra(algebra_ref)
     n, terms = read_chain(doc, algebra, MAX_N)
     # the first factor is the distinguished f0 slot; order is preserved

@@ -14,7 +14,9 @@ n = 1 specializations below fix this normalization) on three input flavors:
 ``flavor`` reads the one flavor a wedge's entries share from their types;
 ``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
 A wedge whose entries are each one atom on the whole lattice (every monomial
-and derivation the chain reader builds) is traced by ``residue.word_sum``;
+and derivation the chain reader builds) is traced by ``residue.word_sum``,
+which factors each entry's constant weight and the rational content of its
+matrix out of the sum once and multiplies int matrices word by word;
 any other (a sum, a zero entry such as the ad of a centre element, a
 restricted operator) by the operator walk ``residue.raw_sum``.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial

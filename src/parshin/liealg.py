@@ -55,7 +55,7 @@ class LieAlgebra:
     def by_name(self, name) -> "LieElement":
         if name not in self.basis_names:
             raise ValueError(
-                f"unknown basis element {name!r}; the basis is {', '.join(self.basis_names)}"
+                f"unknown basis element {shown(name)}; the basis is {', '.join(self.basis_names)}"
             )
         return self.basis_element(self.basis_names.index(name))
 
@@ -278,7 +278,7 @@ def from_json_dict(doc) -> LieAlgebra:
     basis = doc.get("basis", [f"e{i}" for i in range(dim)])
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
-        raise ValueError(f"'basis' must list {dim} distinct names, got {basis!r}")
+        raise ValueError(f"'basis' must list {dim} distinct names, got {shown(basis)}")
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise ValueError(f"'brackets' must be a list of bracket entries, got {shown(brackets)}")
@@ -286,13 +286,13 @@ def from_json_dict(doc) -> LieAlgebra:
     for entry in brackets:
         if (not isinstance(entry, dict) or type(entry.get("i")) is not int
                 or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
-            raise ValueError(f"bracket entry {entry!r} needs integer 'i', 'j' and a 'coeffs' object")
+            raise ValueError(f"bracket entry {shown(entry)} needs integer 'i', 'j' and a 'coeffs' object")
         i, j = entry["i"], entry["j"]
         if not 0 <= i < j < dim:
             raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
         vec = {}
         for k, c in entry["coeffs"].items():
-            vec[_json_index(k, i, j, dim)] = rational_from_json(c, f"bracket {k!r}")
+            vec[_json_index(k, i, j, dim)] = rational_from_json(c, f"bracket {shown(k)}")
         structure[(i, j)] = vec
         structure[(j, i)] = {k: -c for k, c in vec.items()}
     return validate(structure, dim=dim, basis_names=tuple(basis))
@@ -305,9 +305,9 @@ def _json_index(key, i, j, dim) -> int:
     except (TypeError, ValueError):
         index = None
     if index is None or str(index) != key:
-        raise ValueError(f"bracket ({i}, {j}) has coefficient key {key!r}, which is not a plain decimal index")
+        raise ValueError(f"bracket ({i}, {j}) has coefficient key {shown(key)}, which is not a plain decimal index")
     if not 0 <= index < dim:
-        raise ValueError(f"bracket ({i}, {j}) coefficient index {key!r} is not in 0..{dim - 1}")
+        raise ValueError(f"bracket ({i}, {j}) coefficient index {shown(key)} is not in 0..{dim - 1}")
     return index
 
 

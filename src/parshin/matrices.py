@@ -60,9 +60,8 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    d = len(b)
     cols = list(zip(*b))
-    return tuple(tuple(sum(ra[k] * col[k] for k in range(d)) for col in cols) for ra in a)
+    return tuple(tuple(sum(x * y for x, y in zip(ra, col)) for col in cols) for ra in a)
 
 
 def mat_trace(a):

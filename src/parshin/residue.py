@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
 from .laurent import LaurentPoly, _perm_sign, parshin_oracle
-from .matrices import det, exact_text, integer, mat_mul, mat_trace
+from .matrices import det, exact_text, integer, mat_mul
 from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projector, projector_commutator
 
 
@@ -125,6 +125,13 @@ def _whole_lattice_atoms(operators):
     return atoms
 
 
+def _integral_content(matrix):
+    """(den, N) with matrix = N / den: den is the lcm of the entries'
+    denominators and N a matrix of ints."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix)
+
+
 def word_sum(operators, cuts=None) -> Fraction:
     """``raw_sum`` of operators that are each one atom on the whole lattice,
     traced word by word without building any lattice operator.
@@ -141,11 +148,15 @@ def word_sum(operators, cuts=None) -> Fraction:
 
     Every word holds every operator once, so the constant weights (every
     weight but a derivation's lam_axis) multiply each word by the same
-    number: they are read once and multiply the sum.  A word whose weights
-    are all constant sums 1 over its box, which is the product of its slab
-    widths |s_pi(i),i|, so its trace costs no polynomial and no box walk;
-    the other weights are shifted, multiplied and summed over the box.
-    ValueError when an operator is not one atom on the whole lattice.
+    number: they are read once and multiply the sum.  So does each
+    matrix's rational content: a matrix is N / den, with den the lcm of
+    its entries' denominators, so 1 / prod den joins that number and the
+    words multiply the int matrices N.  A word whose weights are all
+    constant sums 1 over its box, which is the product of its slab widths
+    |s_pi(i),i|, so its trace costs no polynomial and no box walk, and the
+    sum stays an int until the one final product; the other weights are
+    shifted, multiplied and summed over the box.  ValueError when an
+    operator is not one atom on the whole lattice.
     """
     operators, n, _, cuts = _trace_sum_input(operators, cuts)
     atoms = _whole_lattice_atoms(operators)
@@ -157,11 +168,13 @@ def word_sum(operators, cuts=None) -> Fraction:
     scalar = math.prod(c for c in constants if c is not None)
     if scalar == 0:
         return Fraction(0)
+    dens, integral = zip(*(_integral_content(a.matrix) for a in atoms))
+    scalar = Fraction(scalar, math.prod(dens))
     f0 = atoms[0]
-    total = Fraction(0)
+    total = 0
     for perm in itertools.permutations(range(1, n + 1)):
         sign = _perm_sign(perm)
-        offset, matrix, width = f0.shift, f0.matrix, 1
+        offset, matrix, width = f0.shift, integral[0], 1
         weight = f0.weight if constants[0] is None else None
         bounds = [None] * n
         for i in range(n - 1, -1, -1):
@@ -180,10 +193,10 @@ def word_sum(operators, cuts=None) -> Fraction:
             if constants[j] is None:
                 shifted = a.weight.shift_argument(offset)
                 weight = shifted if weight is None else shifted * weight
-            matrix = mat_mul(a.matrix, matrix)
+            matrix = mat_mul(integral[j], matrix)
             offset = tuple(x + y for x, y in zip(offset, a.shift))
         else:
-            tr = mat_trace(matrix)
+            tr = sum(row[i] for i, row in enumerate(matrix))  # an int; mat_trace is a Fraction
             if tr != 0:
                 total += sign * tr * (width if weight is None else _weight_box_sum(weight, bounds))
     return scalar * total

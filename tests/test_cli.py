@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from parshin.cli import main, parse_form
-from parshin.errors import ArityError, ParseError
+from parshin.errors import ArityError, ParseError, shown
 from parshin.laurent import LaurentPoly
 
 
@@ -342,6 +342,46 @@ def test_cocycle_algebra_file_that_is_a_list(tmp_path, capsys):
     chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [1]}, {"Y": "F", "exp": [-1]}]}],
                         algebra=[2, 0])
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", "need an algebra")
+
+
+@pytest.mark.parametrize("algebra", [5, None, ["sl2.json"]])
+def test_cocycle_algebra_must_be_a_string(tmp_path, capsys, algebra):
+    # a non-string 'algebra' was ignored: scalar factors printed a value and
+    # exited 0, and Lie-algebra factors were refused without naming the field
+    for factors in ([{"exp": [1]}, {"exp": [-1]}], [{"Y": "E", "exp": [1]}, {"Y": "F", "exp": [-1]}]):
+        chain = write_chain(tmp_path, [{"factors": factors}], algebra=algebra)
+        for extra in ([], ["--algebra", sl2_path(tmp_path)]):
+            assert_error(capsys, ["cocycle", "--input", chain, "--json", *extra], "ValueError",
+                         "'algebra'", f"got {shown(algebra)}")
+
+
+LONG = [0] * 100_000 + ["x"]
+
+
+@pytest.mark.parametrize("terms, algebra_doc, fragments", [
+    ([{"factors": [LONG]}], None, ("chain factor", "must be an object")),
+    ([{"factors": [{"exp": LONG}]}], None, ("chain factor", "'exp'")),
+    ([{"factors": [{"s": LONG, "exp": [1]}]}], None, ("chain factor", "'s'", "'exp'")),
+    ([{"factors": [{"s": [2], "i": LONG}]}], None, ("chain factor", "'i'")),
+    ([{"factors": 5, "coeff": LONG}], None, ("chain term", "'factors'")),
+    ([{"factors": [{"Y": "x" * 100_000, "exp": [1]}]}], {"dim": 1, "basis": ["H"]}, ("unknown basis element", "H")),
+    ([], {"dim": 2, "basis": LONG}, ("'basis'", "2 distinct")),
+    ([], {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": LONG}]}, ("bracket entry", "'coeffs'")),
+    ([], {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"7" * 5000: "1"}}]}, ("bracket (0, 1)", "plain decimal")),
+])
+def test_chain_and_algebra_errors_show_a_bounded_value(tmp_path, capsys, terms, algebra_doc, fragments):
+    # each message used to hold the whole offending object: a 100,001-element
+    # 'exp' gave a 300,110-byte payload
+    if algebra_doc is None:
+        chain = write_chain(tmp_path, terms)
+    else:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(algebra_doc))
+        chain = write_chain(tmp_path, terms, algebra=str(path))
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    assert code == 1 and len(out) < 300, out[:300]
+    message = json.loads(out)["error"]["message"]
+    assert all(fragment in message for fragment in fragments), message
 
 
 def test_cocycle_unknown_basis_name(tmp_path, capsys):

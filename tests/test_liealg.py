@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parshin.errors import AntisymmetryViolation, ArityError, JacobiViolation, MixedAlgebras, ParshinError
+from parshin.errors import AntisymmetryViolation, ArityError, JacobiViolation, MixedAlgebras, ParshinError, shown
 from parshin.liealg import (
     MAX_DIM,
     abelian,
@@ -271,12 +271,12 @@ def reference_read(doc):
     basis = doc.get("basis", [f"e{i}" for i in range(dim)])
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
-        raise ValueError(f"'basis' must list {dim} distinct names, got {basis!r}")
+        raise ValueError(f"'basis' must list {dim} distinct names, got {shown(basis)}")
     table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in doc.get("brackets", ()):
         if (not isinstance(entry, dict) or type(entry.get("i")) is not int
                 or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
-            raise ValueError(f"bracket entry {entry!r} needs integer 'i', 'j' and a 'coeffs' object")
+            raise ValueError(f"bracket entry {shown(entry)} needs integer 'i', 'j' and a 'coeffs' object")
         i, j = entry["i"], entry["j"]
         if not 0 <= i < j < dim:
             raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")

@@ -13,7 +13,7 @@ from parshin.cube import lift_iterative
 from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
 from parshin.liealg import sl2
-from parshin.matrices import det
+from parshin.matrices import det, mat_mul
 from parshin.opalg import (
     MAX_SLAB_WIDTH,
     Box,
@@ -298,6 +298,63 @@ def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
     assert [word_sum(constant), word_sum(scalar)] == expected[:2]
     with pytest.raises(AssertionError, match="_power_sum was called"):
         word_sum(derivation)
+
+
+def int_matrices_only(monkeypatch):
+    """Make ``word_sum``'s matrix products refuse any entry that is not an
+    int; returns the list of products taken."""
+    products = []
+
+    def int_mat_mul(a, b):
+        assert all(type(x) is int for m in (a, b) for row in m for x in row), (a, b)
+        products.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(importlib.import_module("parshin.residue"), "mat_mul", int_mat_mul)
+    return products
+
+
+def test_word_sum_multiplies_int_matrices_on_a_rational_algebra(monkeypatch):
+    # sl2 in the basis (H/2, E, F/3): [h, e] = e, [h, f] = -f, [e, f] = 2/3 h,
+    # so ad holds Fraction entries even before the Fraction coefficients
+    from parshin.liealg import from_json_dict
+
+    alg = from_json_dict({"dim": 3, "basis": ["h", "e", "f"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"1": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"2": "-1"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "2/3"}}]})
+    rng = random.Random(25)
+    cases = []
+    for n, trials in ((1, 30), (2, 30), (3, 16), (4, 6)):
+        for trial in range(trials):
+            ops = []
+            for row in random_rows(rng, n, balanced=trial % 4 != 3):
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+                coeffs[rng.randrange(3)] = Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4))
+                element = alg.element(coeffs)
+                ops.append(mul_operator(GLaurent.monomial(n, element, tuple(row))))
+            cuts = random_cuts(rng, n)
+            cases.append((ops, cuts, raw_sum(ops, cuts)))
+    assert sum(expected != 0 for *_, expected in cases) >= 30
+    assert sum(isinstance(expected, Fraction) and expected.denominator > 1 for *_, expected in cases) >= 10
+    products = int_matrices_only(monkeypatch)
+    for ops, cuts, expected in cases:
+        assert word_sum(ops, cuts) == expected, (ops, cuts)
+    assert products
+
+
+def test_word_sum_hoists_fraction_coefficients_out_of_the_words(monkeypatch):
+    alg = sl2()
+    h, e, f = (alg.element(c) for c in ((Fraction(3, 2), 0, 0), (0, Fraction(-5, 3), 0), (0, 0, 1)))
+    cases = []
+    for n, elements in ((1, (e, f)), (2, (h, e, f)), (3, (e, h, f, h))):
+        rows = random_rows(random.Random(n), n, balanced=True)
+        ops = [mul_operator(GLaurent.monomial(n, el, tuple(row))) for el, row in zip(elements, rows)]
+        cases.append((ops, raw_sum(ops)))
+    assert all(expected != 0 for _, expected in cases)
+    products = int_matrices_only(monkeypatch)
+    assert [word_sum(ops) for ops, _ in cases] == [expected for _, expected in cases]
+    assert products
 
 
 def test_word_sum_takes_only_whole_lattice_atoms():
