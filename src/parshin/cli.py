@@ -34,8 +34,9 @@ MAX_M = 1000
 MAX_TRIALS = 1000
 
 # the cocycle and all suites at n = MAX_N are the only ones whose MAX_TRIALS
-# trials run past 300 s: one trial takes about 0.35-0.93 s there at any
-# --degree-bound up to 10^9 (seeds 1-2, in process), so 250 take about 4 minutes
+# trials run past 300 s: one trial takes about 0.10-0.31 s (cocycle) and
+# 0.21-0.46 s (all) there at --degree-bound 2 and 10^9 (seeds 1-2, in
+# process), so 250 take about 2 minutes
 MAX_COCYCLE_TRIALS = 250
 
 

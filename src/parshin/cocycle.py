@@ -13,12 +13,13 @@ n = 1 specializations below fix this normalization) on three input flavors:
 
 ``flavor`` reads the one flavor a wedge's entries share from their types;
 ``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
-A wedge whose entries are each one atom on the whole lattice (every monomial
-and derivation the chain reader builds) is traced by ``residue.word_sum``,
-which factors each entry's constant weight and the rational content of its
-matrix out of the sum once and multiplies int matrices word by word;
-any other (a sum, a zero entry such as the ad of a centre element, a
-restricted operator) by the operator walk ``residue.raw_sum``.
+A wedge whose entries are each one atom of constant weight on the whole
+lattice (every monomial the chain reader builds) is traced by
+``residue.word_sum``, which factors the weights and the rational content of
+the matrices out of the sum once and sums int matrix products over the sets
+of indices placed, not over words; any other (a derivation, whose weight
+lam_axis is not constant; a sum; a zero entry such as the ad of a centre
+element; a restricted operator) by the operator walk ``residue.raw_sum``.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
 multiloop wedges.  The seeded checks of the cocycle identity and of the
 closed form live in :mod:`parshin.verify`.
@@ -66,8 +67,8 @@ def flavor(entries) -> str:
 def phi(entries, cuts=None) -> Fraction:
     """The cocycle value on a single wedge f_0 ^ ... ^ f_n.
 
-    ``word_sum`` when every entry's operator is one atom on the whole
-    lattice, else ``raw_sum``; both give the same value.
+    ``word_sum`` when every entry's operator is one atom of constant weight
+    on the whole lattice, else ``raw_sum``; both give the same value.
     """
     entries = tuple(entries)
     flavor(entries)

@@ -6,9 +6,8 @@ is semantic equality.  ``parshin_oracle`` is the classical coefficient
 extraction residue: the coefficient of t_1^-1 ... t_n^-1 in f_0 times the
 Jacobian determinant of (f_1, ..., f_n), read off the determinant's
 multilinear expansion over the term tuples of f_1, ..., f_n without forming
-the Jacobian polynomial (``jacobian_det`` forms it, as the tests' reference).
-It is the independent reference that the operator-trace residue is tested
-against.
+the Jacobian polynomial (the tests form it, as their reference).  It is
+the independent reference that the operator-trace residue is tested against.
 
 A coefficient is held as a plain ``int`` when it is integral and as a
 ``Fraction`` otherwise, as ``matrices.matrix`` holds matrix entries.  An
@@ -193,22 +192,6 @@ def partial(f: LaurentPoly, axis) -> LaurentPoly:
         new[i] -= 1
         out[tuple(new)] = out.get(tuple(new), 0) + c * exp[i]
     return LaurentPoly(f.n, _canonical(out))
-
-
-def jacobian_det(fs) -> LaurentPoly:
-    """det(d f_i / d t_j) expanded exactly over permutations."""
-    n = fs[0].n
-    if len(fs) != n:
-        raise DimensionMismatch(f"need {n} polynomials for an n={n} Jacobian, got {len(fs)}")
-    grid = [[partial(f, j + 1) for j in range(n)] for f in fs]
-    total = LaurentPoly.zero(n)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = LaurentPoly.one(n)
-        for i in range(n):
-            prod = prod * grid[i][perm[i]]
-        total = total + prod.scale(sign)
-    return total
 
 
 def _perm_sign(perm):

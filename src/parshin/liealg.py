@@ -54,9 +54,9 @@ class LieAlgebra:
 
     def by_name(self, name) -> "LieElement":
         if name not in self.basis_names:
-            raise ValueError(
-                f"unknown basis element {shown(name)}; the basis is {', '.join(self.basis_names)}"
-            )
+            # a name is listed verbatim unless ``shown`` would cut it
+            listed = (b if shown(b) == repr(b) else shown(b) for b in self.basis_names)
+            raise ValueError(f"unknown basis element {shown(name)}; the basis is {', '.join(listed)}")
         return self.basis_element(self.basis_names.index(name))
 
     def basis(self):

@@ -98,6 +98,3 @@ def det(a):
         prev = pivot_value
     return Fraction(sign * m[-1][-1] if d else 1)
 
-
-def mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)

@@ -42,7 +42,6 @@ from .matrices import (
     mat_mul,
     mat_scale,
     mat_trace,
-    mat_vec,
 )
 
 
@@ -218,34 +217,6 @@ class LatticeOperator:
 
     def commutator(self, other) -> "LatticeOperator":
         return self.compose(other) - other.compose(self)
-
-    # -- action --------------------------------------------------------------
-
-    def apply(self, vector):
-        """Apply to a finitely supported map exponent -> coefficient vector.
-
-        Scalar entries are accepted for d == 1.
-        """
-        out = {}
-        zero = (Fraction(0),) * self.d
-        for lam, v in vector.items():
-            lam = tuple(lam)
-            if len(lam) != self.n:
-                raise DimensionMismatch(f"exponent {lam} has length {len(lam)}, expected {self.n}")
-            if not isinstance(v, tuple):
-                v = (Fraction(v),) if self.d == 1 else tuple(Fraction(x) for x in v)
-            for atom in self.atoms:
-                if any((lo is not None and x < lo) or (hi is not None and x >= hi)
-                       for (lo, hi), x in zip(atom.box, lam)):
-                    continue
-                w = atom.weight.evaluate(lam)
-                if w == 0:
-                    continue
-                target = tuple(x + s for x, s in zip(lam, atom.shift))
-                image = mat_vec(atom.matrix, v)
-                prev = out.get(target, zero)
-                out[target] = tuple(p + w * x for p, x in zip(prev, image))
-        return {lam: v for lam, v in out.items() if any(x != 0 for x in v)}
 
     # -- semantics -----------------------------------------------------------
 
@@ -546,12 +517,13 @@ def _cell_sum_vanishes(cell, atoms):
 # at a time (1.8-4.5 us a point for e = 0..2, in process; "t1^-3000000 ;
 # t1^3000000" took 7 s), so a wider range is refused before any point is
 # summed: trace checks what each diagonal atom sums per axis over all its
-# cells, _weight_box_sum the box it is given.  The message names a commutator
-# slab, as residues and cocycles are the traces users run.  The cap is four
-# times the widest shift trace_wide draws (24,003) and above what --max-m 1000
-# reaches.  word_sum takes the product of the slab widths for constant
-# weights, so multiloop and scalar cocycles take any exponent.  Closed-form
-# power sums would lift the cap with the loop.
+# cells, and _weight_box_sum, which only trace calls, the box it is given.
+# The message names a commutator slab, as residues and cocycles are the
+# traces users run.  The cap is four times the widest shift trace_wide draws
+# (24,003) and above what --max-m 1000 reaches.  word_sum takes only constant
+# weights and multiplies slab widths, so multiloop and scalar cocycles take
+# any exponent; a derivation's weight is summed in the walk's trace.
+# Closed-form power sums would lift the cap with the loop.
 MAX_SLAB_WIDTH = 100_000
 
 

@@ -8,11 +8,12 @@ matches the classical coefficient-extraction residue (checked against
 alternative global sign ``paper_res_star``).
 
 ``raw_sum``'s walk over lattice operators is the definition.  ``word_sum``
-evaluates the same sum word by word when every operator is one atom on the
-whole lattice, and ``cocycle.phi`` takes it there.  ``residue`` and every
-check against a closed form keep the walk: for constant weights the word
-kernel evaluates the same Leibniz sum as the determinant formula, so
-checking one against the other would not be independent.
+evaluates the same sum when every operator is one atom of constant weight on
+the whole lattice, as a sum over the sets of indices already placed rather
+than over words, and ``cocycle.phi`` takes it there.  ``residue`` and every
+check against a closed form keep the walk: the set sum evaluates the same
+Leibniz sum as the determinant formula, so checking one against the other
+would not be independent.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
-from .laurent import LaurentPoly, _perm_sign, parshin_oracle
-from .matrices import det, exact_text, integer, mat_mul
-from .opalg import LatticeOperator, _cuts, _weight_box_sum, mul_operator, projector, projector_commutator
+from .laurent import LaurentPoly, parshin_oracle
+from .matrices import det, exact_text, integer, mat_add, mat_mul, mat_scale
+from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
 def _trace_sum_input(operators, cuts):
@@ -116,10 +117,12 @@ def raw_sum(operators, cuts=None) -> Fraction:
 
 def _whole_lattice_atoms(operators):
     """The atom of each operator when every one is a single atom on the whole
-    lattice (the operators ``word_sum`` takes), else None."""
+    lattice with a constant weight (the operators ``word_sum`` takes), else
+    None."""
     atoms = []
     for op in operators:
-        if len(op.atoms) != 1 or any(bound != (None, None) for bound in op.atoms[0].box):
+        if (len(op.atoms) != 1 or any(bound != (None, None) for bound in op.atoms[0].box)
+                or not op.atoms[0].weight.is_constant()):
             return None
         atoms.append(op.atoms[0])
     return atoms
@@ -132,73 +135,72 @@ def _integral_content(matrix):
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix)
 
 
+def _placements(shifts, placed, axis):
+    """(j, c) for each index j outside the bit mask ``placed`` whose
+    commutator on ``axis`` (0-based) is nonzero: c is the slab width |s|,
+    negated when s > 0, times the parity of the placed indices below j, and
+    so -s times that parity."""
+    sign = 1
+    for j in range(1, len(shifts)):
+        if placed >> j & 1:
+            sign = -sign
+        elif shifts[j][axis]:
+            yield j, -sign * shifts[j][axis]
+
+
 def word_sum(operators, cuts=None) -> Fraction:
-    """``raw_sum`` of operators that are each one atom on the whole lattice,
-    traced word by word without building any lattice operator.
+    """``raw_sum`` of operators that are each one atom w t^s M of constant
+    weight w on the whole lattice, summed over placed sets without building
+    any lattice operator.
 
-    For such an f = w t^s M, the commutator [f, P_i^+] is one atom on the
-    slab [c_i, c_i - s_i) of axis i when s_i < 0, minus one atom on
+    For such an f, the commutator [f, P_i^+] is one atom on the slab
+    [c_i, c_i - s_i) of axis i when s_i < 0, minus one atom on
     [c_i - s_i, c_i) when s_i > 0, and 0 when s_i = 0.  Each axis takes one
-    commutator, so the word of a permutation pi is a single atom: walking
-    the axes from n down to 1 from f_0, with o the shift so far, axis i
-    bounds the domain by its slab minus o_i, the weight becomes
-    f.weight(lam + o) * weight and the matrix f.matrix * matrix.  Only a
+    commutator, so the word of a permutation pi is a single atom.  Only a
     balanced tuple (shifts summing to 0) has a diagonal, and the word's
-    trace is its sign times tr(matrix) times the weight summed over the box.
+    trace is its sign times tr(matrix) times the product of the weights
+    and of its slab widths |s_pi(i),i|.  The cuts move the slabs but not
+    their widths, so the value does not depend on them.
 
-    Every word holds every operator once, so the constant weights (every
-    weight but a derivation's lam_axis) multiply each word by the same
-    number: they are read once and multiply the sum.  So does each
-    matrix's rational content: a matrix is N / den, with den the lcm of
-    its entries' denominators, so 1 / prod den joins that number and the
-    words multiply the int matrices N.  A word whose weights are all
-    constant sums 1 over its box, which is the product of its slab widths
-    |s_pi(i),i|, so its trace costs no polynomial and no box walk, and the
-    sum stays an int until the one final product; the other weights are
-    shifted, multiplied and summed over the box.  ValueError when an
-    operator is not one atom on the whole lattice.
+    Every word holds every operator once, so the weights multiply the sum
+    once.  So does each matrix's rational content: a matrix is N / den,
+    with den the lcm of its entries' denominators, so 1 / prod den joins
+    that number and the words multiply the int matrices N.
+
+    Walking the axes from n down to 1, the factor that places f_j on axis
+    i is -s_(j,i) N_j times the parity of the indices already placed below
+    j, so it depends only on the set S placed before it.  The prefixes
+    therefore collapse onto their sets: D[S + {j}] += c N_j D[S] from
+    D[{}] = N_0, and the sum is tr D[{1..n}].  That is n 2^(n-1) products
+    instead of up to n n! (the noncommutative analogue of expanding a
+    determinant by minors), and the last axis takes only traces,
+    tr(N_j D) as a sum of row-by-column dot products.  The sum stays an int
+    until the one final product.  ValueError when an operator is not one
+    atom of constant weight on the whole lattice.
     """
-    operators, n, _, cuts = _trace_sum_input(operators, cuts)
+    operators, n, _, _ = _trace_sum_input(operators, cuts)
     atoms = _whole_lattice_atoms(operators)
     if atoms is None:
-        raise ValueError("word_sum takes operators that are each one atom on the whole lattice")
-    if any(sum(col) for col in zip(*(a.shift for a in atoms))):
-        return Fraction(0)
-    constants = [a.weight.coefficient((0,) * n) if a.weight.is_constant() else None for a in atoms]
-    scalar = math.prod(c for c in constants if c is not None)
-    if scalar == 0:
+        raise ValueError("word_sum takes operators that are each one atom on the whole lattice, "
+                         "of constant weight")
+    shifts = [a.shift for a in atoms]
+    if any(sum(col) for col in zip(*shifts)):
         return Fraction(0)
     dens, integral = zip(*(_integral_content(a.matrix) for a in atoms))
-    scalar = Fraction(scalar, math.prod(dens))
-    f0 = atoms[0]
+    scalar = Fraction(math.prod(a.weight.coefficient((0,) * n) for a in atoms), math.prod(dens))
+    layer = {0: integral[0]}  # placed set, as a bit mask over 1..n -> D[set]
+    for axis in range(n - 1, 0, -1):
+        following = {}
+        for placed, matrix in layer.items():
+            for j, c in _placements(shifts, placed, axis):
+                step = mat_scale(c, mat_mul(integral[j], matrix))
+                key = placed | 1 << j
+                following[key] = mat_add(following[key], step) if key in following else step
+        layer = following
     total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        sign = _perm_sign(perm)
-        offset, matrix, width = f0.shift, integral[0], 1
-        weight = f0.weight if constants[0] is None else None
-        bounds = [None] * n
-        for i in range(n - 1, -1, -1):
-            j, c = perm[i], cuts[i]
-            a = atoms[j]
-            s = a.shift[i]
-            if s == 0:
-                break
-            if s > 0:
-                sign = -sign
-                lo, hi = c - s, c
-            else:
-                lo, hi = c, c - s
-            bounds[i] = (lo - offset[i], hi - offset[i])
-            width *= hi - lo
-            if constants[j] is None:
-                shifted = a.weight.shift_argument(offset)
-                weight = shifted if weight is None else shifted * weight
-            matrix = mat_mul(integral[j], matrix)
-            offset = tuple(x + y for x, y in zip(offset, a.shift))
-        else:
-            tr = sum(row[i] for i, row in enumerate(matrix))  # an int; mat_trace is a Fraction
-            if tr != 0:
-                total += sign * tr * (width if weight is None else _weight_box_sum(weight, bounds))
+    for placed, matrix in layer.items():
+        for j, c in _placements(shifts, placed, 0):
+            total += c * sum(x * y for row, col in zip(integral[j], zip(*matrix)) for x, y in zip(row, col))
     return scalar * total
 
 

@@ -391,6 +391,17 @@ def test_cocycle_unknown_basis_name(tmp_path, capsys):
                  "'G'", "H, E, F")
 
 
+def test_cocycle_unknown_basis_name_lists_a_long_name_cut(tmp_path, capsys):
+    algebra = tmp_path / "long.json"
+    algebra.write_text(json.dumps({"dim": 2, "basis": ["a", "x" * 100_000]}))
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "a", "exp": [1]}, {"Y": "G", "exp": [-1]}]}],
+                        algebra=str(algebra))
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    assert code == 1 and len(out.encode()) < 300, out[:400]
+    message = json.loads(out)["error"]["message"]
+    assert "'G'" in message and "the basis is a, 'xxxx" in message and "(100002 characters)" in message
+
+
 def test_cocycle_flavor_is_classified_and_checked(tmp_path, capsys):
     chain = write_chain(tmp_path, [{"factors": [{"exp": [-3]}, {"exp": [3]}]}])
     code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")

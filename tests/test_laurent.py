@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import re
@@ -18,7 +19,7 @@ from parshin.errors import ArityError, DimensionMismatch, ParseError
 from parshin.laurent import (
     GLaurent,
     LaurentPoly,
-    jacobian_det,
+    _perm_sign,
     parse_poly,
     parshin_oracle,
     partial,
@@ -32,6 +33,20 @@ from parshin.sampling import random_lie_element
 
 def mono(n, exp, c=1):
     return LaurentPoly.monomial(n, exp, c)
+
+
+def jacobian_det(fs) -> LaurentPoly:
+    """det(d f_i / d t_j) expanded exactly over permutations: the Jacobian
+    polynomial the oracle never forms."""
+    n = fs[0].n
+    grid = [[partial(f, j + 1) for j in range(n)] for f in fs]
+    total = LaurentPoly.zero(n)
+    for perm in itertools.permutations(range(n)):
+        prod = LaurentPoly.one(n)
+        for i in range(n):
+            prod = prod * grid[i][perm[i]]
+        total = total + prod.scale(_perm_sign(perm))
+    return total
 
 
 # -- arithmetic ---------------------------------------------------------------

@@ -8,7 +8,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parshin.cocycle import phi, virasoro_generator
 from parshin.cube import lift_iterative
 from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
@@ -250,7 +253,14 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
             ops = [random_word_operator(rng, n, tuple(row), kind) for row, kind in zip(rows, kinds)]
             cuts = tuple(rng.randint(-4, 4) for _ in range(n)) if trial % 4 else None
             expected = raw_sum(ops, cuts)
-            assert word_sum(ops, cuts) == expected, (rows, kinds, cuts)
+            if "derivation" in kinds:
+                # a derivation weight is not constant: phi takes the walk
+                with pytest.raises(ValueError, match="of constant weight"):
+                    word_sum(ops, cuts)
+                if n == 1:
+                    assert phi(ops, cuts) == expected, (rows, kinds, cuts)
+            else:
+                assert word_sum(ops, cuts) == expected, (rows, kinds, cuts)
             nonzero += expected != 0
             rational += expected != 0 and "sl2 rational" in kinds
             unbalanced += any(sum(a.shift[i] for op in ops for a in op.atoms) for i in range(n))
@@ -258,25 +268,26 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
     assert nonzero >= 40 and rational >= 10 and unbalanced >= 20 and zero_exponents >= 20
 
     # Fraction scalar weights, 3/2 t1^a, and n = 1 wedges of every mix of
-    # derivation and monomial entries
+    # derivation and monomial entries, through phi
     for a in range(-3, 4):
         for kinds in itertools.product(("scalar", "derivation"), repeat=2):
             for cut in (0, 2, -3):
                 ops = [random_word_operator(rng, 1, (-a,), kinds[0]),
                        random_word_operator(rng, 1, (a,), kinds[1])]
-                assert word_sum(ops, (cut,)) == raw_sum(ops, (cut,)), (a, kinds, cut)
+                assert phi(ops, (cut,)) == raw_sum(ops, (cut,)), (a, kinds, cut)
         ops = [mul_operator(mono(1, (-a,), Fraction(-5, 7))), mul_operator(mono(1, (a,), Fraction(3, 2)))]
         assert word_sum(ops) == raw_sum(ops) == Fraction(15, 14) * a
 
     # constant weights on slabs at and just under MAX_SLAB_WIDTH, where the
-    # word's box sum is its width; a derivation weight is still summed point
-    # by point (a tenth of the cap keeps the walk's reference value quick)
+    # word's box sum is its width; phi sums a derivation weight point by
+    # point in the walk (a tenth of the cap keeps the reference value quick)
     w, v = MAX_SLAB_WIDTH, MAX_SLAB_WIDTH - 1
     for ops, cuts in (([mul_operator(mono(1, (w,), Fraction(3, 2))), mul_operator(mono(1, (-w,)))], (5,)),
-                      ([derivation_operator(1, (1 - w // 10,), 1), derivation_operator(1, (w // 10 + 1,), 1)], None),
                       ([mul_operator(mono(2, (-v, -1))), mul_operator(mono(2, (v, 0))),
                         mul_operator(mono(2, (0, 1), -2))], (-1, 3))):
         assert word_sum(ops, cuts) == raw_sum(ops, cuts), cuts
+    vector_fields = [derivation_operator(1, (1 - w // 10,), 1), derivation_operator(1, (w // 10 + 1,), 1)]
+    assert phi(vector_fields) == raw_sum(vector_fields) != 0
 
 
 def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
@@ -296,8 +307,12 @@ def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
 
     monkeypatch.setattr(parshin.opalg, "_power_sum", refuse)
     assert [word_sum(constant), word_sum(scalar)] == expected[:2]
-    with pytest.raises(AssertionError, match="_power_sum was called"):
+    # a derivation weight is not constant: the kernel refuses it, and phi
+    # sums it in the walk
+    with pytest.raises(ValueError, match="of constant weight"):
         word_sum(derivation)
+    with pytest.raises(AssertionError, match="_power_sum was called"):
+        phi(derivation)
 
 
 def int_matrices_only(monkeypatch):
@@ -314,15 +329,20 @@ def int_matrices_only(monkeypatch):
     return products
 
 
-def test_word_sum_multiplies_int_matrices_on_a_rational_algebra(monkeypatch):
-    # sl2 in the basis (H/2, E, F/3): [h, e] = e, [h, f] = -f, [e, f] = 2/3 h,
-    # so ad holds Fraction entries even before the Fraction coefficients
+def rational_sl2():
+    """sl2 in the basis (H/2, E, F/3): [h, e] = e, [h, f] = -f, [e, f] = 2/3 h,
+    read from "p/q" structure constants, so ad holds Fraction entries even
+    before any Fraction coefficient."""
     from parshin.liealg import from_json_dict
 
-    alg = from_json_dict({"dim": 3, "basis": ["h", "e", "f"], "brackets": [
+    return from_json_dict({"dim": 3, "basis": ["h", "e", "f"], "brackets": [
         {"i": 0, "j": 1, "coeffs": {"1": "1"}},
         {"i": 0, "j": 2, "coeffs": {"2": "-1"}},
         {"i": 1, "j": 2, "coeffs": {"0": "2/3"}}]})
+
+
+def test_word_sum_multiplies_int_matrices_on_a_rational_algebra(monkeypatch):
+    alg = rational_sl2()
     rng = random.Random(25)
     cases = []
     for n, trials in ((1, 30), (2, 30), (3, 16), (4, 6)):
@@ -371,7 +391,8 @@ def test_word_sum_shares_the_walks_refusals():
 
     t1, t12 = mul_operator(mono(1, (1,))), mul_operator(mono(2, (1, 1)))
     # a balanced pair of vector fields whose derivation weights are summed
-    # point by point over a slab one point wider than the cap
+    # point by point over a slab one point wider than the cap; their weights
+    # are not constant, so phi traces them in the walk
     w = MAX_SLAB_WIDTH + 1
     wide = [derivation_operator(1, (1 - w,), 1), derivation_operator(1, (w + 1,), 1)]
     for ops, cuts, error in (([], None, DimensionMismatch),
@@ -379,11 +400,80 @@ def test_word_sum_shares_the_walks_refusals():
                              ([t1, t1], (0, 0), DimensionMismatch), ([t1, t1], (Fraction(1, 2),), TypeError),
                              (wide, None, ArityError)):
         messages = []
-        for trace_sum in (raw_sum, word_sum):
+        for trace_sum in (raw_sum, phi if ops is wide else word_sum):
             with pytest.raises(error) as info:
                 trace_sum(ops, cuts)
             messages.append(str(info.value))
         assert messages[0] == messages[1], messages
+
+
+COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
+
+
+@st.composite
+def constant_weight_wedges(draw):
+    """(operators, cuts): n = 1..4 monomials with Fraction coefficients, on
+    d = 1 or on sl2 (integer or "p/q" structure constants); exponents in
+    -3..3 with zeros, balanced three times in four."""
+    n = draw(st.integers(1, 4))
+    algebra = draw(st.sampled_from((None, sl2(), rational_sl2())))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n + 1)]
+    if draw(st.integers(0, 3)):
+        rows[0] = [-sum(row[i] for row in rows[1:]) for i in range(n)]
+    ops = []
+    for row in rows:
+        coefficient = draw(st.sampled_from(COEFFICIENTS))
+        if algebra is None:
+            ops.append(mul_operator(mono(n, tuple(row), coefficient)))
+            continue
+        coeffs = [draw(st.sampled_from((0,) + COEFFICIENTS)) for _ in range(3)]
+        coeffs[draw(st.integers(0, 2))] = coefficient
+        ops.append(mul_operator(GLaurent.monomial(n, algebra.element(coeffs), tuple(row))))
+    cuts = draw(st.none() | st.tuples(*[st.integers(-4, 4)] * n))
+    return ops, cuts
+
+
+@given(constant_weight_wedges())
+@settings(max_examples=200, deadline=None)
+def test_the_set_sum_matches_the_walk(case):
+    ops, cuts = case
+    assert word_sum(ops, cuts) == raw_sum(ops, cuts)
+
+
+def test_the_set_sum_takes_at_most_n_2_to_the_n_minus_1_products(monkeypatch):
+    # every exponent nonzero, so no word of f_1..f_n is cut short: one per
+    # permutation would take n n! products
+    alg = sl2()
+    cases = []
+    for n, names in ((3, "EFHH"), (4, "EFHHH")):
+        rows = [[(-1) ** (i + j) * (1 + (i * j) % 3) for j in range(n)] for i in range(1, n + 1)]
+        rows.insert(0, [-sum(row[j] for row in rows) for j in range(n)])
+        ops = [mul_operator(GLaurent.monomial(n, alg.by_name(name), tuple(row))) for name, row in zip(names, rows)]
+        cases.append((n, ops, raw_sum(ops)))
+    assert all(expected != 0 for *_, expected in cases)
+    products = int_matrices_only(monkeypatch)
+    for n, ops, expected in cases:
+        products.clear()
+        assert word_sum(ops) == expected
+        assert len(products) <= n * 2 ** (n - 1), (n, len(products))
+
+
+def test_phi_sums_a_virasoro_wedge_in_the_walk(monkeypatch):
+    cocycle = importlib.import_module("parshin.cocycle")
+    walks = []
+
+    def refuse(*args):
+        raise AssertionError("word_sum was called")
+
+    def counted_raw_sum(*args):
+        walks.append(args)
+        return raw_sum(*args)
+
+    monkeypatch.setattr(cocycle, "word_sum", refuse)
+    monkeypatch.setattr(cocycle, "raw_sum", counted_raw_sum)
+    for m in (1, 2, 3, 7, -4):
+        assert phi([virasoro_generator(m), virasoro_generator(-m)]) == Fraction(-(m**3 - m), 6)
+    assert len(walks) == 5
 
 
 # -- monomial tuples: only balanced ones are traced -----------------------------
