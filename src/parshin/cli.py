@@ -185,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "via lattice operator traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cuts_help = "idempotent cut points, comma separated or a single value (use --cuts=-2,3 for negatives)"
 
     p = sub.add_parser("residue", help="residue of f0 df1 ... dfn with oracle cross-check")
     p.add_argument("--form", help="polynomials separated by ';', e.g. \"t1^-1 ; t1\"")
     p.add_argument("--input", help="path to a file holding the form text")
-    p.add_argument("--cuts", help="idempotent cut points, comma separated or a single "
-                                  "value (use --cuts=-2,3 for negatives)")
+    p.add_argument("--cuts", help=cuts_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_residue)
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=_cocycle.FLAVORS,
                    help="expected flavor; an error if the chain's entries are another")
     p.add_argument("--algebra", help="Lie algebra JSON path (overrides the chain file)")
-    p.add_argument("--cuts")
+    p.add_argument("--cuts", help=cuts_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cocycle)
 

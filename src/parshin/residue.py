@@ -8,12 +8,13 @@ matches the classical coefficient-extraction residue (checked against
 alternative global sign ``paper_res_star``).
 
 ``raw_sum``'s walk over lattice operators is the definition.  ``word_sum``
-evaluates the same sum when every operator is one atom of constant weight on
-the whole lattice, as a sum over the sets of indices already placed rather
-than over words, and ``cocycle.phi`` takes it there.  ``residue`` and every
-check against a closed form keep the walk: the set sum evaluates the same
-Leibniz sum as the determinant formula, so checking one against the other
-would not be independent.
+evaluates the same sum on the multiplication operators of scalar and
+multiloop entries that are each one term acting by a nonzero matrix: it
+reads the entries' terms, builds no lattice operator, and sums over the
+sets of indices already placed rather than over words.  ``cocycle.phi``
+takes it there.  ``residue`` and every check against a closed form keep the
+walk: the set sum evaluates the same Leibniz sum as the determinant formula,
+so checking one against the other would not be independent.
 """
 
 from __future__ import annotations
@@ -24,27 +25,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
-from .laurent import LaurentPoly, parshin_oracle
-from .matrices import det, exact_text, integer, mat_add, mat_mul, mat_scale
+from .laurent import GLaurent, LaurentPoly, parshin_oracle
+from .liealg import LieElement, ad
+from .matrices import det, exact_text, integer, is_zero_matrix, mat_add, mat_mul, mat_scale
 from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
-def _trace_sum_input(operators, cuts):
-    """(operators, n, d, cuts) after the refusals ``raw_sum`` and ``word_sum`` share.
+def _trace_sum_input(spaces, cuts):
+    """(n, cuts) after the refusals ``raw_sum`` and ``word_sum`` share, from
+    the (n, d) space of each operator or entry.
 
-    There must be n + 1 operators on one space, and n cut points.  A slab
-    too wide to sum is refused where it is summed, in ``opalg``.
+    There must be n + 1 of them on one space, and n cut points.  A slab too
+    wide to sum is refused where it is summed, in ``opalg``.
     """
-    operators = list(operators)
-    if not operators:
+    if not spaces:
         raise DimensionMismatch("a trace sum needs n+1 operators, got none")
-    n, d = operators[0].n, operators[0].d
-    for op in operators:
-        if op.n != n or op.d != d:
-            raise DimensionMismatch("trace sum operators on different spaces")
-    if len(operators) != n + 1:
-        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(operators)}")
-    return operators, n, d, _cuts(n, cuts)
+    n, d = spaces[0]
+    if any(space != (n, d) for space in spaces):
+        raise DimensionMismatch("trace sum operators on different spaces")
+    if len(spaces) != n + 1:
+        raise DimensionMismatch(f"need n+1 = {n + 1} operators, got {len(spaces)}")
+    return n, _cuts(n, cuts)
 
 
 def raw_sum(operators, cuts=None) -> Fraction:
@@ -78,7 +79,8 @@ def raw_sum(operators, cuts=None) -> Fraction:
     This walk defines the value: ``word_sum`` is checked against it, and the
     residue and the closed-form checks trace through it.
     """
-    operators, n, d, cuts = _trace_sum_input(operators, cuts)
+    operators = list(operators)
+    n, cuts = _trace_sum_input([(op.n, op.d) for op in operators], cuts)
 
     # the negated shifts a product of f_1..f_n can take (the Minkowski sum
     # of their atom shifts)
@@ -86,7 +88,7 @@ def raw_sum(operators, cuts=None) -> Fraction:
     for op in operators[1:]:
         cancel = {tuple(r - s for r, s in zip(rest, shift))
                   for rest in cancel for shift in {a.shift for a in op.atoms}}
-    f0 = LatticeOperator(n, d, tuple(a for a in operators[0].atoms if a.shift in cancel))
+    f0 = LatticeOperator(n, operators[0].d, tuple(a for a in operators[0].atoms if a.shift in cancel))
     if f0.is_structurally_zero():
         return Fraction(0)
 
@@ -115,17 +117,19 @@ def raw_sum(operators, cuts=None) -> Fraction:
     return walk(n, f0, 1, ())
 
 
-def _whole_lattice_atoms(operators):
-    """The atom of each operator when every one is a single atom on the whole
-    lattice with a constant weight (the operators ``word_sum`` takes), else
-    None."""
-    atoms = []
-    for op in operators:
-        if (len(op.atoms) != 1 or any(bound != (None, None) for bound in op.atoms[0].box)
-                or not op.atoms[0].weight.is_constant()):
-            return None
-        atoms.append(op.atoms[0])
-    return atoms
+def _monomial_factor(entry):
+    """(shift, weight, matrix) of an entry that is one term acting by a
+    nonzero matrix: c t^s (a LaurentPoly) has weight c and matrix (1), and
+    Y t^s (a GLaurent) weight 1 and matrix ad(Y).  ValueError for any other
+    entry: a sum, a zero entry, the ad of a centre element, an operator."""
+    if isinstance(entry, (LaurentPoly, GLaurent)) and len(entry.terms) == 1:
+        (shift, value), = entry.terms
+        if isinstance(entry, LaurentPoly):
+            return shift, value, ((1,),)
+        matrix = ad(LieElement(entry.algebra, value))
+        if not is_zero_matrix(matrix):
+            return shift, 1, matrix
+    raise ValueError("word_sum takes entries that are each one term acting by a nonzero matrix")
 
 
 def _integral_content(matrix):
@@ -148,21 +152,24 @@ def _placements(shifts, placed, axis):
             yield j, -sign * shifts[j][axis]
 
 
-def word_sum(operators, cuts=None) -> Fraction:
-    """``raw_sum`` of operators that are each one atom w t^s M of constant
-    weight w on the whole lattice, summed over placed sets without building
-    any lattice operator.
+def word_sum(entries, cuts=None) -> Fraction:
+    """``raw_sum`` of the multiplication operators of entries that are each
+    one term w t^s acting by a nonzero matrix M, summed over placed sets
+    without building any lattice operator.
 
-    For such an f, the commutator [f, P_i^+] is one atom on the slab
-    [c_i, c_i - s_i) of axis i when s_i < 0, minus one atom on
-    [c_i - s_i, c_i) when s_i > 0, and 0 when s_i = 0.  Each axis takes one
-    commutator, so the word of a permutation pi is a single atom.  Only a
-    balanced tuple (shifts summing to 0) has a diagonal, and the word's
-    trace is its sign times tr(matrix) times the product of the weights
-    and of its slab widths |s_pi(i),i|.  The cuts move the slabs but not
-    their widths, so the value does not depend on them.
+    Each entry's term is read once: its shift s, its weight w (a scalar's
+    coefficient, 1 for a multiloop entry) and its matrix M ((1) for a
+    scalar, ad(Y) for Y t^s).  Multiplication by it is one atom w t^s M of
+    constant weight on the whole lattice, and its commutator [f, P_i^+] is
+    one atom on the slab [c_i, c_i - s_i) of axis i when s_i < 0, minus one
+    atom on [c_i - s_i, c_i) when s_i > 0, and 0 when s_i = 0.  Each axis
+    takes one commutator, so the word of a permutation pi is a single atom.
+    Only a balanced tuple (shifts summing to 0) has a diagonal, and the
+    word's trace is its sign times tr(matrix) times the product of the
+    weights and of its slab widths |s_pi(i),i|.  The cuts move the slabs
+    but not their widths, so the value does not depend on them.
 
-    Every word holds every operator once, so the weights multiply the sum
+    Every word holds every entry once, so the weights multiply the sum
     once.  So does each matrix's rational content: a matrix is N / den,
     with den the lcm of its entries' denominators, so 1 / prod den joins
     that number and the words multiply the int matrices N.
@@ -175,19 +182,18 @@ def word_sum(operators, cuts=None) -> Fraction:
     instead of up to n n! (the noncommutative analogue of expanding a
     determinant by minors), and the last axis takes only traces,
     tr(N_j D) as a sum of row-by-column dot products.  The sum stays an int
-    until the one final product.  ValueError when an operator is not one
-    atom of constant weight on the whole lattice.
+    until the one final product.  ValueError, before any cut is read, when
+    an entry is not one term acting by a nonzero matrix; it is the only
+    ValueError raised here, and ``cocycle.phi`` sends such a wedge to the
+    walk.  The other refusals are ``raw_sum``'s, with its messages.
     """
-    operators, n, _, _ = _trace_sum_input(operators, cuts)
-    atoms = _whole_lattice_atoms(operators)
-    if atoms is None:
-        raise ValueError("word_sum takes operators that are each one atom on the whole lattice, "
-                         "of constant weight")
-    shifts = [a.shift for a in atoms]
+    factors = [_monomial_factor(e) for e in entries]
+    n, _ = _trace_sum_input([(len(shift), len(matrix)) for shift, _, matrix in factors], cuts)
+    shifts, weights, matrices = zip(*factors)
     if any(sum(col) for col in zip(*shifts)):
         return Fraction(0)
-    dens, integral = zip(*(_integral_content(a.matrix) for a in atoms))
-    scalar = Fraction(math.prod(a.weight.coefficient((0,) * n) for a in atoms), math.prod(dens))
+    dens, integral = zip(*map(_integral_content, matrices))
+    scalar = Fraction(math.prod(weights), math.prod(dens))
     layer = {0: integral[0]}  # placed set, as a bit mask over 1..n -> D[set]
     for axis in range(n - 1, 0, -1):
         following = {}

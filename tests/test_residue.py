@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from parshin.cocycle import phi, virasoro_generator
 from parshin.cube import lift_iterative
-from parshin.errors import ArityError, NotTraceClass, ShapeMismatch
+from parshin.errors import ArityError, DimensionMismatch, NotTraceClass, ShapeMismatch
 from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
-from parshin.liealg import sl2
+from parshin.liealg import heisenberg3, sl2
 from parshin.matrices import det, mat_mul
 from parshin.opalg import (
     MAX_SLAB_WIDTH,
@@ -70,8 +70,6 @@ def test_raw_sum_n2_identity_exponents():
 
 
 def test_raw_sum_shape_checks():
-    from parshin.errors import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         raw_sum([mul_operator(parse_poly("t1")), mul_operator(parse_poly("t1*t2"))])
     with pytest.raises(DimensionMismatch):
@@ -216,24 +214,30 @@ def test_pruned_walk_matches_enumeration_multi_atom():
 
 # -- the word kernel against the walk -------------------------------------------
 
-def random_word_operator(rng, n, exp, kind):
-    """One atom on the whole lattice shifting by exp: a scalar monomial with a
-    Fraction coefficient, an sl2 monomial with a Fraction scalar or with
-    rational coefficients (so ad holds Fraction entries), or a scaled
-    derivation t^s d/dt_axis (weight lam_axis)."""
+def walk_operators(entries):
+    """The operators ``raw_sum`` traces for cocycle entries: a monomial's
+    multiplication operator, and a derivation as it is."""
+    return [e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries]
+
+
+def random_word_entry(rng, n, exp, kind):
+    """One entry shifting by exp: a scalar monomial with a Fraction
+    coefficient, an sl2 monomial with a Fraction scalar or with rational
+    coefficients (so ad holds Fraction entries), or a scaled derivation
+    t^s d/dt_axis (weight lam_axis)."""
     if kind == "sl2":
         element = random_lie_element(rng, sl2()).scale(random_nonzero(rng))
-        return mul_operator(GLaurent.monomial(n, element, exp))
+        return GLaurent.monomial(n, element, exp)
     if kind == "sl2 rational":
         while True:
             element = sl2().element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
             if not element.is_zero():
-                return mul_operator(GLaurent.monomial(n, element, exp))
+                return GLaurent.monomial(n, element, exp)
     if kind == "derivation":
         axis = rng.randint(1, n)
         s = tuple(x + (i == axis - 1) for i, x in enumerate(exp))
         return derivation_operator(n, s, axis).scale(random_nonzero(rng))
-    return mul_operator(mono(n, exp, random_nonzero(rng)))
+    return mono(n, exp, random_nonzero(rng))
 
 
 def test_word_sum_matches_the_walk_on_single_atom_tuples():
@@ -250,17 +254,20 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
                     rows[0] = [-sum(rows[i][j] for i in range(1, n + 1)) for j in range(n)]
             kinds = [tuple(rng.choice(("sl2", "sl2 rational")) for _ in range(n + 1)), ("scalar",) * (n + 1),
                      tuple(rng.choice(("scalar", "derivation")) for _ in range(n + 1))][trial % 3]
-            ops = [random_word_operator(rng, n, tuple(row), kind) for row, kind in zip(rows, kinds)]
+            entries = [random_word_entry(rng, n, tuple(row), kind) for row, kind in zip(rows, kinds)]
+            ops = walk_operators(entries)
             cuts = tuple(rng.randint(-4, 4) for _ in range(n)) if trial % 4 else None
             expected = raw_sum(ops, cuts)
             if "derivation" in kinds:
-                # a derivation weight is not constant: phi takes the walk
-                with pytest.raises(ValueError, match="of constant weight"):
-                    word_sum(ops, cuts)
+                # a derivation is no one-term entry (its weight is not
+                # constant): the kernel refuses it, and phi takes the walk
+                # (on operators, as the flavors do not mix)
+                with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
+                    word_sum(entries, cuts)
                 if n == 1:
                     assert phi(ops, cuts) == expected, (rows, kinds, cuts)
             else:
-                assert word_sum(ops, cuts) == expected, (rows, kinds, cuts)
+                assert word_sum(entries, cuts) == expected, (rows, kinds, cuts)
             nonzero += expected != 0
             rational += expected != 0 and "sl2 rational" in kinds
             unbalanced += any(sum(a.shift[i] for op in ops for a in op.atoms) for i in range(n))
@@ -268,24 +275,26 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
     assert nonzero >= 40 and rational >= 10 and unbalanced >= 20 and zero_exponents >= 20
 
     # Fraction scalar weights, 3/2 t1^a, and n = 1 wedges of every mix of
-    # derivation and monomial entries, through phi
+    # derivation and monomial entries, through phi (a mixed wedge as
+    # operators)
     for a in range(-3, 4):
         for kinds in itertools.product(("scalar", "derivation"), repeat=2):
             for cut in (0, 2, -3):
-                ops = [random_word_operator(rng, 1, (-a,), kinds[0]),
-                       random_word_operator(rng, 1, (a,), kinds[1])]
-                assert phi(ops, (cut,)) == raw_sum(ops, (cut,)), (a, kinds, cut)
-        ops = [mul_operator(mono(1, (-a,), Fraction(-5, 7))), mul_operator(mono(1, (a,), Fraction(3, 2)))]
-        assert word_sum(ops) == raw_sum(ops) == Fraction(15, 14) * a
+                entries = [random_word_entry(rng, 1, (-a,), kinds[0]),
+                           random_word_entry(rng, 1, (a,), kinds[1])]
+                ops = walk_operators(entries)
+                wedge = entries if kinds[0] == kinds[1] else ops
+                assert phi(wedge, (cut,)) == raw_sum(ops, (cut,)), (a, kinds, cut)
+        entries = [mono(1, (-a,), Fraction(-5, 7)), mono(1, (a,), Fraction(3, 2))]
+        assert word_sum(entries) == raw_sum(walk_operators(entries)) == Fraction(15, 14) * a
 
     # constant weights on slabs at and just under MAX_SLAB_WIDTH, where the
     # word's box sum is its width; phi sums a derivation weight point by
     # point in the walk (a tenth of the cap keeps the reference value quick)
     w, v = MAX_SLAB_WIDTH, MAX_SLAB_WIDTH - 1
-    for ops, cuts in (([mul_operator(mono(1, (w,), Fraction(3, 2))), mul_operator(mono(1, (-w,)))], (5,)),
-                      ([mul_operator(mono(2, (-v, -1))), mul_operator(mono(2, (v, 0))),
-                        mul_operator(mono(2, (0, 1), -2))], (-1, 3))):
-        assert word_sum(ops, cuts) == raw_sum(ops, cuts), cuts
+    for entries, cuts in (([mono(1, (w,), Fraction(3, 2)), mono(1, (-w,))], (5,)),
+                          ([mono(2, (-v, -1)), mono(2, (v, 0)), mono(2, (0, 1), -2)], (-1, 3))):
+        assert word_sum(entries, cuts) == raw_sum(walk_operators(entries), cuts), cuts
     vector_fields = [derivation_operator(1, (1 - w // 10,), 1), derivation_operator(1, (w // 10 + 1,), 1)]
     assert phi(vector_fields) == raw_sum(vector_fields) != 0
 
@@ -294,12 +303,11 @@ def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
     import parshin.opalg
 
     alg = sl2()
-    constant = [mul_operator(GLaurent.monomial(2, alg.element(c), e))
+    constant = [GLaurent.monomial(2, alg.element(c), e)
                 for c, e in (((1, 0, 0), (-1, -2)), ((0, Fraction(1, 3), 0), (1, 0)), ((0, 0, 2), (0, 2)))]
-    scalar = [mul_operator(mono(2, (-2, 1), Fraction(3, 2))), mul_operator(mono(2, (1, 0))),
-              mul_operator(mono(2, (1, -1), -1))]
+    scalar = [mono(2, (-2, 1), Fraction(3, 2)), mono(2, (1, 0)), mono(2, (1, -1), -1)]
     derivation = [derivation_operator(1, (4,), 1), derivation_operator(1, (-2,), 1)]
-    expected = [raw_sum(ops) for ops in (constant, scalar, derivation)]
+    expected = [raw_sum(walk_operators(entries)) for entries in (constant, scalar, derivation)]
     assert expected[0] != 0 and expected[1] != 0
 
     def refuse(*args):
@@ -309,7 +317,7 @@ def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
     assert [word_sum(constant), word_sum(scalar)] == expected[:2]
     # a derivation weight is not constant: the kernel refuses it, and phi
     # sums it in the walk
-    with pytest.raises(ValueError, match="of constant weight"):
+    with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
         word_sum(derivation)
     with pytest.raises(AssertionError, match="_power_sum was called"):
         phi(derivation)
@@ -347,19 +355,18 @@ def test_word_sum_multiplies_int_matrices_on_a_rational_algebra(monkeypatch):
     cases = []
     for n, trials in ((1, 30), (2, 30), (3, 16), (4, 6)):
         for trial in range(trials):
-            ops = []
+            entries = []
             for row in random_rows(rng, n, balanced=trial % 4 != 3):
                 coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
                 coeffs[rng.randrange(3)] = Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4))
-                element = alg.element(coeffs)
-                ops.append(mul_operator(GLaurent.monomial(n, element, tuple(row))))
+                entries.append(GLaurent.monomial(n, alg.element(coeffs), tuple(row)))
             cuts = random_cuts(rng, n)
-            cases.append((ops, cuts, raw_sum(ops, cuts)))
+            cases.append((entries, cuts, raw_sum(walk_operators(entries), cuts)))
     assert sum(expected != 0 for *_, expected in cases) >= 30
     assert sum(isinstance(expected, Fraction) and expected.denominator > 1 for *_, expected in cases) >= 10
     products = int_matrices_only(monkeypatch)
-    for ops, cuts, expected in cases:
-        assert word_sum(ops, cuts) == expected, (ops, cuts)
+    for entries, cuts, expected in cases:
+        assert word_sum(entries, cuts) == expected, (entries, cuts)
     assert products
 
 
@@ -369,42 +376,76 @@ def test_word_sum_hoists_fraction_coefficients_out_of_the_words(monkeypatch):
     cases = []
     for n, elements in ((1, (e, f)), (2, (h, e, f)), (3, (e, h, f, h))):
         rows = random_rows(random.Random(n), n, balanced=True)
-        ops = [mul_operator(GLaurent.monomial(n, el, tuple(row))) for el, row in zip(elements, rows)]
-        cases.append((ops, raw_sum(ops)))
+        entries = [GLaurent.monomial(n, el, tuple(row)) for el, row in zip(elements, rows)]
+        cases.append((entries, raw_sum(walk_operators(entries))))
     assert all(expected != 0 for _, expected in cases)
     products = int_matrices_only(monkeypatch)
-    assert [word_sum(ops) for ops, _ in cases] == [expected for _, expected in cases]
+    assert [word_sum(entries) for entries, _ in cases] == [expected for _, expected in cases]
     assert products
 
 
 def test_word_sum_takes_only_whole_lattice_atoms():
-    t = mul_operator(mono(1, (1,)))
-    for bad in (mul_operator(parse_poly("t1 + t1^2")), LatticeOperator.zero(1),
+    # the entries word_sum takes are one term acting by a nonzero matrix,
+    # each multiplication by one atom on the whole lattice
+    t = mono(1, (1,))
+    centre = GLaurent.monomial(1, heisenberg3().by_name("z"), (-1,))
+    for bad in (parse_poly("t1 + t1^2"), LaurentPoly.zero(1), centre, mul_operator(t),
                 projector(1, 1, "+").compose(mul_operator(mono(1, (-1,))))):
-        with pytest.raises(ValueError, match="one atom on the whole lattice"):
+        with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
             word_sum([bad, t])
-    assert word_sum([mul_operator(mono(1, (-1,))), t]) == raw_sum([mul_operator(mono(1, (-1,))), t])
+    assert word_sum([mono(1, (-1,)), t]) == raw_sum(walk_operators([mono(1, (-1,)), t]))
 
 
 def test_word_sum_shares_the_walks_refusals():
-    from parshin.errors import DimensionMismatch
-
-    t1, t12 = mul_operator(mono(1, (1,))), mul_operator(mono(2, (1, 1)))
     # a balanced pair of vector fields whose derivation weights are summed
-    # point by point over a slab one point wider than the cap; their weights
-    # are not constant, so phi traces them in the walk
+    # point by point over a slab one point wider than the cap; they are no
+    # one-term entries, so phi traces them in the walk
     w = MAX_SLAB_WIDTH + 1
     wide = [derivation_operator(1, (1 - w,), 1), derivation_operator(1, (w + 1,), 1)]
-    for ops, cuts, error in (([], None, DimensionMismatch),
-                             ([t1, t12], None, DimensionMismatch), ([t1] * 3, None, DimensionMismatch),
-                             ([t1, t1], (0, 0), DimensionMismatch), ([t1, t1], (Fraction(1, 2),), TypeError),
-                             (wide, None, ArityError)):
+    for entries, error in (([], DimensionMismatch), (wide, ArityError)):
         messages = []
-        for trace_sum in (raw_sum, phi if ops is wide else word_sum):
+        for trace_sum in (raw_sum, phi if entries is wide else word_sum):
             with pytest.raises(error) as info:
-                trace_sum(ops, cuts)
+                trace_sum(entries)
             messages.append(str(info.value))
         assert messages[0] == messages[1], messages
+
+
+@pytest.mark.parametrize("algebra", ["scalar", "sl2"])
+@pytest.mark.parametrize("case", ["different n", "entry count", "cut count", "non-integral cut"])
+def test_phi_and_word_sum_refuse_monomial_entries_as_the_walk_does(case, algebra):
+    def entry(*exp):
+        return mono(len(exp), exp) if algebra == "scalar" else GLaurent.monomial(len(exp), sl2().by_name("E"), exp)
+
+    t1, t12 = entry(1), entry(1, 1)
+    entries, cuts, error = {
+        "different n": ([t1, t12], None, DimensionMismatch),
+        "entry count": ([t1] * 3, None, DimensionMismatch),
+        "cut count": ([t1, t1], (0, 0), DimensionMismatch),
+        "non-integral cut": ([t1, t1], (Fraction(1, 2),), TypeError),
+    }[case]
+    messages = []
+    for trace_sum, args in ((raw_sum, walk_operators(entries)), (word_sum, entries), (phi, entries)):
+        with pytest.raises(error) as info:
+            trace_sum(args, cuts)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1, messages
+
+
+def test_phi_builds_no_lattice_operator_on_monomial_wedges(monkeypatch):
+    cocycle = importlib.import_module("parshin.cocycle")
+    rows = ((-3, 1), (1, 2), (2, -3))
+    wedges = [[GLaurent.monomial(2, sl2().by_name(name), row) for name, row in zip("HEF", rows)],
+              [mono(2, row, c) for row, c in zip(rows, (Fraction(3, 2), -2, 1))]]
+    expected = [raw_sum(walk_operators(entries)) for entries in wedges]
+    assert all(value != 0 for value in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice operator was built")
+
+    monkeypatch.setattr(cocycle, "mul_operator", refuse)
+    monkeypatch.setattr(LatticeOperator, "make", staticmethod(refuse))
+    assert [phi(entries) for entries in wedges] == expected
 
 
 COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
@@ -412,7 +453,7 @@ COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
 
 @st.composite
 def constant_weight_wedges(draw):
-    """(operators, cuts): n = 1..4 monomials with Fraction coefficients, on
+    """(entries, cuts): n = 1..4 monomials with Fraction coefficients, on
     d = 1 or on sl2 (integer or "p/q" structure constants); exponents in
     -3..3 with zeros, balanced three times in four."""
     n = draw(st.integers(1, 4))
@@ -420,24 +461,24 @@ def constant_weight_wedges(draw):
     rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n + 1)]
     if draw(st.integers(0, 3)):
         rows[0] = [-sum(row[i] for row in rows[1:]) for i in range(n)]
-    ops = []
+    entries = []
     for row in rows:
         coefficient = draw(st.sampled_from(COEFFICIENTS))
         if algebra is None:
-            ops.append(mul_operator(mono(n, tuple(row), coefficient)))
+            entries.append(mono(n, tuple(row), coefficient))
             continue
         coeffs = [draw(st.sampled_from((0,) + COEFFICIENTS)) for _ in range(3)]
         coeffs[draw(st.integers(0, 2))] = coefficient
-        ops.append(mul_operator(GLaurent.monomial(n, algebra.element(coeffs), tuple(row))))
+        entries.append(GLaurent.monomial(n, algebra.element(coeffs), tuple(row)))
     cuts = draw(st.none() | st.tuples(*[st.integers(-4, 4)] * n))
-    return ops, cuts
+    return entries, cuts
 
 
 @given(constant_weight_wedges())
 @settings(max_examples=200, deadline=None)
 def test_the_set_sum_matches_the_walk(case):
-    ops, cuts = case
-    assert word_sum(ops, cuts) == raw_sum(ops, cuts)
+    entries, cuts = case
+    assert word_sum(entries, cuts) == raw_sum(walk_operators(entries), cuts)
 
 
 def test_the_set_sum_takes_at_most_n_2_to_the_n_minus_1_products(monkeypatch):
@@ -448,13 +489,13 @@ def test_the_set_sum_takes_at_most_n_2_to_the_n_minus_1_products(monkeypatch):
     for n, names in ((3, "EFHH"), (4, "EFHHH")):
         rows = [[(-1) ** (i + j) * (1 + (i * j) % 3) for j in range(n)] for i in range(1, n + 1)]
         rows.insert(0, [-sum(row[j] for row in rows) for j in range(n)])
-        ops = [mul_operator(GLaurent.monomial(n, alg.by_name(name), tuple(row))) for name, row in zip(names, rows)]
-        cases.append((n, ops, raw_sum(ops)))
+        entries = [GLaurent.monomial(n, alg.by_name(name), tuple(row)) for name, row in zip(names, rows)]
+        cases.append((n, entries, raw_sum(walk_operators(entries))))
     assert all(expected != 0 for *_, expected in cases)
     products = int_matrices_only(monkeypatch)
-    for n, ops, expected in cases:
+    for n, entries, expected in cases:
         products.clear()
-        assert word_sum(ops) == expected
+        assert word_sum(entries) == expected
         assert len(products) <= n * 2 ** (n - 1), (n, len(products))
 
 
@@ -517,8 +558,6 @@ def test_balanced_tuples_match_the_tuple_expansion():
 
 
 def test_cuts_are_checked_when_no_tuple_is_balanced():
-    from parshin.errors import DimensionMismatch
-
     t = LaurentPoly.variable(1, 1)
     for f0 in (mono(1, (-1,)), t):
         with pytest.raises(DimensionMismatch, match="^need 1 cut points, got 3$"):
