@@ -7,9 +7,18 @@ projectors.  Every identity the construction rests on (cube-complex
 relations, contracting homotopies, the spectral-sequence lift) is exposed
 and machine-verified against independent oracles in exact rational
 arithmetic.
+
+``import parshin`` loads the residue and cocycle layers and the cube complex
+(``errors``, ``matrices``, ``liealg``, ``laurent``, ``opalg``, ``residue``,
+``cocycle``, ``cube``).  The chain type and the seeded checks load on first
+use: ``TensorChain``, ``verify_cocycle``, ``operator_vs_closed_form`` and the
+submodules ``chains``, ``sampling`` and ``verify`` resolve through the module
+``__getattr__`` below, so a process that computes a residue never compiles
+them.
 """
 
-from .chains import TensorChain
+import importlib
+
 from .cocycle import flavor, phi, phi_closed_form, virasoro_phi, virasoro_table
 from .cube import (
     CubeElement,
@@ -35,7 +44,6 @@ from .opalg import (
     projector,
 )
 from .residue import ResidueReport, ack_residue_n1, raw_sum, residue, residue_det_monomial
-from .verify import operator_vs_closed_form, verify_cocycle
 
 __version__ = "0.1.0"
 
@@ -85,3 +93,20 @@ __all__ = [
     "virasoro_phi",
     "virasoro_table",
 ]
+
+# exported names whose module loads on first use, and the modules that do
+_LAZY_NAMES = {"TensorChain": "chains", "operator_vs_closed_form": "verify", "verify_cocycle": "verify"}
+_LAZY_MODULES = ("chains", "sampling", "verify")
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        # importing a submodule binds it as this package's attribute
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(__getattr__(_LAZY_NAMES[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

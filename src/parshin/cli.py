@@ -3,6 +3,11 @@
 All rationals are printed exactly, of any size, as strings "p/q" in lowest
 terms ("p" when the denominator is 1; ``matrices.exact_text``), and JSON
 output is byte-stable for a fixed invocation.
+
+Each use of the console script starts a new process, so a command imports
+only what it runs: ``cmd_cocycle`` imports the chain reader and
+``cmd_verify`` the seeded suites when they run, and building the parser
+imports neither.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import sys
 from fractions import Fraction
 
 from . import cocycle as _cocycle
-from . import verify as _verify
-from .chains import read_chain
 from .errors import ArityError, MixedFlavors, ParseError, ParshinError, shown
 from .laurent import _from_terms, _scan
 from .liealg import load_algebra, read_json
@@ -116,6 +119,8 @@ def cmd_residue(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    from .chains import read_chain
+
     doc = read_json(args.input)
     algebra = None
     algebra_ref = doc.get("algebra", "scalar") if isinstance(doc, dict) else "scalar"
@@ -163,7 +168,9 @@ def cmd_verify(args) -> int:
     if args.suite in ("cocycle", "all") and args.n == MAX_N and args.trials > MAX_COCYCLE_TRIALS:
         raise ArityError(f"--trials {args.trials} of the {args.suite} suite at n = {args.n} "
                          f"exceeds the cap {MAX_COCYCLE_TRIALS}")
-    report = _verify.run_suite(args.suite, n=args.n, seed=args.seed,
+    from . import verify
+
+    report = verify.run_suite(args.suite, n=args.n, seed=args.seed,
                                trials=args.trials, degree_bound=args.degree_bound)
     payload = report.to_json_dict()
     lines = [f"suite   = {report.name}",
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded identity suite")
     p.add_argument("--suite", default="all",
-                   help="one of %s, 'fixtures', or 'all'" % ", ".join(sorted(_verify.SUITES)))
+                   help="a suite name, 'fixtures' or 'all' (the default); an unknown name is an error that lists them")
     p.add_argument("--n", type=int, default=2, choices=range(1, MAX_N + 1))
     p.add_argument("--seed", type=int, default=1,
                    help="PRNG seed of the random suites, 0 included; the fixtures suite ignores it")

@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chains import TensorChain
 from .errors import DimensionMismatch, MixedFlavors, NotCentreless
 from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import is_centreless, killing_nform
@@ -88,8 +87,8 @@ def phi(entries, cuts=None) -> Fraction:
     return raw_sum([e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries], cuts)
 
 
-def phi_chain(chain: TensorChain, cuts=None) -> Fraction:
-    """Linear extension of phi to a sum of head (x) tail terms.
+def phi_chain(chain, cuts=None) -> Fraction:
+    """Linear extension of phi to a ``TensorChain``, a sum of head (x) tail terms.
 
     A ``Fraction`` head scales phi of its tail; any other head sits in the
     f_0 slot.  The f_0 slot is distinguished, so a wedge chain read this way

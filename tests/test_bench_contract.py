@@ -6,12 +6,15 @@ them breaks the traced run and the probe without failing another test.  The
 ``cube_n2`` check also counts the identities the cube battery records, so an
 edit that adds or drops one fails the benchmark before it fails here.  The
 traced ``cube.*`` spans read 0 if the battery stops calling a wrapped
-function, so one battery run must reach every one of them.
+function, so one battery run must reach every one of them.  The tracer also
+looks up every module it wraps in ``sys.modules``, so ``import parshin,
+parshin.cli`` must load each of them.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from parshin import cube, opalg, verify
@@ -36,6 +39,38 @@ def test_traced_names_resolve():
         cls = getattr(importlib.import_module(f"parshin.{module_name}"), class_name)
         raw = inspect.getattr_static(cls, method)
         assert isinstance(raw, staticmethod) == is_static, f"{class_name}.{method}"
+
+
+# snapshots of the parshin modules loaded: after the imports the runner
+# makes, after one residue, and after one cocycle
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import parshin, parshin.cli
+
+snapshots = [sorted(m for m in sys.modules if m.split(".")[0] == "parshin")]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["residue", "--form", "t1^-1*t2^-1 ; t1 ; t2", "--json"],
+                 ["cocycle", "--input", sys.argv[1], "--json"]):
+        assert parshin.cli.main(argv) == 0, argv
+        snapshots.append(sorted(m for m in sys.modules if m.split(".")[0] == "parshin"))
+print(json.dumps(snapshots))
+"""
+
+
+def test_a_command_loads_only_what_it_runs(tmp_path, fresh_python):
+    # the tracer looks up every module it wraps in sys.modules, before a
+    # residue run has loaded anything beyond these imports
+    tracing = _load_perfbench("tracing")
+    traced = {f"parshin.{entry[0]}" for entry in tracing.FUNCTIONS + tracing.METHODS}
+    chain = tmp_path / "chain.json"
+    chain.write_text('{"n": 1, "algebra": "scalar", "terms": [{"factors": [{"exp": [-1]}, {"exp": [1]}]}]}')
+    run = fresh_python("-c", LOADED_MODULES, str(chain))
+    assert run.returncode == 0, run.stderr
+    imported, after_residue, after_cocycle = map(set, json.loads(run.stdout))
+    assert traced <= imported
+    assert not after_residue & {"parshin.chains", "parshin.sampling", "parshin.verify"}
+    assert "parshin.chains" in after_cocycle
+    assert not after_cocycle & {"parshin.sampling", "parshin.verify"}
 
 
 def test_cube_probe_names_resolve():

@@ -513,11 +513,11 @@ def test_verify_caps_trials(capsys, monkeypatch):
 
     # at n = MAX_N the cocycle and all suites take up to about 0.8 s a trial,
     # so their trials have a cap of their own, checked before the first trial
-    from parshin import cli
+    from parshin import cli, verify
 
     runs = []
-    monkeypatch.setattr(cli._verify, "run_suite",
-                        lambda name, **kw: runs.append((name, kw)) or cli._verify.CheckReport(name))
+    monkeypatch.setattr(verify, "run_suite",
+                        lambda name, **kw: runs.append((name, kw)) or verify.CheckReport(name))
     for suite in ("cocycle", "all"):
         for n in (1, 2, 3, 4):
             argv = ["verify", "--suite", suite, "--n", str(n), "--degree-bound", "1000", "--json"]

@@ -385,6 +385,20 @@ def test_json_output_is_unchanged(name, chain_files, capsys):
     assert capsys.readouterr().out == expected
 
 
+# one command of each kind, each run as its own process: a module the
+# command imports in a function body must resolve there too
+FRESH_PROCESS = ("residue_n3", "cocycle_scalar_n1", "cocycle_sl2_n3_fraction_factors_cuts",
+                 "cocycle_vectorfield_n1", "virasoro", "verify_cube_n2", "verify_cocycle_n2",
+                 "verify_unknown_suite", "residue_arity_error")
+
+
+@pytest.mark.parametrize("name", FRESH_PROCESS)
+def test_a_fresh_process_prints_the_same(name, chain_files, fresh_python):
+    argv, code, expected = GOLDEN[name]
+    run = fresh_python("-m", "parshin.cli", *(arg.format(**chain_files) for arg in argv))
+    assert (run.returncode, run.stdout) == (code, expected), run.stderr
+
+
 # -- which trace sum each command reaches -----------------------------------------
 #
 # phi traces chains of single-atom entries with the word kernel, while the
