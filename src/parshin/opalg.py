@@ -19,10 +19,12 @@ kept for atoms built fresh.
 
 Operator identity is semantic.  One arrangement walk, ``_iter_cells``,
 refines (box, value) pieces into cells per axis and yields each covered cell
-with the values covering it.  ``is_zero`` (and so ``==``) and ``trace`` walk
-their atoms' boxes and decide vanishing of the cell-wise polynomial sums on a
-sample grid (degree + 2 points per axis, capped at the cell width), which is
-exact for polynomial weights; ``cube._cancels`` walks region coefficients.
+with the values covering it.  ``is_zero`` (and so ``==``) walks its atoms'
+boxes, and ``trace`` the boxes of its diagonal atoms with an unbounded side;
+both decide vanishing of the cell-wise polynomial sums on a sample grid
+(degree + 2 points per axis, capped at the cell width), which is exact for
+polynomial weights.  ``trace`` sums a diagonal atom bounded on every axis
+over its own box, with no walk; ``cube._cancels`` walks region coefficients.
 """
 
 from __future__ import annotations
@@ -238,34 +240,55 @@ class LatticeOperator:
     def trace(self) -> Fraction:
         """Sum over the diagonal: shift-0 atoms summed over their boxes.
 
-        Raises NotTraceClass when the diagonal has unbounded nonzero support
-        (decided semantically on the cell refinement of the shift-0 part),
-        and ArityError when an atom would be summed over more than
-        MAX_SLAB_WIDTH lattice points of an axis.
+        An atom bounded on every axis is summed over its own box.  Only the
+        atoms with an unbounded side go through the cell refinement, where
+        NotTraceClass is raised when their sum has unbounded nonzero support
+        (decided semantically cell by cell).  A bounded box meets no
+        unbounded cell, so leaving its bounds out of the refinement only
+        merges cells across which the live unbounded atoms do not change.
+        ArityError is raised when an atom would be summed over more than
+        MAX_SLAB_WIDTH lattice points of an axis, before any point is summed.
         """
-        diagonal = [a for a in self.atoms if all(s == 0 for s in a.shift)]
-        if not diagonal:
-            return Fraction(0)
-        traces = [mat_trace(a.matrix) for a in diagonal]
+        bounded = []  # (matrix trace, atom) of the bounded atoms that count
+        rest = []
+        for a in self.atoms:
+            if any(a.shift):
+                continue
+            if all(lo is not None and hi is not None for lo, hi in a.box):
+                tr = mat_trace(a.matrix)
+                if tr != 0:
+                    bounded.append((tr, a))
+            else:
+                rest.append(a)
+        traces = [mat_trace(a.matrix) for a in rest]
         summed = []
         covered = {}  # (atom index, axis) -> the intervals it is summed over
-        for cell, alive in _iter_cells(self.n, [(a.box, k) for k, a in enumerate(diagonal)]):
-            if all(lo is not None and hi is not None for lo, hi in cell):
-                alive = [k for k in alive if traces[k] != 0]
-                for k in alive:
-                    for i, bounds in enumerate(cell):
-                        covered.setdefault((k, i), set()).add(bounds)
-                summed.append((cell, alive))
-            elif not _cell_sum_vanishes(cell, [diagonal[k] for k in alive]):
-                raise NotTraceClass(f"diagonal part has unbounded nonzero support on cell {cell}")
-        # nested or half-bounded boxes are cut into cells that each fit the
-        # cap, so what one atom sums on one axis is checked, over all its cells
+        if rest:
+            for cell, alive in _iter_cells(self.n, [(a.box, k) for k, a in enumerate(rest)]):
+                if all(lo is not None and hi is not None for lo, hi in cell):
+                    alive = [k for k in alive if traces[k] != 0]
+                    for k in alive:
+                        for i, bounds in enumerate(cell):
+                            covered.setdefault((k, i), set()).add(bounds)
+                    summed.append((cell, alive))
+                elif not _cell_sum_vanishes(cell, [rest[k] for k in alive]):
+                    raise NotTraceClass(f"diagonal part has unbounded nonzero support on cell {cell}")
+        # half-bounded boxes are cut into cells that each fit the cap, so what
+        # one atom sums on one axis is checked, over all its cells
         for intervals in covered.values():
             _check_width(sum(hi - lo for lo, hi in intervals))
+        # lowest corner first: the order a cell walk over them meets them in,
+        # which fixes the slab a refusal names when several are too wide
+        bounded.sort(key=lambda pair: [lo for lo, _ in pair[1].box])
+        for _, a in bounded:
+            for lo, hi in a.box:
+                _check_width(hi - lo)
         total = Fraction(0)
         for cell, alive in summed:
             for k in alive:
-                total += traces[k] * _weight_box_sum(diagonal[k].weight, cell)
+                total += traces[k] * _weight_box_sum(rest[k].weight, cell)
+        for tr, a in bounded:
+            total += tr * _weight_box_sum(a.weight, a.box)
         return total
 
     def in_ideal(self, axis, sign) -> bool:
@@ -516,8 +539,9 @@ def _cell_sum_vanishes(cell, atoms):
 # each as wide as f's shift on that axis.  _power_sum adds one lattice point
 # at a time (1.8-4.5 us a point for e = 0..2, in process; "t1^-3000000 ;
 # t1^3000000" took 7 s), so a wider range is refused before any point is
-# summed: trace checks what each diagonal atom sums per axis over all its
-# cells, and _weight_box_sum, which only trace calls, the box it is given.
+# summed: trace checks each bounded diagonal atom's own box, and what each
+# atom with an unbounded side sums per axis over all its cells, and
+# _weight_box_sum, which only trace calls, the box it is given.
 # The message names a commutator slab, as residues and cocycles are the
 # traces users run.  The cap is four times the widest shift trace_wide draws
 # (24,003) and above what --max-m 1000 reaches.  word_sum reads one-term
@@ -543,7 +567,11 @@ def _power_sum(e, lo, hi):
 
 
 def _weight_box_sum(weight, cell):
-    """Sum of the weight over a bounded cell; the cell's widths are checked first."""
+    """Sum of the weight over a bounded box; the box's widths are checked first.
+
+    ``trace`` passes a bounded atom's own box, and a bounded cell of the
+    walk over the atoms with an unbounded side.
+    """
     for lo, hi in cell:
         _check_width(hi - lo)
     total = Fraction(0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parshin import opalg
 from parshin.errors import ArityError, DimensionMismatch, NotTraceClass
 from parshin.laurent import GLaurent, LaurentPoly, parse_poly
 from parshin.liealg import ad, sl2
@@ -30,6 +31,7 @@ from parshin.opalg import (
     projector_commutator,
     region,
 )
+from parshin.residue import raw_sum
 from parshin.sampling import random_cube_element, random_exponent, random_laurent, random_operator
 
 
@@ -725,3 +727,113 @@ def test_arrangement_walk_matches_brute_force(drawn):
             assert len(hits) == 1 and hits[0] == values and sum(hits[0]) == sum(values), point
         else:
             assert values == [], point
+
+
+# -- trace against a per-point reference ------------------------------------------
+
+def _trace_reference(op):
+    """tr(M) w(lam) of every shift-0 atom, summed point by point over the
+    window spanned by all finite bounds of the operator's atoms."""
+    ends = [v for a in op.atoms for bounds in a.box for v in bounds if v is not None]
+    window = range(min(ends, default=0), max(ends, default=0))
+    total = Fraction(0)
+    for point in itertools.product(window, repeat=op.n):
+        for a in op.atoms:
+            if not any(a.shift) and _inside(a.box, point):
+                total += sum(a.matrix[i][i] for i in range(op.d)) * a.weight.evaluate(point)
+    return total
+
+
+@st.composite
+def _traceable(draw):
+    """Shift-0 atoms on overlapping and nested bounded boxes, pairs of
+    half-bounded atoms that cancel past their last finite bound, and atoms off
+    the diagonal, with weights of degree up to 2 and zero-trace matrices."""
+    n = draw(st.sampled_from((1, 2)))
+    d = draw(st.sampled_from((1, 3)))
+
+    def interval():
+        lo = draw(st.integers(-4, 4))
+        return lo, lo + draw(st.integers(1, 5))
+
+    def weight():
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        return LaurentPoly.make(n, draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3)))
+
+    def mat():
+        if d == 1:
+            return ((draw(st.sampled_from((1, 2, -1))),),)
+        m = [draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)) for _ in range(3)]
+        if draw(st.booleans()):
+            m[2][2] = -m[0][0] - m[1][1]
+        return matrix(m)
+
+    zero = (0,) * n
+    atoms = [KernelAtom(zero, mat(), weight(), tuple(interval() for _ in range(n)))
+             for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        axis, upward = draw(st.integers(0, n - 1)), draw(st.booleans())
+        w, m, box = weight(), mat(), [interval() for _ in range(n)]
+        for c in (w, -w):
+            end = draw(st.integers(-4, 6))
+            box[axis] = (end, None) if upward else (None, end)
+            atoms.append(KernelAtom(zero, m, c, tuple(box)))
+    if draw(st.booleans()):
+        atoms.append(KernelAtom((1,) + zero[1:], mat(), weight(), ((None, None),) * n))
+    return LatticeOperator.make(n, d, atoms)
+
+
+@given(_traceable())
+@settings(max_examples=80, deadline=None)
+def test_trace_matches_a_per_point_reference(op):
+    assert op.trace() == _trace_reference(op)
+
+
+def test_trace_sums_bounded_atoms_without_the_cell_walk(monkeypatch):
+    # a residue word carries one commutator slab per axis, so every atom it
+    # traces is bounded and is summed over its own box
+    rng = random.Random(29)
+    word = projector_commutator(mul_operator(parse_poly("2*t1^3 + t1", 1)), 1, (0,)).compose(
+        mul_operator(parse_poly("t1^-3 - 1/2*t1^-1", 1)))
+    ops = [word] + [random_operator(rng, n, d).compose(random_operator(rng, n, d))
+                    for n in (1, 2) for d in (1, 3) for _ in range(3)]
+    expected = [_trace_reference(op) for op in ops]
+    assert expected[0] == Fraction(-11, 2) and any(expected[1:])  # -res(f0 df1) at n = 1
+    # raw_sum of a monomial form: (-1)^n, the coefficients and det of rows 1..n
+    forms = [("2*t1^-2*t2^-1 ; t1*t2^-1 ; t1*t2^2", 2 * 3),
+             ("-t1^-1*t2^-1*t3^-1 ; t1 ; t2 ; 3/2*t3", Fraction(-3, 2) * (-1) ** 3)]
+
+    def refuse(n, pieces):
+        raise AssertionError("the cell walk ran")
+
+    monkeypatch.setattr(opalg, "_iter_cells", refuse)
+    assert [op.trace() for op in ops] == expected
+    for form, raw in forms:
+        slots = form.split(" ; ")
+        assert raw_sum([mul_operator(parse_poly(f, len(slots) - 1)) for f in slots]) == raw
+
+
+def test_trace_decides_trace_class_before_it_refuses_a_width():
+    cap = MAX_SLAB_WIDTH
+    one = LaurentPoly.one(1)
+    wide = KernelAtom((0,), ((1,),), one, ((0, cap + 1),))
+    unbounded = KernelAtom((0,), ((1,),), one, ((5, None),))
+    with pytest.raises(NotTraceClass):
+        LatticeOperator.make(1, 1, [wide, unbounded]).trace()
+    cancelled = LatticeOperator.make(1, 1, [wide, unbounded, KernelAtom((0,), ((1,),), -one, ((7, None),))])
+    start = time.perf_counter()
+    with pytest.raises(ArityError, match=f"^a commutator slab {cap + 1} lattice points wide "):
+        cancelled.trace()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_trace_sums_a_half_bounded_atom_that_a_bounded_one_overlaps():
+    # +1 on [0, oo) and -1 on [0.6 cap, oo) sum 0.6 cap points; the bounded
+    # +2 atom on [0.5 cap, 1.2 cap) is summed over its own box, so its bounds
+    # do not cut the first atom's cells, which would then sum 1.2 cap points
+    cap = MAX_SLAB_WIDTH
+    one = LaurentPoly.one(1)
+    op = LatticeOperator.make(1, 1, [KernelAtom((0,), ((1,),), one, ((0, None),)),
+                                     KernelAtom((0,), ((1,),), -one, ((6 * cap // 10, None),)),
+                                     KernelAtom((0,), ((1,),), one.scale(2), ((cap // 2, 12 * cap // 10),))])
+    assert op.trace() == 6 * cap // 10 + 2 * (12 * cap // 10 - cap // 2)
