@@ -18,10 +18,12 @@ operators; a region is a box, the plain bounds tuple of ``opalg``.  Each
 map's rule, the (output string, sign, input string, region) tuples, is built
 once per (n, p, axis or prefix, cuts).  The maps, ``+``, ``-`` and ``scale``
 only rewrite terms.  ``is_zero`` (and so ``==``) first sums each source's
-region coefficients as a function on Z^n, cell by cell through the
-arrangement walk ``opalg._iter_cells``; when every such function vanishes,
-the element is zero and nothing is normalized.  Otherwise, and whenever a
-component is read, it is normalized by one ``LatticeOperator.combine``.
+region coefficients as a function on Z^n, expanded into signed lower-corner
+steps (``_cancels``); when every such function vanishes, the element is zero
+and nothing is normalized.  Otherwise, and whenever a component is read, it
+is normalized by one ``LatticeOperator.combine``.  ``homotopy_hat_boundary_hat``
+feeds d^'s term sum into H^'s formula with no read, so every identity of the
+cube battery on N^p (p >= 1) is decided by coefficient cancellation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, IdealViolation, RepeatedIndex
 from .matrices import rational
-from .opalg import Box, LatticeOperator, _cut, _cuts, _iter_cells, projector_commutator, region
+from .opalg import Box, LatticeOperator, _cut, _cuts, projector_commutator, region
 
 # ---------------------------------------------------------------------------
 # Sign strings
@@ -258,22 +260,37 @@ def _apply(f: CubeElement, p, rule) -> CubeElement:
     return CubeElement(f.n, f.d, p, {s: t for s, t in out.items() if t}, f.sources)
 
 
+@lru_cache(maxsize=4096)
+def _corners(bounds):
+    """The box's indicator as signed lower-corner steps: a tuple of (corner, sign).
+
+    Per axis 1_[lo,hi)(x) = H(x - lo) - H(x - hi), with H(y) = [y >= 0]; an
+    unbounded lo is the step that is 1 everywhere (corner None), and an
+    unbounded hi adds no step.  The box's indicator is the product over the
+    axes, so it is the sum of sign * prod_i H(x_i - corner_i).
+    """
+    steps = [((), 1)]
+    for lo, hi in bounds:
+        axis = ((lo, 1),) if hi is None else ((lo, 1), (hi, -1))
+        steps = [(corner + (a,), sign * s) for corner, sign in steps for a, s in axis]
+    return tuple(steps)
+
+
 def _cancels(terms):
     """True when, for every source, the sum of c * 1_region over its terms is 0 on Z^n.
 
     Then the component, the sum of c * P_region source, is that function
-    applied after the source, so it is zero whatever the source is.  The
-    function is constant on each cell of the arrangement of the source's
-    regions, so the coefficients are summed per cell by ``opalg._iter_cells``.
-    Regions are never empty, so a source with a single term does not cancel.
+    applied after the source, so it is zero whatever the source is.  Each
+    region is expanded into its lower-corner steps (``_corners``), and c *
+    sign is summed per (source, corner).  The steps prod_i H(x_i - a_i) are
+    linearly independent on Z^n for distinct corners a in (Z u {-inf})^n,
+    so the function vanishes exactly when every such sum does.
     """
-    by_source = {}
+    acc = {}
     for (sid, bounds), c in terms.items():
-        by_source.setdefault(sid, []).append((bounds, c))
-    for pieces in by_source.values():
-        if len(pieces) == 1 or any(sum(cs) for _, cs in _iter_cells(len(pieces[0][0]), pieces)):
-            return False
-    return True
+        for corner, sign in _corners(bounds):
+            _add(acc, (sid, corner), sign * c)
+    return not acc
 
 
 def _read(n, d, terms, sources) -> LatticeOperator:
@@ -369,8 +386,8 @@ def boundary_axis(f: CubeElement, axis) -> CubeElement:
     return _apply(f, f.p - 1, _rule(_boundary_rule, f.n, f.p - 1, axis))
 
 
-def boundary_hat(f: CubeElement) -> LatticeOperator:
-    """N^1 -> N^0: sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s."""
+def _boundary_hat_terms(f: CubeElement) -> dict:
+    """d^ on f's terms: the sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s, unread."""
     if f.p != 1:
         raise DimensionMismatch("boundary_hat is defined on N^1")
     acc = {}
@@ -378,7 +395,12 @@ def boundary_hat(f: CubeElement) -> LatticeOperator:
         sign = _minus_parity(s)
         for key, c in terms.items():
             _add(acc, key, sign * c)
-    return _read(f.n, f.d, acc, f.sources)
+    return acc
+
+
+def boundary_hat(f: CubeElement) -> LatticeOperator:
+    """N^1 -> N^0: sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s."""
+    return _read(f.n, f.d, _boundary_hat_terms(f), f.sources)
 
 
 def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:
@@ -431,12 +453,33 @@ def homotopy_via_definition(f: CubeElement, cuts=None) -> CubeElement:
     return total
 
 
+def _homotopy_hat(n, d, pieces, cuts) -> CubeElement:
+    """H^ of the sum of c * P_bounds source over the (c, source, bounds) pieces.
+
+    (H^ g)_s = (-1)^(s_1+...+s_n) P_1^(s_1) ... P_n^(s_n) g, so each piece's
+    region meets the region of s; an empty meet drops the piece.
+    """
+    sums = {}
+    for s in sign_strings(n, 1):
+        sign, image = _minus_parity(s), region(cuts, enumerate(s, 1))
+        sums[s] = [(sign * c, op, meet) for c, op, bounds in pieces
+                   if (meet := _meet(bounds, image)) is not None]
+    return _element(n, d, 1, sums)
+
+
 def homotopy_hat(g: LatticeOperator, cuts=None) -> CubeElement:
     """N^0 -> N^1: (H^ g)_s = (-1)^(s_1+...+s_n) P_1^(s_1) ... P_n^(s_n) g."""
-    cuts = _cuts(g.n, cuts)
-    return _element(g.n, g.d, 1, {
-        s: [(_minus_parity(s), g, region(cuts, enumerate(s, 1)))] for s in sign_strings(g.n, 1)
-    })
+    return _homotopy_hat(g.n, g.d, [(1, g, Box.full(g.n))], _cuts(g.n, cuts))
+
+
+def homotopy_hat_boundary_hat(f: CubeElement, cuts=None) -> CubeElement:
+    """H^ d^ on N^1, with no component read: d^'s term sum fed into H^'s formula.
+
+    Equals ``homotopy_hat(boundary_hat(f), cuts)``, but keeps f's sources,
+    so an identity against f is decided by coefficient cancellation.
+    """
+    pieces = [(c, f.sources[sid], bounds) for (sid, bounds), c in _boundary_hat_terms(f).items()]
+    return _homotopy_hat(f.n, f.d, pieces, _cuts(f.n, cuts))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ boxes, and ``trace`` the boxes of its diagonal atoms with an unbounded side;
 both decide vanishing of the cell-wise polynomial sums on a sample grid
 (degree + 2 points per axis, capped at the cell width), which is exact for
 polynomial weights.  ``trace`` sums a diagonal atom bounded on every axis
-over its own box, with no walk; ``cube._cancels`` walks region coefficients.
+over its own box, with no walk.
 """
 
 from __future__ import annotations

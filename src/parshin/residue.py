@@ -48,7 +48,7 @@ def _trace_sum_input(spaces, cuts):
     return n, _cuts(n, cuts)
 
 
-def raw_sum(operators, cuts=None) -> Fraction:
+def raw_sum(operators, cuts=None, *, commutator=projector_commutator) -> Fraction:
     """tau sum over pi in S_n of sgn(pi) [f_pi(1), P_1^+] ... [f_pi(n), P_n^+] f_0.
 
     Each commutator [f, P_axis^+] = P_axis^- f P_axis^+ - P_axis^+ f P_axis^-
@@ -76,6 +76,9 @@ def raw_sum(operators, cuts=None) -> Fraction:
     the atoms some word can bring back to shift 0, and the sum is 0 when
     none is left.
 
+    ``commutator(f, axis, cuts)`` builds [f, P_axis^+]; ``raw_sum_polys``
+    passes one that builds each monomial's commutator once for all its tuples.
+
     This walk defines the value: ``word_sum`` is checked against it, and the
     residue and the closed-form checks trace through it.
     """
@@ -96,7 +99,7 @@ def raw_sum(operators, cuts=None) -> Fraction:
     commutators = {}
     for axis in range(1, n + 1):
         for j in range(1, n + 1):
-            c = projector_commutator(operators[j], axis, cuts)
+            c = commutator(operators[j], axis, cuts)
             if not c.is_structurally_zero():
                 commutators[axis, j] = c
 
@@ -259,8 +262,9 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
     monomial tuple shifts by the exponents' column sum, so only balanced
     tuples (column sums 0) can contribute: for each choice of terms of
     f_1..f_n, the one term of f_0 that balances it is looked up, and the
-    choice skipped when f_0 has none.  Each monomial's operator is built
-    once, on first use.  Raises ArityError before any operator is built
+    choice skipped when f_0 has none.  Each monomial's operator, and its
+    commutator with each P_axis^+, is built once, on first use, and every
+    tuple's walk reuses it.  Raises ArityError before any operator is built
     when the form's work exceeds MAX_WORK.
     """
     n = f0.n
@@ -282,6 +286,16 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
             operators[exp] = mul_operator(LaurentPoly.monomial(n, exp, 1))
         return operators[exp]
 
+    # (id of a monomial's operator, axis) -> their commutator; ``operators``
+    # holds every operator for the whole call, so an id names one exponent
+    commutators = {}
+
+    def commutator(f, axis, cuts):
+        key = id(f), axis
+        if key not in commutators:
+            commutators[key] = projector_commutator(f, axis, cuts)
+        return commutators[key]
+
     f0_terms = dict(f0.terms)
     total = Fraction(0)
     for combo in itertools.product(*(f.terms for f in fs)):
@@ -291,7 +305,8 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
             continue
         for _, c in combo:
             coeff *= c
-        total += coeff * raw_sum([operator(exp0)] + [operator(exp) for exp, _ in combo], cuts)
+        total += coeff * raw_sum([operator(exp0)] + [operator(exp) for exp, _ in combo], cuts,
+                                 commutator=commutator)
     return total
 
 

@@ -185,7 +185,7 @@ def check_cube_identities(n, trials=50, seed=1, cuts=None) -> CheckReport:
                 rhs = f - eps_all
                 report.record((lhs - rhs).is_zero(), {**ctx, "identity": "dH+Hd=1-eps"})
             else:
-                lhs = _cube.boundary(h) + _cube.homotopy_hat(_cube.boundary_hat(f), cuts)
+                lhs = _cube.boundary(h) + _cube.homotopy_hat_boundary_hat(f, cuts)
                 report.record((lhs - f).is_zero(), {**ctx, "identity": "dH+H^d^=1 (N^1)"})
             # pairwise relations
             for i in range(1, n + 1):

@@ -83,7 +83,7 @@ def test_cube_probe_names_resolve():
 
 def test_cube_check_count_matches_the_benchmark():
     checks = _load_perfbench("checks")
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for trials in (1, 2):
             report = verify.check_cube_identities(n, trials, seed=1)
             assert report.checks == checks.expected_cube_checks(n, trials), (n, trials)

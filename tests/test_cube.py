@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parshin import cube
 from parshin.cube import (
@@ -19,6 +21,7 @@ from parshin.cube import (
     homotopy,
     homotopy_axis,
     homotopy_hat,
+    homotopy_hat_boundary_hat,
     homotopy_via_definition,
     lift_closed_form,
     lift_iterative,
@@ -27,7 +30,7 @@ from parshin.cube import (
 )
 from parshin.errors import IdealViolation, RepeatedIndex
 from parshin.laurent import LaurentPoly, parse_poly
-from parshin.opalg import Box, KernelAtom, LatticeOperator, mul_operator, projector, region
+from parshin.opalg import Box, KernelAtom, LatticeOperator, _iter_cells, mul_operator, projector, region
 from parshin.residue import raw_sum
 from parshin.sampling import random_cube_element, random_exponent, random_nonzero_fraction, random_operator
 from parshin.verify import check_cube_identities
@@ -290,6 +293,118 @@ def test_only_normalization_decides_equal_sources_and_missed_regions():
     assert e.terms.keys() == {"+", "-"}
     assert not any(cube._cancels(t) for t in e.terms.values())
     assert e.is_zero()
+
+
+# -- corner sums against the arrangement walk ------------------------------------
+
+def _cancels_by_cells(terms):
+    """Reference: each source's sum of c * 1_region, cell by cell of its regions' arrangement."""
+    by_source = {}
+    for (sid, bounds), c in terms.items():
+        by_source.setdefault(sid, []).append((bounds, c))
+    return not any(sum(values) for pieces in by_source.values()
+                   for _, values in _iter_cells(len(pieces[0][0]), pieces))
+
+
+@st.composite
+def _region_terms(draw):
+    """Terms over up to three sources at n = 1..3 with rational coefficients.
+
+    Regions are bounded, half-bounded or whole on each axis.  A term may be
+    split at a point of one axis, c * B - c * (B below) - c * (B above), which
+    cancels; on a half-bounded side, B and its part above the point agree only
+    past the point.  A term may get a twin with one bound moved, which cancels
+    only outside the moved slab.  One coefficient may then be perturbed.
+    """
+    n = draw(st.integers(1, 3))
+    coeffs = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-5, 3)))
+
+    def interval():
+        lo, width = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        return draw(st.sampled_from(((None, None), (lo, None), (None, lo), (lo, lo + width))))
+
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        sid, c = draw(st.integers(0, 2)), draw(coeffs)
+        box = tuple(interval() for _ in range(n))
+        i, at = draw(st.integers(0, n - 1)), draw(st.integers(-4, 4))
+        lo, hi = box[i]
+        kind = draw(st.sampled_from(("plain", "split", "twin")))
+        if kind == "split" and (lo is None or lo < at) and (hi is None or at < hi):
+            cube._add(terms, (sid, box[:i] + ((lo, at),) + box[i + 1:]), -c)
+            cube._add(terms, (sid, box[:i] + ((at, hi),) + box[i + 1:]), -c)
+        elif kind == "twin" and lo is not None and (hi is None or at < hi) and at != lo:
+            cube._add(terms, (sid, box[:i] + ((at, hi),) + box[i + 1:]), -c)
+        cube._add(terms, (sid, box), c)
+    if terms and draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(terms, key=repr)))
+        cube._add(terms, key, draw(coeffs))
+    return terms
+
+
+@given(_region_terms())
+@settings(max_examples=300, deadline=None)
+def test_corner_sums_decide_cancellation_as_the_arrangement_walk(terms):
+    assert cube._cancels(terms) == _cancels_by_cells(terms)
+
+
+def test_corner_sums_on_hand_cases():
+    half = Fraction(1, 2)
+    cases = [
+        ({}, True),
+        ({(0, ((0, None),)): 1, (0, ((2, None),)): -1}, False),  # equal past 2 only
+        ({(0, ((0, None),)): 1, (0, ((2, None),)): -1, (0, ((0, 2),)): -1}, True),
+        ({(0, ((None, None), (None, None))): half, (0, ((None, None), (None, 0))): -half,
+          (0, ((None, None), (0, None))): -half}, True),
+        ({(0, ((None, None),)): 1, (1, ((None, 0),)): -1, (1, ((0, None),)): -1}, False),
+        ({(0, ((0, 1), (0, 1), (0, 1))): 2, (0, ((0, 1), (0, 1), (0, None))): -2,
+          (0, ((0, 1), (0, 1), (1, None))): 2}, True),
+    ]
+    for terms, cancels in cases:
+        assert cube._cancels(terms) == _cancels_by_cells(terms) == cancels, terms
+
+
+# -- H^ d^ on N^1 without a read ---------------------------------------------------
+
+def test_hat_homotopy_of_hat_boundary_keeps_the_sources():
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for d in (1, 3):
+            for _ in range(3):
+                cuts = None if rng.random() < 0.25 else tuple(rng.randint(-3, 3) for _ in range(n))
+                f = random_cube_element(rng, n, 1, d)
+                got = homotopy_hat_boundary_hat(f, cuts)
+                assert got.sources.keys() <= f.sources.keys() and got._components is None
+                assert got == homotopy_hat(boundary_hat(f), cuts)
+                assert got == epsilon_all(f, cuts)
+
+
+def test_the_battery_never_reads_a_component_to_decide_an_identity(monkeypatch):
+    inside, reads = [], []
+    is_zero, components = CubeElement.is_zero, CubeElement.components
+
+    def watched_is_zero(self):
+        inside.append(self)
+        try:
+            return is_zero(self)
+        finally:
+            inside.pop()
+
+    def watched_components(self):
+        if inside:
+            reads.append(self)
+        return components.fget(self)
+
+    monkeypatch.setattr(CubeElement, "is_zero", watched_is_zero)
+    monkeypatch.setattr(CubeElement, "components", property(watched_components))
+    # a normalized d^ is a new source, so the N^1 identity built on it is read
+    f = random_cube_element(random.Random(29), 2, 1, d=1)
+    assert (boundary(homotopy(f)) + homotopy_hat(boundary_hat(f)) - f).is_zero()
+    assert reads
+    reads.clear()
+    for n in (1, 2, 3):
+        assert check_cube_identities(n, 4, seed=n).passed
+    assert not reads
 
 
 @pytest.fixture

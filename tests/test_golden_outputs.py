@@ -242,6 +242,12 @@ GOLDEN = {
         '{\n  "checks": 354,\n  "details": {},\n  "failures": [],\n'
         '  "name": "cube_identities_n3",\n  "passed": true\n}\n',
     ),
+    # four trials per degree of the n = 3 battery, two of them on d = 3 elements
+    "verify_cube_n3_four_trials": (
+        ("verify", "--suite", "cube", "--n", "3", "--seed", "5", "--trials", "4", "--json"), 0,
+        '{\n  "checks": 704,\n  "details": {},\n  "failures": [],\n'
+        '  "name": "cube_identities_n3",\n  "passed": true\n}\n',
+    ),
     "verify_lift_n2": (
         ("verify", "--suite", "lift", "--n", "2", "--seed", "3", "--trials", "2", "--json"), 0,
         '{\n  "checks": 26,\n  "details": {},\n  "failures": [],\n'

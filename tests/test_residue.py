@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from parshin.cocycle import phi, virasoro_generator
 from parshin.cube import lift_iterative
 from parshin.errors import ArityError, DimensionMismatch, NotTraceClass, ShapeMismatch
-from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly
+from parshin.laurent import GLaurent, LaurentPoly, _perm_sign, parse_poly, parshin_oracle
 from parshin.liealg import heisenberg3, sl2
 from parshin.matrices import det, mat_mul
 from parshin.opalg import (
@@ -25,6 +25,7 @@ from parshin.opalg import (
     derivation_operator,
     mul_operator,
     projector,
+    projector_commutator,
 )
 from parshin.residue import (
     MAX_WORK,
@@ -84,6 +85,32 @@ def test_raw_sum_polys_matches_operator_route():
             fs = [random_laurent(rng, n) for _ in range(n)]
             direct = raw_sum([mul_operator(f0)] + [mul_operator(f) for f in fs])
             assert raw_sum_polys(f0, fs) == direct
+
+
+def test_raw_sum_polys_builds_each_commutator_once(monkeypatch):
+    # five terms per slot at n = 3, and an f_0 that balances all 125 tuples:
+    # building per tuple makes 125 * 9 commutators of at most 15 * 3 pairs
+    rng = random.Random(4)
+    fs = []
+    for _ in range(3):
+        exps = set()
+        while len(exps) < 5:
+            exps.add(tuple(rng.randint(-2, 2) for _ in range(3)))
+        fs.append(LaurentPoly.make(3, {e: rng.choice((1, -1, Fraction(3, 2))) for e in exps}))
+    f0 = LaurentPoly.make(3, {tuple(-sum(col) for col in zip(*(e for e, _ in combo))): 1
+                              for combo in itertools.product(*(f.terms for f in fs))})
+    module = importlib.import_module("parshin.residue")
+    built = []
+
+    def counted(f, axis, cuts):
+        built.append((f.atoms[0].shift, axis))
+        return projector_commutator(f, axis, cuts)
+
+    monkeypatch.setattr(module, "projector_commutator", counted)
+    value = raw_sum_polys(f0, fs)
+    assert value != 0 and -value == parshin_oracle(f0, fs)
+    pairs = {(exp, axis) for f in fs for exp, _ in f.terms for axis in (1, 2, 3)}
+    assert len(built) == len(set(built)) <= len(pairs)
 
 
 # -- the word walk against word-by-word enumeration ------------------------------
