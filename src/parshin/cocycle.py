@@ -13,17 +13,14 @@ n = 1 specializations below fix this normalization) on three input flavors:
 
 ``flavor`` reads the one flavor a wedge's entries share from their types;
 ``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
-A wedge whose entries are each one term acting by a nonzero matrix (every
-monomial the chain reader builds, save the ad of a centre element) goes
-straight to ``residue.word_sum``, with no lattice operator built.  It reads
-each term once (its shift, its weight and its matrix: (1) for a scalar,
-ad(Y) for Y t^s), factors the weights and the rational content of the
-matrices out of the sum once, and sums int matrix products over the sets of
-indices placed, not over words.  Any other wedge goes to the operator walk
-``residue.raw_sum`` on the entries' operators: a derivation wedge (whose
-weight lam_axis is not constant) at once, and a scalar or multiloop wedge
-with a sum, a zero entry or an entry acting by zero (such as the ad of a
-centre element) once ``word_sum`` has refused it.
+A scalar or multiloop wedge goes to ``residue.word_sum``, with no lattice
+operator built.  It reads each entry's terms once (the shift, the weight and
+the matrix of each: (1) for a scalar, ad(Y) for Y t^s, a centre element's
+zero ad dropped), expands the sum over the balanced choices of one term per
+entry, factors the weights and the rational content of the matrices out of
+each, and sums int matrix products over the sets of indices placed, not over
+words.  A derivation wedge, whose weight lam_axis is not constant, goes to
+the operator walk ``residue.raw_sum`` on its operators.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
 multiloop wedges.  The seeded checks of the cocycle identity and of the
 closed form live in :mod:`parshin.verify`.
@@ -38,7 +35,7 @@ from .errors import DimensionMismatch, MixedFlavors, NotCentreless
 from .laurent import GLaurent, LaurentPoly, _perm_sign
 from .liealg import is_centreless, killing_nform
 from .matrices import integer
-from .opalg import LatticeOperator, derivation_operator, mul_operator
+from .opalg import LatticeOperator, derivation_operator
 from .residue import raw_sum, word_sum
 
 _FLAVOR_OF_TYPE = {GLaurent: "multiloop", LaurentPoly: "scalar", LatticeOperator: "vectorfield"}
@@ -70,21 +67,14 @@ def flavor(entries) -> str:
 def phi(entries, cuts=None) -> Fraction:
     """The cocycle value on a single wedge f_0 ^ ... ^ f_n.
 
-    A scalar or multiloop wedge goes to ``word_sum``, which reads each term
-    once and refuses, with its only ValueError and before it sums anything,
-    an entry that is not one term acting by a nonzero matrix (a sum, a zero
-    entry, the ad of a centre element).  That wedge and a derivation wedge
-    go to ``raw_sum``.  Both give the same value, and share their other
-    refusals.
+    A derivation wedge goes to the operator walk ``raw_sum``, and every
+    scalar or multiloop wedge (sums, zero entries and centre elements
+    included) to the set sum ``word_sum``.  Both share their refusals.
     """
     entries = tuple(entries)
-    flavor(entries)
-    if not isinstance(entries[0], LatticeOperator):
-        try:
-            return word_sum(entries, cuts)
-        except ValueError:
-            pass
-    return raw_sum([e if isinstance(e, LatticeOperator) else mul_operator(e) for e in entries], cuts)
+    if flavor(entries) == "vectorfield":
+        return raw_sum(entries, cuts)
+    return word_sum(entries, cuts)
 
 
 def phi_chain(chain, cuts=None) -> Fraction:

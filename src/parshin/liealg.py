@@ -323,11 +323,13 @@ def to_json_dict(alg: LieAlgebra) -> dict:
 
 def read_json(path):
     """A JSON file; its ValueError (bad syntax, or an integer over Python's
-    int-to-str digit limit, whose message gives the digit count) names the file."""
+    int-to-str digit limit, whose message gives the digit count) names the
+    file, and so does the ValueError a RecursionError (arrays or objects
+    nested past the interpreter's recursion limit) becomes."""
     with open(path) as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -544,8 +544,8 @@ def _cell_sum_vanishes(cell, atoms):
 # _weight_box_sum, which only trace calls, the box it is given.
 # The message names a commutator slab, as residues and cocycles are the
 # traces users run.  The cap is four times the widest shift trace_wide draws
-# (24,003) and above what --max-m 1000 reaches.  word_sum reads one-term
-# scalar and multiloop entries, whose weights are constant, and multiplies
+# (24,003) and above what --max-m 1000 reaches.  word_sum reads scalar
+# and multiloop entries, whose weights are constant, and multiplies
 # slab widths without building an operator, so their cocycles take any
 # exponent; a derivation's weight is summed in the walk's trace.
 # Closed-form power sums would lift the cap with the loop.

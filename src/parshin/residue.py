@@ -9,12 +9,14 @@ alternative global sign ``paper_res_star``).
 
 ``raw_sum``'s walk over lattice operators is the definition.  ``word_sum``
 evaluates the same sum on the multiplication operators of scalar and
-multiloop entries that are each one term acting by a nonzero matrix: it
-reads the entries' terms, builds no lattice operator, and sums over the
-sets of indices already placed rather than over words.  ``cocycle.phi``
-takes it there.  ``residue`` and every check against a closed form keep the
-walk: the set sum evaluates the same Leibniz sum as the determinant formula,
-so checking one against the other would not be independent.
+multiloop entries: it reads the entries' terms, expands over the balanced
+choices of one term per entry (``_balanced``, which ``raw_sum_polys`` also
+uses), builds no lattice operator, and sums over the sets of indices already
+placed rather than over words.  ``cocycle.phi`` takes every scalar and
+multiloop wedge there, and every derivation wedge to the walk.  ``residue``
+and every check against a closed form keep the walk: the set sum evaluates
+the same Leibniz sum as the determinant formula, so checking one against the
+other would not be independent.
 """
 
 from __future__ import annotations
@@ -120,19 +122,35 @@ def raw_sum(operators, cuts=None, *, commutator=projector_commutator) -> Fractio
     return walk(n, f0, 1, ())
 
 
-def _monomial_factor(entry):
-    """(shift, weight, matrix) of an entry that is one term acting by a
-    nonzero matrix: c t^s (a LaurentPoly) has weight c and matrix (1), and
-    Y t^s (a GLaurent) weight 1 and matrix ad(Y).  ValueError for any other
-    entry: a sum, a zero entry, the ad of a centre element, an operator."""
-    if isinstance(entry, (LaurentPoly, GLaurent)) and len(entry.terms) == 1:
-        (shift, value), = entry.terms
-        if isinstance(entry, LaurentPoly):
-            return shift, value, ((1,),)
-        matrix = ad(LieElement(entry.algebra, value))
-        if not is_zero_matrix(matrix):
-            return shift, 1, matrix
-    raise ValueError("word_sum takes entries that are each one term acting by a nonzero matrix")
+def _terms(entry):
+    """((n, d), terms) of a scalar or multiloop entry: the space it acts on
+    (d is the size of its matrices), and the (shift, weight, matrix) of each
+    of its terms acting by a nonzero matrix.  c t^s (a LaurentPoly) has
+    weight c and matrix (1), and Y t^s (a GLaurent) weight 1 and matrix
+    ad(Y); the ad of a centre element is zero, and its term is dropped.
+    TypeError for any other entry."""
+    if isinstance(entry, LaurentPoly):
+        return (entry.n, 1), [(shift, c, ((1,),)) for shift, c in entry.terms]
+    if isinstance(entry, GLaurent):
+        terms = [(shift, 1, ad(LieElement(entry.algebra, value))) for shift, value in entry.terms]
+        return (entry.n, entry.algebra.dim), [term for term in terms if not is_zero_matrix(term[2])]
+    raise TypeError(f"word_sum takes LaurentPoly or GLaurent entries, got {type(entry).__name__}")
+
+
+def _balanced(terms):
+    """Each choice of one term per entry whose shifts sum to 0, from the term
+    lists of f_0, ..., f_n (a term is a tuple whose first item is its shift).
+
+    For each choice of terms of f_1..f_n, the one term of f_0 whose shift is
+    their negated column sum is looked up, and the choice skipped when f_0
+    has none.  Every composite of a choice shifts by its column sum, so only
+    these choices have a diagonal.
+    """
+    first = {term[0]: term for term in terms[0]}
+    for combo in itertools.product(*terms[1:]):
+        term0 = first.get(tuple(-sum(col) for col in zip(*(term[0] for term in combo))))
+        if term0 is not None:
+            yield (term0,) + combo
 
 
 def _integral_content(matrix):
@@ -155,50 +173,13 @@ def _placements(shifts, placed, axis):
             yield j, -sign * shifts[j][axis]
 
 
-def word_sum(entries, cuts=None) -> Fraction:
-    """``raw_sum`` of the multiplication operators of entries that are each
-    one term w t^s acting by a nonzero matrix M, summed over placed sets
-    without building any lattice operator.
-
-    Each entry's term is read once: its shift s, its weight w (a scalar's
-    coefficient, 1 for a multiloop entry) and its matrix M ((1) for a
-    scalar, ad(Y) for Y t^s).  Multiplication by it is one atom w t^s M of
-    constant weight on the whole lattice, and its commutator [f, P_i^+] is
-    one atom on the slab [c_i, c_i - s_i) of axis i when s_i < 0, minus one
-    atom on [c_i - s_i, c_i) when s_i > 0, and 0 when s_i = 0.  Each axis
-    takes one commutator, so the word of a permutation pi is a single atom.
-    Only a balanced tuple (shifts summing to 0) has a diagonal, and the
-    word's trace is its sign times tr(matrix) times the product of the
-    weights and of its slab widths |s_pi(i),i|.  The cuts move the slabs
-    but not their widths, so the value does not depend on them.
-
-    Every word holds every entry once, so the weights multiply the sum
-    once.  So does each matrix's rational content: a matrix is N / den,
-    with den the lcm of its entries' denominators, so 1 / prod den joins
-    that number and the words multiply the int matrices N.
-
-    Walking the axes from n down to 1, the factor that places f_j on axis
-    i is -s_(j,i) N_j times the parity of the indices already placed below
-    j, so it depends only on the set S placed before it.  The prefixes
-    therefore collapse onto their sets: D[S + {j}] += c N_j D[S] from
-    D[{}] = N_0, and the sum is tr D[{1..n}].  That is n 2^(n-1) products
-    instead of up to n n! (the noncommutative analogue of expanding a
-    determinant by minors), and the last axis takes only traces,
-    tr(N_j D) as a sum of row-by-column dot products.  The sum stays an int
-    until the one final product.  ValueError, before any cut is read, when
-    an entry is not one term acting by a nonzero matrix; it is the only
-    ValueError raised here, and ``cocycle.phi`` sends such a wedge to the
-    walk.  The other refusals are ``raw_sum``'s, with its messages.
-    """
-    factors = [_monomial_factor(e) for e in entries]
-    n, _ = _trace_sum_input([(len(shift), len(matrix)) for shift, _, matrix in factors], cuts)
-    shifts, weights, matrices = zip(*factors)
-    if any(sum(col) for col in zip(*shifts)):
-        return Fraction(0)
+def _set_sum(choice):
+    """The words' sum for one balanced choice of (shift, weight, matrix)
+    terms, over placed sets (see ``word_sum``)."""
+    shifts, weights, matrices = zip(*choice)
     dens, integral = zip(*map(_integral_content, matrices))
-    scalar = Fraction(math.prod(weights), math.prod(dens))
     layer = {0: integral[0]}  # placed set, as a bit mask over 1..n -> D[set]
-    for axis in range(n - 1, 0, -1):
+    for axis in range(len(shifts) - 2, 0, -1):
         following = {}
         for placed, matrix in layer.items():
             for j, c in _placements(shifts, placed, axis):
@@ -210,7 +191,51 @@ def word_sum(entries, cuts=None) -> Fraction:
     for placed, matrix in layer.items():
         for j, c in _placements(shifts, placed, 0):
             total += c * sum(x * y for row, col in zip(integral[j], zip(*matrix)) for x, y in zip(row, col))
-    return scalar * total
+    return Fraction(math.prod(weights), math.prod(dens)) * total
+
+
+def word_sum(entries, cuts=None) -> Fraction:
+    """``raw_sum`` of the multiplication operators of scalar and multiloop
+    entries, summed over placed sets without building any lattice operator.
+
+    Each entry's terms are read once: the shift s, the weight w (a scalar's
+    coefficient, 1 for a multiloop term) and the matrix M ((1) for a scalar,
+    ad(Y) for Y t^s) of each term w t^s M acting by a nonzero matrix.  A
+    term acting by zero (the ad of a centre element) is dropped, so an entry
+    with no term left makes the value 0.  The sum is multilinear in each
+    entry, so it is expanded over one term per entry, and only the balanced
+    choices (shifts summing to 0) have a diagonal; ``_balanced`` finds them
+    as ``raw_sum_polys`` does.
+
+    Multiplication by one term is one atom w t^s M of constant weight on the
+    whole lattice, and its commutator [f, P_i^+] is one atom on the slab
+    [c_i, c_i - s_i) of axis i when s_i < 0, minus one atom on [c_i - s_i,
+    c_i) when s_i > 0, and 0 when s_i = 0.  Each axis takes one commutator,
+    so the word of a permutation pi is a single atom, and its trace is its
+    sign times tr(matrix) times the product of the weights and of its slab
+    widths |s_pi(i),i|.  The cuts move the slabs but not their widths, so
+    the value does not depend on them.
+
+    Every word holds every term of the choice once, so the weights multiply
+    its sum once.  So does each matrix's rational content: a matrix is
+    N / den, with den the lcm of its entries' denominators, so 1 / prod den
+    joins that number and the words multiply the int matrices N.
+
+    Walking the axes from n down to 1, the factor that places f_j on axis
+    i is -s_(j,i) N_j times the parity of the indices already placed below
+    j, so it depends only on the set S placed before it.  The prefixes
+    therefore collapse onto their sets: D[S + {j}] += c N_j D[S] from
+    D[{}] = N_0, and the sum is tr D[{1..n}].  That is n 2^(n-1) products
+    instead of up to n n! (the noncommutative analogue of expanding a
+    determinant by minors), and the last axis takes only traces,
+    tr(N_j D) as a sum of row-by-column dot products.  The sum stays an int
+    until the one final product.  TypeError for an entry that is not a
+    LaurentPoly or a GLaurent (a derivation goes to ``raw_sum``); the other
+    refusals are ``raw_sum``'s, with its messages.
+    """
+    read = [_terms(e) for e in entries]
+    _trace_sum_input([space for space, _ in read], cuts)
+    return sum(map(_set_sum, _balanced([terms for _, terms in read])), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -260,12 +285,11 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
     Multilinear expansion keeps every factor a single-atom operator, so each
     projector word cuts an exact interval per axis.  Every composite of a
     monomial tuple shifts by the exponents' column sum, so only balanced
-    tuples (column sums 0) can contribute: for each choice of terms of
-    f_1..f_n, the one term of f_0 that balances it is looked up, and the
-    choice skipped when f_0 has none.  Each monomial's operator, and its
-    commutator with each P_axis^+, is built once, on first use, and every
-    tuple's walk reuses it.  Raises ArityError before any operator is built
-    when the form's work exceeds MAX_WORK.
+    tuples (column sums 0) can contribute, and ``_balanced`` yields only
+    those.  Each monomial's operator, and its commutator with each P_axis^+,
+    is built once, on first use, and every tuple's walk reuses it.  Raises
+    ArityError before any operator is built when the form's work exceeds
+    MAX_WORK.
     """
     n = f0.n
     fs = list(fs)
@@ -296,13 +320,8 @@ def raw_sum_polys(f0: LaurentPoly, fs, cuts=None) -> Fraction:
             commutators[key] = projector_commutator(f, axis, cuts)
         return commutators[key]
 
-    f0_terms = dict(f0.terms)
     total = Fraction(0)
-    for combo in itertools.product(*(f.terms for f in fs)):
-        exp0 = tuple(-sum(col) for col in zip(*(exp for exp, _ in combo)))
-        coeff = f0_terms.get(exp0)
-        if coeff is None:
-            continue
+    for (exp0, coeff), *combo in _balanced([f0.terms] + [f.terms for f in fs]):
         for _, c in combo:
             coeff *= c
         total += coeff * raw_sum([operator(exp0)] + [operator(exp) for exp, _ in combo], cuts,

@@ -499,6 +499,38 @@ def test_json_integer_over_the_digit_limit_names_the_file(tmp_path, capsys):
     assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError", f"{algebra}: Expecting")
 
 
+# a JSON file nested past the interpreter's recursion limit ends in the
+# payload naming the file, through each path a cocycle reads a file by
+
+def nested_file(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    return str(path)
+
+
+def test_chain_file_nested_too_deep_names_the_file(tmp_path, capsys):
+    nested = nested_file(tmp_path)
+    assert_error(capsys, ["cocycle", "--input", nested, "--json"], "ValueError",
+                 f"{nested}: maximum recursion depth exceeded")
+
+
+def test_algebra_option_nested_too_deep_names_the_file(tmp_path, capsys):
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [2]}, {"Y": "F", "exp": [-2]}]}],
+                        algebra=sl2_path(tmp_path))
+    assert run_cli(capsys, "cocycle", "--input", chain, "--json")[0] == 0
+    nested = nested_file(tmp_path)
+    assert_error(capsys, ["cocycle", "--input", chain, "--algebra", nested, "--json"], "ValueError",
+                 f"{nested}: maximum recursion depth exceeded")
+
+
+def test_chain_algebra_path_nested_too_deep_names_the_file(tmp_path, capsys):
+    nested = nested_file(tmp_path)
+    chain = write_chain(tmp_path, [{"factors": [{"Y": "E", "exp": [2]}, {"Y": "F", "exp": [-2]}]}],
+                        algebra=nested)
+    assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError",
+                 f"{nested}: maximum recursion depth exceeded")
+
+
 def test_verify_caps_trials(capsys, monkeypatch):
     # 1000000 is over the cap: one n = 4 lift trial takes about 0.12-0.19 s
     for trials in ("0", "-2", "1001", "1000000"):

@@ -25,10 +25,12 @@ from parshin.liealg import sl2, to_json_dict
 SL2 = sl2()
 SL2_WEIGHT = {"H": 0, "E": 2, "F": -2}
 SL2_BALANCE = {0: "H", 2: "F", -2: "E"}
-# placeholders swapped into the JSON text: the sl2 file's path, and a JSON
-# integer too long for json.dumps to write
+# placeholders swapped into the JSON text: the sl2 file's path, a JSON
+# integer too long for json.dumps to write, and an array nested deeper than
+# json.dumps (or json.load) can recurse
 SL2_REF = "@sl2"
 BIG_REF = "@big"
+NEST_REF = "@nest"
 
 
 def run(argv):
@@ -117,7 +119,7 @@ NOT_RATIONAL = [True, False, 1.5, 0.1, "1.5", "x", "1/0", "", None, [1], {}]
 
 def near_miss_kinds(flavor):
     kinds = ("n", "terms", "term", "factors", "factor", "exp", "coeff", "exp length",
-             "count", "mixed", "over MAX_N", "digits")
+             "count", "mixed", "over MAX_N", "digits", "nesting")
     return kinds + ("basis",) if flavor == "sl2" else kinds
 
 
@@ -202,6 +204,10 @@ def near_miss(draw, flavor, kind=None):
         else:
             factor["exp"][0] = BIG_REF
         return doc, "ValueError"
+    if kind == "nesting":
+        # the file is refused as it is read, wherever the nesting sits
+        factor[draw(st.sampled_from(["coeff", "exp"]))] = NEST_REF
+        return doc, "ValueError"
     factor["Y"] = draw(st.sampled_from(["Q", "e0", "h", "", 3, None, True]))
     return doc, "ValueError"
 
@@ -225,6 +231,7 @@ def sl2_file(tmp_path_factory):
 def run_chain(sl2_file, doc, options=()):
     text = json.dumps(doc).replace(json.dumps(SL2_REF), json.dumps(str(sl2_file)))
     text = text.replace(json.dumps(BIG_REF), "7" * (sys.get_int_max_str_digits() + 1))
+    text = text.replace(json.dumps(NEST_REF), "[" * 2000 + "]" * 2000)
     path = sl2_file.parent / "chain.json"
     path.write_text(text)
     return run(["cocycle", "--input", str(path), *options, "--json"])

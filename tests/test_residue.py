@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -286,10 +287,10 @@ def test_word_sum_matches_the_walk_on_single_atom_tuples():
             cuts = tuple(rng.randint(-4, 4) for _ in range(n)) if trial % 4 else None
             expected = raw_sum(ops, cuts)
             if "derivation" in kinds:
-                # a derivation is no one-term entry (its weight is not
-                # constant): the kernel refuses it, and phi takes the walk
-                # (on operators, as the flavors do not mix)
-                with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
+                # a derivation is an operator, not a Laurent polynomial (its
+                # weight is not constant): the kernel refuses it, and phi
+                # takes the walk (on operators, as the flavors do not mix)
+                with pytest.raises(TypeError, match="word_sum takes LaurentPoly or GLaurent entries"):
                     word_sum(entries, cuts)
                 if n == 1:
                     assert phi(ops, cuts) == expected, (rows, kinds, cuts)
@@ -342,9 +343,9 @@ def test_word_sum_sums_constant_weights_without_a_power_sum(monkeypatch):
 
     monkeypatch.setattr(parshin.opalg, "_power_sum", refuse)
     assert [word_sum(constant), word_sum(scalar)] == expected[:2]
-    # a derivation weight is not constant: the kernel refuses it, and phi
-    # sums it in the walk
-    with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
+    # a derivation weight is not constant: the kernel refuses the operator,
+    # and phi sums it in the walk
+    with pytest.raises(TypeError, match="word_sum takes LaurentPoly or GLaurent entries"):
         word_sum(derivation)
     with pytest.raises(AssertionError, match="_power_sum was called"):
         phi(derivation)
@@ -411,16 +412,46 @@ def test_word_sum_hoists_fraction_coefficients_out_of_the_words(monkeypatch):
     assert products
 
 
+def gl2():
+    """sl2 + kZ with basis (H, E, F, Z), Z central: not nilpotent, so a
+    wedge holding the centre can take a nonzero value."""
+    from parshin.liealg import from_json_dict
+
+    return from_json_dict({"dim": 4, "basis": ["H", "E", "F", "Z"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"1": "2"}},
+        {"i": 0, "j": 2, "coeffs": {"2": "-2"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "1"}}]})
+
+
 def test_word_sum_takes_only_whole_lattice_atoms():
-    # the entries word_sum takes are one term acting by a nonzero matrix,
-    # each multiplication by one atom on the whole lattice
-    t = mono(1, (1,))
-    centre = GLaurent.monomial(1, heisenberg3().by_name("z"), (-1,))
-    for bad in (parse_poly("t1 + t1^2"), LaurentPoly.zero(1), centre, mul_operator(t),
-                projector(1, 1, "+").compose(mul_operator(mono(1, (-1,))))):
-        with pytest.raises(ValueError, match="one term acting by a nonzero matrix"):
-            word_sum([bad, t])
-    assert word_sum([mono(1, (-1,)), t]) == raw_sum(walk_operators([mono(1, (-1,)), t]))
+    # every scalar and multiloop entry acts by whole-lattice atoms: a sum is
+    # expanded term by term, and a zero entry, or a term acting by the zero
+    # ad of a centre element, makes its terms vanish; the set sum equals the
+    # walk on each
+    t, t_inv = mono(1, (1,)), mono(1, (-1,))
+    g = gl2()
+    H, E, F, Z = (g.by_name(name) for name in "HEFZ")
+    x, y, z = (heisenberg3().by_name(name) for name in "xyz")
+    sums = [parse_poly("2*t1^-1 + t1^-2 - 3*t1^2"), parse_poly("t1 + t1^2")]
+    centred = [GLaurent.make(1, g, {(1,): E + Z, (2,): Z}), GLaurent.make(1, g, {(-1,): F, (-2,): H})]
+    cases = [
+        (sums, (0,)), (sums, (-2,)),
+        ([LaurentPoly.zero(1), t], None), ([t_inv, LaurentPoly.zero(1)], (3,)),
+        ([GLaurent.zero(1, g), GLaurent.monomial(1, E, (1,))], None),
+        ([GLaurent.monomial(1, Z, (-1,)), GLaurent.monomial(1, E, (1,))], None),
+        (centred, None), (centred, (1,)),
+        ([GLaurent.monomial(2, el, row) for el, row in zip((x, y, z), ((1, 0), (-1, 1), (0, -1)))], None),
+    ]
+    values = []
+    for entries, cuts in cases:
+        values.append(word_sum(entries, cuts))
+        assert values[-1] == raw_sum(walk_operators(entries), cuts), (entries, cuts)
+    assert values[0] != 0 and values[6] != 0
+    # an operator is no Laurent polynomial, even a multiplication
+    for bad in (mul_operator(t), projector(1, 1, "+").compose(mul_operator(t_inv))):
+        for entries in ([bad, t], [t_inv, bad]):
+            with pytest.raises(TypeError, match="GLaurent entries, got LatticeOperator"):
+                word_sum(entries)
 
 
 def test_word_sum_shares_the_walks_refusals():
@@ -460,19 +491,47 @@ def test_phi_and_word_sum_refuse_monomial_entries_as_the_walk_does(case, algebra
 
 
 def test_phi_builds_no_lattice_operator_on_monomial_wedges(monkeypatch):
-    cocycle = importlib.import_module("parshin.cocycle")
     rows = ((-3, 1), (1, 2), (2, -3))
+    g = gl2()
     wedges = [[GLaurent.monomial(2, sl2().by_name(name), row) for name, row in zip("HEF", rows)],
-              [mono(2, row, c) for row, c in zip(rows, (Fraction(3, 2), -2, 1))]]
+              [mono(2, row, c) for row, c in zip(rows, (Fraction(3, 2), -2, 1))],
+              # a sum wedge, and one whose entries hold the centre of gl2
+              [mono(2, (-3, 1), 2) + mono(2, (-1, -2)), mono(2, (1, 2)) - mono(2, (-1, 1)),
+               mono(2, (2, -3), 3)],
+              [GLaurent.make(2, g, {rows[0]: g.by_name("H") + g.by_name("Z"), (0, 0): g.by_name("Z")}),
+               GLaurent.monomial(2, g.by_name("E"), rows[1]), GLaurent.monomial(2, g.by_name("F"), rows[2])]]
     expected = [raw_sum(walk_operators(entries)) for entries in wedges]
     assert all(value != 0 for value in expected)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice operator was built")
 
-    monkeypatch.setattr(cocycle, "mul_operator", refuse)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("parshin") and hasattr(module, "mul_operator"):
+            monkeypatch.setattr(module, "mul_operator", refuse)
     monkeypatch.setattr(LatticeOperator, "make", staticmethod(refuse))
     assert [phi(entries) for entries in wedges] == expected
+
+
+def test_a_centre_entry_reads_each_ad_once(monkeypatch):
+    # x t^(1,0), y t^(-1,1), z t^(0,-1) on heisenberg3: z is central, so ad(z)
+    # is zero; the set sum reads each entry's ad once and builds no operator.
+    # The package attribute parshin.residue is the residue function, so the
+    # modules are patched through sys.modules.
+    h = heisenberg3()
+    rows = ((1, 0), (-1, 1), (0, -1))
+    wedge = [GLaurent.monomial(2, h.by_name(name), row) for name, row in zip("xyz", rows)]
+    calls = []
+    for name in ("parshin.residue", "parshin.opalg"):
+        module = sys.modules[name]
+
+        def counted(y, ad=module.ad):
+            calls.append(y)
+            return ad(y)
+
+        monkeypatch.setattr(module, "ad", counted)
+    assert phi(wedge) == 0
+    assert len(calls) == 3
 
 
 COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
@@ -480,23 +539,35 @@ COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
 
 @st.composite
 def constant_weight_wedges(draw):
-    """(entries, cuts): n = 1..4 monomials with Fraction coefficients, on
-    d = 1 or on sl2 (integer or "p/q" structure constants); exponents in
-    -3..3 with zeros, balanced three times in four."""
+    """(entries, cuts): n = 1..4 wedges with Fraction coefficients, on d = 1,
+    on sl2 (integer or "p/q" structure constants), or on heisenberg3 or gl2
+    with every element holding the centre (z, Z); exponents in -3..3 with
+    zeros, the first terms balanced three times in four.  At n <= 3 an entry
+    may be a sum of two or three terms, and any entry may be zero."""
     n = draw(st.integers(1, 4))
-    algebra = draw(st.sampled_from((None, sl2(), rational_sl2())))
+    algebra, centred = draw(st.sampled_from(((None, False), (sl2(), False), (rational_sl2(), False),
+                                             (heisenberg3(), True), (gl2(), True))))
     rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n + 1)]
     if draw(st.integers(0, 3)):
         rows[0] = [-sum(row[i] for row in rows[1:]) for i in range(n)]
     entries = []
     for row in rows:
-        coefficient = draw(st.sampled_from(COEFFICIENTS))
-        if algebra is None:
-            entries.append(mono(n, tuple(row), coefficient))
-            continue
-        coeffs = [draw(st.sampled_from((0,) + COEFFICIENTS)) for _ in range(3)]
-        coeffs[draw(st.integers(0, 2))] = coefficient
-        entries.append(GLaurent.monomial(n, algebra.element(coeffs), tuple(row)))
+        extra = draw(st.integers(0, 2)) if n <= 3 else 0
+        exps = [tuple(row)] + [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(extra)]
+        terms = {}
+        for exp in exps:
+            coefficient = draw(st.sampled_from(COEFFICIENTS))
+            if algebra is None:
+                terms[exp] = coefficient
+                continue
+            coeffs = [draw(st.sampled_from((0,) + COEFFICIENTS)) for _ in range(algebra.dim)]
+            coeffs[draw(st.integers(0, algebra.dim - 1))] = coefficient
+            if centred:  # z or Z, the last basis element
+                coeffs[-1] = coefficient
+            terms[exp] = algebra.element(coeffs)
+        if draw(st.integers(0, 9)) == 9:
+            terms = {}
+        entries.append(LaurentPoly.make(n, terms) if algebra is None else GLaurent.make(n, algebra, terms))
     cuts = draw(st.none() | st.tuples(*[st.integers(-4, 4)] * n))
     return entries, cuts
 
