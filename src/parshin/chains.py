@@ -71,13 +71,9 @@ def expand_factor(x):
     if isinstance(x, LaurentPoly):
         return [(c, LaurentPoly.monomial(x.n, exp, 1)) for exp, c in x.terms]
     if isinstance(x, GLaurent):
-        out = []
-        for exp, coeffs in x.terms:
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    unit = GLaurent.monomial(x.n, x.algebra.basis_element(k), exp)
-                    out.append((c, unit))
-        return out
+        # a one-term GLaurent of a unit coefficient vector is already canonical
+        return [(c, GLaurent(x.n, x.algebra, ((exp, x.algebra.basis_element(k).coeffs),)))
+                for exp, coeffs in x.terms for k, c in enumerate(coeffs) if c != 0]
     if isinstance(x, LatticeOperator):
         if x.is_structurally_zero():
             return []

@@ -15,12 +15,13 @@ n = 1 specializations below fix this normalization) on three input flavors:
 ``phi`` evaluates a wedge, and ``phi_chain`` extends it linearly to chains.
 A scalar or multiloop wedge goes to ``residue.word_sum``, with no lattice
 operator built.  It reads each entry's terms once (the shift, the weight and
-the matrix of each: (1) for a scalar, ad(Y) for Y t^s, a centre element's
-zero ad dropped), expands the sum over the balanced choices of one term per
-entry, factors the weights and the rational content of the matrices out of
-each, and sums int matrix products over the sets of indices placed, not over
-words.  A derivation wedge, whose weight lam_axis is not constant, goes to
-the operator walk ``residue.raw_sum`` on its operators.
+the matrix of each: (1) for a scalar, ad(e_i) for c e_i t^s as its algebra
+keeps it, ad(Y) for any other Y t^s, a centre element's zero ad dropped),
+expands the sum over the balanced choices of one term per entry, factors
+the weights and the rational content of the matrices out of each, and sums
+int matrix products over the sets of indices placed, not over words.  A
+derivation wedge, whose weight lam_axis is not constant, goes to the
+operator walk ``residue.raw_sum`` on its operators.
 ``phi_closed_form`` is the generalized-Killing-form expression for monomial
 multiloop wedges.  The seeded checks of the cocycle identity and of the
 closed form live in :mod:`parshin.verify`.

@@ -8,8 +8,12 @@ Structure constants, element coefficients and adjoint matrices are stored as
 :mod:`parshin.matrices` stores matrix entries: an ``int`` where integral and
 a :class:`fractions.Fraction` otherwise.  The constants are kept once, as the
 sparse rows :func:`validate` builds; brackets, the validation checks and
-``ad`` read them.  :func:`is_centreless` decides a trivial centre by the
-Gram determinant of the adjoint representation.  Public scalar results
+``ad`` read them.  The adjoints of the basis are read once per algebra
+object: ``LieAlgebra.integral_adjoints`` calls ``ad`` on each basis element
+the first time it is asked for and keeps ad(e_i) as its integer content on
+the algebra, which is how the cocycle kernel ``residue.word_sum`` reads a
+multiloop term c e_i t^s.  :func:`is_centreless` decides a trivial centre by
+the Gram determinant of the adjoint representation.  Public scalar results
 (``killing_nform``) are Fractions.
 """
 
@@ -20,12 +24,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import (AntisymmetryViolation, ArityError, DimensionMismatch, JacobiViolation,
                      MixedAlgebras, ParshinError, shown)
-from .matrices import canonical, det, mat_mul, mat_trace, rational
+from .matrices import canonical, det, integral_content, is_zero_matrix, mat_mul, mat_trace, rational
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,22 @@ class LieAlgebra:
     ``(k, c)`` pairs, ints where integral, so equal algebras have equal rows.
     Instances are immutable and hashable; construct them through
     :func:`validate` or the fixture constructors below, which enforce the Lie
-    axioms.
+    axioms.  Equality and the hash read these three fields only, so an
+    algebra that has cached ``integral_adjoints`` equals one that has not.
     """
 
     dim: int
     basis_names: tuple
     rows: tuple  # rows[i][j] -> ((k, c), ...), c != 0
+
+    @cached_property
+    def integral_adjoints(self) -> tuple:
+        """(den_i, N_i) with ad(e_i) = N_i / den_i for each basis element
+        e_i (``matrices.integral_content``), None where ad(e_i) is zero (e_i
+        is central).  ``ad`` is called dim times, on first use; the tuple is
+        then kept on this algebra object."""
+        adjoints = (ad(self.basis_element(i)) for i in range(self.dim))
+        return tuple(None if is_zero_matrix(m) else integral_content(m) for m in adjoints)
 
     def element(self, coeffs) -> "LieElement":
         coeffs = tuple(rational(c) for c in coeffs)
@@ -189,14 +203,16 @@ def killing_nform(*elements) -> Fraction:
 def is_centreless(alg: LieAlgebra) -> bool:
     """True iff Y -> ad(Y) has trivial kernel.
 
-    Column i of A holds the entries of ad(e_i), scaled to ints by the lcm of
-    their denominators.  A^T A x = 0 gives |A x|^2 = 0, so A is injective
+    A central basis element is in the kernel.  Otherwise column i of A holds
+    the entries of den_i ad(e_i), the int matrix N_i the algebra keeps
+    (``integral_adjoints``); scaling a column by den_i > 0 leaves the kernel
+    trivial or not.  A^T A x = 0 gives |A x|^2 = 0, so A is injective
     exactly when det(A^T A) != 0; at dim 0 that is the empty determinant 1.
     """
-    cols = [[x for line in ad(alg.basis_element(i)) for x in line] for i in range(alg.dim)]
-    scale = lcm(*(x.denominator for col in cols for x in col))
-    cols = [[int(x * scale) for x in col] for col in cols]
-    return det([[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]) != 0
+    if None in alg.integral_adjoints:
+        return False
+    cols = [[x for line in integral for x in line] for _, integral in alg.integral_adjoints]
+    return det([[sum(map(mul, u, v)) for v in cols] for u in cols]) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +251,7 @@ def sl2() -> LieAlgebra:
 #
 # Coefficients are ints or rationals encoded as strings "p/q" or "p"; indices
 # are 0-based, each coefficient key is a plain decimal index, and only i < j
-# entries are allowed (antisymmetry fills the rest).
+# entries are allowed, each pair at most once (antisymmetry fills the rest).
 # "basis" is optional; when given it names each basis element once.
 
 # validation checks Jacobi on every basis triple over the sparse rows, so at
@@ -290,9 +306,11 @@ def from_json_dict(doc) -> LieAlgebra:
         i, j = entry["i"], entry["j"]
         if not 0 <= i < j < dim:
             raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
+        if (i, j) in structure:
+            raise ValueError(f"bracket ({i}, {j}) is given twice; give each pair once")
         vec = {}
         for k, c in entry["coeffs"].items():
-            vec[_json_index(k, i, j, dim)] = rational_from_json(c, f"bracket {shown(k)}")
+            vec[_json_index(k, i, j, dim)] = rational_from_json(c, f"bracket ({i}, {j}) key {shown(k)}")
         structure[(i, j)] = vec
         structure[(j, i)] = {k: -c for k, c in vec.items()}
     return validate(structure, dim=dim, basis_names=tuple(basis))

@@ -5,8 +5,10 @@ An integral entry is a plain ``int`` and any other entry a ``Fraction``.  An
 of entry give the same dict keys and the same order; ints only hash faster.
 """
 
+import math
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 
 def canonical(x):
@@ -61,7 +63,7 @@ def mat_scale(c, a):
 
 def mat_mul(a, b):
     cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, col)) for col in cols) for ra in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_trace(a):
@@ -70,6 +72,13 @@ def mat_trace(a):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
+
+
+def integral_content(a):
+    """(den, N) with a = N / den: den is the lcm of the entries'
+    denominators and N a matrix of ints."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
 
 
 def det(a):

@@ -9,14 +9,16 @@ alternative global sign ``paper_res_star``).
 
 ``raw_sum``'s walk over lattice operators is the definition.  ``word_sum``
 evaluates the same sum on the multiplication operators of scalar and
-multiloop entries: it reads the entries' terms, expands over the balanced
-choices of one term per entry (``_balanced``, which ``raw_sum_polys`` also
-uses), builds no lattice operator, and sums over the sets of indices already
-placed rather than over words.  ``cocycle.phi`` takes every scalar and
-multiloop wedge there, and every derivation wedge to the walk.  ``residue``
-and every check against a closed form keep the walk: the set sum evaluates
-the same Leibniz sum as the determinant formula, so checking one against the
-other would not be independent.
+multiloop entries: it reads the entries' terms (a multiple of a basis
+element as the adjoint its algebra reads once and keeps, in integer form),
+expands over the balanced choices of one term per entry (``_balanced``,
+which ``raw_sum_polys`` also uses), builds no lattice operator, and sums
+over the sets of indices already placed rather than over words.
+``cocycle.phi`` takes every scalar and multiloop wedge there, and every
+derivation wedge to the walk.  ``residue`` and every check against a closed
+form keep the walk: the set sum evaluates the same Leibniz sum as the
+determinant formula, so checking one against the other would not be
+independent.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .errors import ArityError, DimensionMismatch, ShapeMismatch
 from .laurent import GLaurent, LaurentPoly, parshin_oracle
 from .liealg import LieElement, ad
-from .matrices import det, exact_text, integer, is_zero_matrix, mat_add, mat_mul, mat_scale
+from .matrices import det, exact_text, integer, integral_content, is_zero_matrix, mat_add, mat_mul, mat_scale
 from .opalg import LatticeOperator, _cuts, mul_operator, projector, projector_commutator
 
 
@@ -124,17 +126,30 @@ def raw_sum(operators, cuts=None, *, commutator=projector_commutator) -> Fractio
 
 def _terms(entry):
     """((n, d), terms) of a scalar or multiloop entry: the space it acts on
-    (d is the size of its matrices), and the (shift, weight, matrix) of each
-    of its terms acting by a nonzero matrix.  c t^s (a LaurentPoly) has
-    weight c and matrix (1), and Y t^s (a GLaurent) weight 1 and matrix
-    ad(Y); the ad of a centre element is zero, and its term is dropped.
-    TypeError for any other entry."""
+    (d is the size of its matrices), and the (shift, weight, (den, N)) of
+    each of its terms acting by a nonzero matrix N / den.  c t^s (a
+    LaurentPoly) has weight c and matrix (1).  c e_i t^s (a GLaurent term
+    with one nonzero coefficient) has weight c and the content of ad(e_i)
+    its algebra keeps (``LieAlgebra.integral_adjoints``), so no ``ad`` is
+    computed for it; any other Y t^s has weight 1 and the content of ad(Y).
+    A term whose matrix is zero (a centre element's) is dropped.  TypeError
+    for any other entry."""
     if isinstance(entry, LaurentPoly):
-        return (entry.n, 1), [(shift, c, ((1,),)) for shift, c in entry.terms]
-    if isinstance(entry, GLaurent):
-        terms = [(shift, 1, ad(LieElement(entry.algebra, value))) for shift, value in entry.terms]
-        return (entry.n, entry.algebra.dim), [term for term in terms if not is_zero_matrix(term[2])]
-    raise TypeError(f"word_sum takes LaurentPoly or GLaurent entries, got {type(entry).__name__}")
+        return (entry.n, 1), [(shift, c, (1, ((1,),))) for shift, c in entry.terms]
+    if not isinstance(entry, GLaurent):
+        raise TypeError(f"word_sum takes LaurentPoly or GLaurent entries, got {type(entry).__name__}")
+    adjoints = entry.algebra.integral_adjoints
+    terms = []
+    for shift, value in entry.terms:
+        nonzero = [i for i, c in enumerate(value) if c]
+        if len(nonzero) == 1:
+            weight, content = value[nonzero[0]], adjoints[nonzero[0]]
+        else:
+            matrix = ad(LieElement(entry.algebra, value))
+            weight, content = 1, None if is_zero_matrix(matrix) else integral_content(matrix)
+        if content is not None:
+            terms.append((shift, weight, content))
+    return (entry.n, entry.algebra.dim), terms
 
 
 def _balanced(terms):
@@ -153,13 +168,6 @@ def _balanced(terms):
             yield (term0,) + combo
 
 
-def _integral_content(matrix):
-    """(den, N) with matrix = N / den: den is the lcm of the entries'
-    denominators and N a matrix of ints."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix)
-
-
 def _placements(shifts, placed, axis):
     """(j, c) for each index j outside the bit mask ``placed`` whose
     commutator on ``axis`` (0-based) is nonzero: c is the slab width |s|,
@@ -174,10 +182,10 @@ def _placements(shifts, placed, axis):
 
 
 def _set_sum(choice):
-    """The words' sum for one balanced choice of (shift, weight, matrix)
+    """The words' sum for one balanced choice of (shift, weight, (den, N))
     terms, over placed sets (see ``word_sum``)."""
-    shifts, weights, matrices = zip(*choice)
-    dens, integral = zip(*map(_integral_content, matrices))
+    shifts, weights, contents = zip(*choice)
+    dens, integral = zip(*contents)
     layer = {0: integral[0]}  # placed set, as a bit mask over 1..n -> D[set]
     for axis in range(len(shifts) - 2, 0, -1):
         following = {}
@@ -198,14 +206,17 @@ def word_sum(entries, cuts=None) -> Fraction:
     """``raw_sum`` of the multiplication operators of scalar and multiloop
     entries, summed over placed sets without building any lattice operator.
 
-    Each entry's terms are read once: the shift s, the weight w (a scalar's
-    coefficient, 1 for a multiloop term) and the matrix M ((1) for a scalar,
-    ad(Y) for Y t^s) of each term w t^s M acting by a nonzero matrix.  A
-    term acting by zero (the ad of a centre element) is dropped, so an entry
-    with no term left makes the value 0.  The sum is multilinear in each
-    entry, so it is expanded over one term per entry, and only the balanced
-    choices (shifts summing to 0) have a diagonal; ``_balanced`` finds them
-    as ``raw_sum_polys`` does.
+    Each entry's terms are read once (``_terms``): the shift s, the weight w
+    and the matrix M of each term w t^s M acting by a nonzero matrix: c and
+    (1) for c t^s, c and ad(e_i) for c e_i t^s, 1 and ad(Y) for any other
+    Y t^s.  ad(e_i) is read once per algebra object, as the integer content
+    ``LieAlgebra.integral_adjoints`` keeps, so only a term with several
+    nonzero coefficients computes an ad and its content.  A term acting by
+    zero (the ad of a centre element) is dropped, so an entry with no term
+    left makes the value 0.  The sum is multilinear in each entry, so it is
+    expanded over one term per entry, and only the balanced choices (shifts
+    summing to 0) have a diagonal; ``_balanced`` finds them as
+    ``raw_sum_polys`` does.
 
     Multiplication by one term is one atom w t^s M of constant weight on the
     whole lattice, and its commutator [f, P_i^+] is one atom on the slab

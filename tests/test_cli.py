@@ -304,6 +304,29 @@ def test_cocycle_algebra_bracket_key_must_be_a_plain_index(tmp_path, capsys, key
                           "--json"], "ValueError", "bracket (0, 1)", repr(key), "plain decimal index")
 
 
+def test_cocycle_algebra_refuses_a_repeated_bracket_pair(tmp_path, capsys):
+    # the second entry for a pair used to replace the first, and the chain
+    # ran with exit 0 on the second table alone
+    first, second = {"i": 0, "j": 1, "coeffs": {"0": "1"}}, {"i": 0, "j": 1, "coeffs": {"1": "1"}}
+    for brackets in ([first, second], [second, first], [first, first]):
+        chain = algebra_chain(tmp_path, {"dim": 2, "brackets": brackets})
+        for argv in (["cocycle", "--input", chain, "--json"],
+                     ["cocycle", "--input", chain, "--algebra", str(tmp_path / "algebra.json"), "--json"]):
+            assert_error(capsys, argv, "ValueError", "bracket (0, 1) is given twice")
+    chain = algebra_chain(tmp_path, {"dim": 2, "brackets": [second]})
+    code, out, _ = run_cli(capsys, "cocycle", "--input", chain, "--json")
+    assert code == 0 and json.loads(out)["value"] == "0"
+
+
+def test_cocycle_algebra_coefficient_error_names_the_pair_and_the_key(tmp_path, capsys):
+    # the message used to read "bracket '0' coefficient '1/0' ...", naming the
+    # key as if it were the bracket
+    for value, shown_value in (("1/0", "'1/0'"), (1.5, "1.5"), ([1], "[1]")):
+        chain = algebra_chain(tmp_path, {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": value}}]})
+        assert_error(capsys, ["cocycle", "--input", chain, "--json"], "ValueError",
+                     f"bracket (1, 2) key '0' coefficient {shown_value} is not a rational")
+
+
 def test_cocycle_algebra_brackets_must_be_a_list(tmp_path, capsys):
     # 5 and null used to end in a TypeError traceback
     for brackets in (5, None, {}, "x"):

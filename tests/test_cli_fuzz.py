@@ -18,9 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parshin.chains import read_chain
 from parshin.cli import MAX_N, main
 from parshin.cocycle import phi_closed_form
-from parshin.liealg import sl2, to_json_dict
+from parshin.errors import ParshinError
+from parshin.liealg import load_algebra, sl2, to_json_dict
+from parshin.opalg import mul_operator
+from parshin.residue import raw_sum
 
 SL2 = sl2()
 SL2_WEIGHT = {"H": 0, "E": 2, "F": -2}
@@ -325,3 +329,105 @@ def test_cuts_strings_through_the_cli(uncut, form, pieces):
         assert_error_payload(code, out, "DimensionMismatch", cuts)
         return
     assert code == 0 and out == uncut[form] and out["agrees"] is True, cuts
+
+
+# -- files of arbitrary bytes -----------------------------------------------------
+
+# pieces an edit inserts or writes over: JSON and form syntax, digits, and
+# bytes that are not UTF-8
+BYTE_PIECES = (b"0", b"1", b"2", b"9", b"-", b"/", b'"', b",", b":", b"[", b"]", b"{", b"}", b" ",
+               b"t", b"^", b";", b"*", b"+", b"\xff", b"\x00", b"\xc3\xa9", b"1e9", b"null")
+
+
+def _error_types(base):
+    return {base.__name__}.union(*(_error_types(sub) for sub in base.__subclasses__()))
+
+
+# what the CLI turns into the error payload: ParshinError, OSError and
+# ValueError, with every subclass the standard library defines
+PAYLOAD_TYPES = _error_types(ParshinError) | _error_types(OSError) | _error_types(ValueError)
+
+
+@st.composite
+def byte_files(draw, seeds):
+    """Bytes drawn outright, or one of ``seeds`` with one to four edits: a
+    digit changed (which keeps most documents well formed), or a piece
+    inserted, written over or deleted."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=160))
+    data = bytearray(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(BYTE_PIECES) | st.binary(min_size=1, max_size=2))
+        edit = draw(st.sampled_from(["digit", "digit", "insert", "write", "delete"]))
+        if edit == "digit":
+            digits = [k for k, byte in enumerate(data) if byte in b"0123456789"]
+            if digits:
+                data[draw(st.sampled_from(digits))] = ord(str(draw(st.integers(0, 9))))
+        elif edit == "insert":
+            data[at:at] = piece
+        elif edit == "write":
+            data[at:at + len(piece)] = piece
+        else:
+            del data[at:at + len(piece)]
+    return bytes(data)
+
+
+def assert_ends_well(code, out, data):
+    """Exit 0, or exit 1 with the error payload of a type the CLI catches."""
+    if code != 0:
+        assert code == 1 and set(out) == {"error"} and set(out["error"]) == {"type", "message"}, data
+        assert out["error"]["type"] in PAYLOAD_TYPES and isinstance(out["error"]["message"], str), data
+
+
+def algebra_text(basis, brackets, dim=3):
+    return json.dumps({"dim": dim, "basis": basis, "brackets": [
+        {"i": i, "j": j, "coeffs": coeffs} for (i, j), coeffs in brackets.items()]}).encode()
+
+
+# Lie-algebra documents over the basis names the chain below reads: sl2, sl2
+# in a rescaled basis with "p/q" constants, sl2 plus a centre, and a
+# Heisenberg algebra
+ALGEBRA_SEEDS = (
+    json.dumps(to_json_dict(SL2)).encode(),
+    algebra_text(["H", "E", "F"], {(0, 1): {"1": "1/2"}, (0, 2): {"2": "-1/2"}, (1, 2): {"0": "4"}}),
+    algebra_text(["H", "E", "F", "Z"], {(0, 1): {"1": 2}, (0, 2): {"2": -2}, (1, 2): {"0": 1}}, dim=4),
+    algebra_text(["H", "E", "F"], {(0, 1): {"2": "1"}}),
+)
+ALGEBRA_CHAIN = {"n": 2, "algebra": SL2_REF, "terms": [
+    {"factors": [{"Y": "H", "exp": [-1, -1]}, {"Y": "E", "exp": [1, 0]}, {"Y": "F", "exp": [0, 1]}]},
+    {"coeff": "3/2", "factors": [{"Y": "E", "exp": [0, 1]}, {"Y": "H", "exp": [2, -1]},
+                                 {"Y": "F", "exp": [-2, 0]}]},
+]}
+
+
+@given(byte_files(ALGEBRA_SEEDS))
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_algebra_files_of_arbitrary_bytes_through_the_cli(sl2_file, data):
+    # a file that loads gives the walk's value on the algebra it holds; any
+    # other ends in the error payload
+    path = sl2_file.parent / "fuzzed-algebra.json"
+    path.write_bytes(data)
+    code, out = run_chain(sl2_file, ALGEBRA_CHAIN, ("--algebra", str(path)))
+    assert_ends_well(code, out, data)
+    if code != 0:
+        return
+    _, terms = read_chain(ALGEBRA_CHAIN, load_algebra(path), MAX_N)
+    value = sum((c * raw_sum([mul_operator(f) for f in factors]) for c, factors in terms), Fraction(0))
+    assert out == {"flavor": "multiloop", "n": 2, "value": str(value)}, data
+
+
+FORM_SEEDS = tuple(form.encode() for form in FORMS) + (b"3/2*t1^-2*t2 ; t1^2 - t2 ; 1/3*t2^-2 + t1*t2",)
+
+
+@given(byte_files(FORM_SEEDS))
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_form_files_of_arbitrary_bytes_through_the_cli(tmp_path_factory, data):
+    # exit 0 only with the residue equal to the oracle's; any other file ends
+    # in the error payload
+    path = tmp_path_factory.getbasetemp() / "fuzzed-form.txt"
+    path.write_bytes(data)
+    code, out = run(["residue", "--input", str(path), "--json"])
+    assert_ends_well(code, out, data)
+    if code == 0:
+        assert out["agrees"] is True and out["residue"] == out["oracle"], data

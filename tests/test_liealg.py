@@ -1,5 +1,6 @@
 """Lie algebra layer: validation, adjoint matrices, the generalized Killing form."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -91,6 +92,73 @@ def test_ad_is_bracket_homomorphism():
         ayx = mat_mul(ad(y), ad(x))
         rhs = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(axy, ayx))
         assert lhs == rhs
+
+
+def reference_mat_mul(a, b):
+    """a b by the triple loop, summed from 0 as ``sum`` does."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = 0
+            for k in range(len(b)):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_mat_mul_matches_the_triple_loop():
+    # int, Fraction and mixed entries, sizes 1..4: equal values and equal
+    # entry types (an int where every product is an int, else a Fraction)
+    rng = random.Random(32)
+    entries = {"int": lambda: rng.randint(-6, 6),
+               "fraction": lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+               "mixed": lambda: rng.choice((rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))}
+    seen = set()
+    for kind, draw in entries.items():
+        for _ in range(150):
+            p, q, r = (rng.randint(1, 4) for _ in range(3))
+            a = tuple(tuple(draw() for _ in range(q)) for _ in range(p))
+            b = tuple(tuple(draw() for _ in range(r)) for _ in range(q))
+            got, want = mat_mul(a, b), reference_mat_mul(a, b)
+            assert got == want and type(got) is tuple and all(type(row) is tuple for row in got)
+            types = [[type(x) for x in row] for row in got]
+            assert types == [[type(x) for x in row] for row in want], (a, b)
+            seen.update(kind + ":" + t.__name__ for row in types for t in row)
+    assert seen == {"int:int", "fraction:Fraction", "mixed:int", "mixed:Fraction"}
+
+
+def test_the_algebra_keeps_the_integer_content_of_each_basis_adjoint():
+    rational = from_json_dict({"dim": 3, "basis": ["h", "e", "f"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"1": "1/2"}}, {"i": 0, "j": 2, "coeffs": {"2": "-1/2"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "2/3"}}]})
+    for alg in (sl2(), heisenberg3(), abelian(2), rational, abelian(0)):
+        adjoints = alg.integral_adjoints
+        assert len(adjoints) == alg.dim
+        for i, content in enumerate(adjoints):
+            matrix = ad(alg.basis_element(i))
+            if content is None:
+                assert not any(x for row in matrix for x in row)
+                continue
+            den, integral = content
+            assert type(den) is int and den >= 1 and all(type(x) is int for row in integral for x in row)
+            assert tuple(tuple(Fraction(x, den) for x in row) for row in integral) == matrix
+            # den is the least common denominator: no prime divides den and all of N
+            assert math.gcd(den, *(x for row in integral for x in row)) == 1
+        assert alg.integral_adjoints is adjoints
+    assert [c is None for c in heisenberg3().integral_adjoints] == [False, False, True]
+    assert rational.integral_adjoints[0] == (2, ((0, 0, 0), (0, 1, 0), (0, 0, -1)))
+
+
+def test_equal_algebras_stay_equal_once_one_reads_its_adjoints():
+    read, unread = sl2(), sl2()
+    assert read.integral_adjoints
+    assert "integral_adjoints" in vars(read) and "integral_adjoints" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert {read: 1}[unread] == 1 and len({read, unread}) == 1
+    assert read == from_json_dict(to_json_dict(unread)) and repr(read) == repr(unread)
+    assert read != heisenberg3() and is_centreless(read) and is_centreless(unread)
 
 
 def test_killing_form_values_sl2():
@@ -273,6 +341,7 @@ def reference_read(doc):
             or not all(isinstance(name, str) for name in basis) or len(set(basis)) != dim):
         raise ValueError(f"'basis' must list {dim} distinct names, got {shown(basis)}")
     table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for entry in doc.get("brackets", ()):
         if (not isinstance(entry, dict) or type(entry.get("i")) is not int
                 or type(entry.get("j")) is not int or not isinstance(entry.get("coeffs"), dict)):
@@ -280,13 +349,16 @@ def reference_read(doc):
         i, j = entry["i"], entry["j"]
         if not 0 <= i < j < dim:
             raise ParshinError(f"bracket entry must have 0 <= i < j < dim, got ({i}, {j})")
+        if (i, j) in seen:
+            raise ValueError(f"bracket ({i}, {j}) is given twice; give each pair once")
+        seen.add((i, j))
         vec = [Fraction(0)] * dim
         for k, c in entry["coeffs"].items():
             if not _PLAIN_INDEX.fullmatch(k):
                 raise ValueError(f"bracket ({i}, {j}) has coefficient key {k!r}, which is not a plain decimal index")
             if not 0 <= int(k) < dim:
                 raise ValueError(f"bracket ({i}, {j}) coefficient index {k!r} is not in 0..{dim - 1}")
-            vec[int(k)] = reference_rational(c, f"bracket {k!r}")
+            vec[int(k)] = reference_rational(c, f"bracket ({i}, {j}) key {k!r}")
         table[i][j] = vec
         table[j][i] = [-c for c in vec]
     reference_check(table)
@@ -377,7 +449,7 @@ def lie_documents(draw):
 @st.composite
 def malformed(draw, doc):
     dim, brackets = doc["dim"], doc["brackets"]
-    where = draw(st.sampled_from(["key", "value", "i", "j", "coeffs", "entry", "basis", "dim"]))
+    where = draw(st.sampled_from(["key", "value", "i", "j", "coeffs", "entry", "repeat", "basis", "dim"]))
     if where == "dim":
         doc["dim"] = draw(st.sampled_from(["3", 3.0, True, -1, None, MAX_DIM + 1]))
     elif where == "basis":
@@ -389,6 +461,10 @@ def malformed(draw, doc):
         entry = draw(st.sampled_from(brackets))
         if where == "entry":
             brackets[brackets.index(entry)] = draw(st.sampled_from(["x", [0, 1], None]))
+        elif where == "repeat":
+            # the same pair again, with the same or other coefficients
+            coeffs = draw(st.sampled_from([dict(entry["coeffs"]), {}, {"0": "1"}]))
+            brackets.insert(draw(st.integers(0, len(brackets))), dict(entry, coeffs=coeffs))
         elif where in ("i", "j"):
             entry[where] = draw(st.sampled_from(BAD_INDICES + (entry["j" if where == "i" else "i"],)))
         elif where == "coeffs":

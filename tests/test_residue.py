@@ -513,25 +513,60 @@ def test_phi_builds_no_lattice_operator_on_monomial_wedges(monkeypatch):
     assert [phi(entries) for entries in wedges] == expected
 
 
-def test_a_centre_entry_reads_each_ad_once(monkeypatch):
-    # x t^(1,0), y t^(-1,1), z t^(0,-1) on heisenberg3: z is central, so ad(z)
-    # is zero; the set sum reads each entry's ad once and builds no operator.
+def chain_document(rng, algebra, terms, n=2):
+    """A chain document of monomial terms over ``algebra``'s basis names,
+    with "p/q" term and factor coefficients; three terms in four balanced."""
+    doc = {"n": n, "terms": []}
+    for index in range(terms):
+        factors = [{"Y": rng.choice(algebra.basis_names), "exp": row, "coeff": str(random_nonzero(rng))}
+                   for row in random_rows(rng, n, balanced=index % 4 != 3)]
+        doc["terms"].append({"coeff": str(random_nonzero(rng)), "factors": factors})
+    return doc
+
+
+def chain_value(terms, value):
+    return sum((coeff * value(factors) for coeff, factors in terms), Fraction(0))
+
+
+def test_ad_is_read_once_per_algebra(monkeypatch):
+    # a 200-term chain calls liealg.ad at most dim times per algebra object:
+    # LieAlgebra.integral_adjoints reads each ad(e_i) once and keeps it, and
+    # word_sum computes no ad of its own for a multiple of a basis element.
+    # A term holding a central element still acts by zero, and every value
+    # equals the walk's, computed before the count on an equal algebra.
     # The package attribute parshin.residue is the residue function, so the
     # modules are patched through sys.modules.
-    h = heisenberg3()
-    rows = ((1, 0), (-1, 1), (0, -1))
-    wedge = [GLaurent.monomial(2, h.by_name(name), row) for name, row in zip("xyz", rows)]
+    from parshin.chains import read_chain
+
+    rng = random.Random(32)
+    cases = []
+    for make, central in ((heisenberg3, {"z"}), (sl2, set()), (gl2, {"Z"})):
+        doc = chain_document(rng, make(), 200)
+        terms = read_chain(doc, make())[1]
+        assert len(terms) == 200
+        expected = chain_value(terms, lambda factors: raw_sum(walk_operators(factors)))
+        holding = [any(f["Y"] in central for f in term["factors"]) for term in doc["terms"]]
+        cases.append((make(), doc, central, holding, expected))
+    assert sum(any(holding) for *_, holding, _ in cases) == 2
+    assert sum(expected != 0 for *_, expected in cases) == 2
+
     calls = []
-    for name in ("parshin.residue", "parshin.opalg"):
-        module = sys.modules[name]
+    liealg_module = sys.modules["parshin.liealg"]
 
-        def counted(y, ad=module.ad):
-            calls.append(y)
-            return ad(y)
+    def counted(y, ad=liealg_module.ad):
+        calls.append(y.algebra)
+        return ad(y)
 
-        monkeypatch.setattr(module, "ad", counted)
-    assert phi(wedge) == 0
-    assert len(calls) == 3
+    monkeypatch.setattr(liealg_module, "ad", counted)
+    monkeypatch.setattr(sys.modules["parshin.residue"], "ad", None)
+    for algebra, doc, central, holding, expected in cases:
+        calls.clear()
+        terms = read_chain(doc, algebra)[1]
+        assert chain_value(terms, phi) == expected
+        assert len(calls) == algebra.dim and all(a is algebra for a in calls)
+        assert [c is None for c in algebra.integral_adjoints] == [name in central for name in algebra.basis_names]
+        assert [phi(factors) for (_, factors), held in zip(terms, holding) if held] == [0] * sum(holding)
+        assert len(calls) == algebra.dim
 
 
 COEFFICIENTS = (1, -2, Fraction(3, 2), Fraction(-5, 3))
