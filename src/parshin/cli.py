@@ -82,8 +82,11 @@ def _read_form(args):
     if args.form is not None:
         return args.form
     if args.input is not None:
-        with open(args.input) as handle:
-            return handle.read().strip()
+        with open(args.input, encoding="utf-8") as handle:
+            try:
+                return handle.read().strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"--input {args.input}: not UTF-8 text: {exc}") from None
     raise ArityError("provide --form TEXT or --input PATH")
 
 

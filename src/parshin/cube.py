@@ -22,8 +22,10 @@ region coefficients as a function on Z^n, expanded into signed lower-corner
 steps (``_cancels``); when every such function vanishes, the element is zero
 and nothing is normalized.  Otherwise, and whenever a component is read, it
 is normalized by one ``LatticeOperator.combine``.  ``homotopy_hat_boundary_hat``
-feeds d^'s term sum into H^'s formula with no read, so every identity of the
-cube battery on N^p (p >= 1) is decided by coefficient cancellation.
+feeds d^'s term sum into H^'s formula with no read, and ``boundary_hat_equals``
+decides d^ f = g on d^'s term sum with g entered as one more term over the
+whole lattice, so every identity of the cube battery, on N^0 too, is decided
+by coefficient cancellation.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class CubeElement:
     def make(n, d, p, components) -> "CubeElement":
         clean = {}
         for s, op in components.items():
-            if len(s) != n or degree(s) != p:
-                raise DimensionMismatch(f"sign string {s!r} is not degree {p} over n={n}")
+            if s not in sign_strings(n, p):
+                raise DimensionMismatch(f"sign string {s!r} is not a degree-{p} string in {{+,-,0}}^{n}")
             if op.n != n or op.d != d:
                 raise DimensionMismatch("component operator on the wrong space")
             if not op.is_structurally_zero():
@@ -137,6 +139,8 @@ class CubeElement:
     def _plus(self, c, other):
         """self + c * other: coefficients of equal keys add, zeros dropped."""
         self._check(other)
+        if not other.terms:
+            return self
         terms = dict(self.terms)
         for s, t in other.terms.items():
             acc = dict(terms.get(s, ()))
@@ -243,6 +247,8 @@ def _apply(f: CubeElement, p, rule) -> CubeElement:
     empty meet drops the term) and coefficients of equal keys add; a key whose
     sum is zero is dropped as it arises.
     """
+    if not rule or not f.terms:
+        return CubeElement(f.n, f.d, p, {}, f.sources)
     out = {}
     for s, sign, s_in, image in rule:
         src = f.terms.get(s_in)
@@ -256,7 +262,12 @@ def _apply(f: CubeElement, p, rule) -> CubeElement:
                 bounds = _meet(bounds, image)
                 if bounds is None:
                     continue
-            _add(acc, (sid, bounds), sign * c)
+            key = (sid, bounds)
+            c = sign * c + acc.get(key, 0)  # _add, inlined in this hot loop
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
     return CubeElement(f.n, f.d, p, {s: t for s, t in out.items() if t}, f.sources)
 
 
@@ -401,6 +412,21 @@ def _boundary_hat_terms(f: CubeElement) -> dict:
 def boundary_hat(f: CubeElement) -> LatticeOperator:
     """N^1 -> N^0: sum over s in {+,-}^n of (-1)^(s_1+...+s_n) f_s."""
     return _read(f.n, f.d, _boundary_hat_terms(f), f.sources)
+
+
+def boundary_hat_equals(f: CubeElement, g: LatticeOperator = None) -> bool:
+    """Whether d^ f = g (g = 0 when None), decided on terms before any read.
+
+    g enters d^'s term sum as the term (g, whole lattice) with coefficient
+    -1; a structurally zero g adds nothing.  When the sum cancels (see
+    ``_cancels``), d^ f = g whatever the sources are; only otherwise is it
+    read by one ``combine`` and tested by ``LatticeOperator.is_zero``.
+    """
+    terms, sources = _boundary_hat_terms(f), f.sources
+    if g is not None and g.atoms:
+        sources = {**sources, id(g): g}
+        _add(terms, (id(g), Box.full(f.n)), -1)
+    return _cancels(terms) or _read(f.n, f.d, terms, sources).is_zero()
 
 
 def epsilon(f: CubeElement, axis, cuts=None) -> CubeElement:

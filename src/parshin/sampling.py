@@ -4,6 +4,12 @@ All randomness flows through :class:`random.Random` seeded by the caller
 (CPython's Mersenne Twister, MT19937), so every trial is reproducible from
 its seed.  Any integer is a seed, 0 included; the CLI's fixture suite ignores
 ``--seed`` and draws its rho check from seed 0.
+
+The polynomials and matrices drawn here are built in canonical form from
+the draws (sorted terms, no zero coefficients, integral values as ``int``),
+so they skip the validation of ``LaurentPoly.make`` and ``matrix``: canonical
+values, the same draws.  Operators and cube elements still go through their
+``make``, which merges atoms.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cube import CubeElement, sign_strings
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _canonical
 from .liealg import LieAlgebra
-from .matrices import matrix
+from .matrices import canonical
 from .opalg import Box, KernelAtom, LatticeOperator
 
 
@@ -38,7 +44,7 @@ def random_laurent(rng, n, max_terms=3, exp_bound=3) -> LaurentPoly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         terms[random_exponent(rng, n, exp_bound)] = random_nonzero_fraction(rng)
-    return LaurentPoly.make(n, terms)
+    return LaurentPoly(n, _canonical(terms))
 
 
 def random_lie_element(rng, algebra: LieAlgebra, span=2):
@@ -50,18 +56,19 @@ def random_lie_element(rng, algebra: LieAlgebra, span=2):
 
 def random_matrix(rng, d, span=2):
     while True:
-        m = matrix([[rng.randint(-span, span) for _ in range(d)] for _ in range(d)])
-        if any(x != 0 for row in m for x in row):
+        m = tuple(tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d))
+        if any(any(row) for row in m):
             return m
 
 
 def random_weight(rng, n, max_degree=1) -> LaurentPoly:
-    terms = {(0,) * n: random_nonzero_fraction(rng, span=2, max_den=2)}
+    terms = (((0,) * n, canonical(random_nonzero_fraction(rng, span=2, max_den=2))),)
     if max_degree >= 1 and rng.random() < 0.5:
         axis = rng.randrange(n)
-        deg = tuple(1 if i == axis else 0 for i in range(n))
-        terms[deg] = Fraction(rng.randint(-2, 2))
-    return LaurentPoly.make(n, terms)
+        c = rng.randint(-2, 2)
+        if c:
+            terms += ((tuple(1 if i == axis else 0 for i in range(n)), c),)
+    return LaurentPoly(n, terms)
 
 
 def random_box_for_sign(rng, sign_string, bound=3) -> tuple:
@@ -86,7 +93,7 @@ def random_cube_element(rng, n, p, d=1, atoms_per_component=2, shift_bound=2) ->
         for _ in range(rng.randint(1, atoms_per_component)):
             atoms.append(KernelAtom(
                 random_exponent(rng, n, shift_bound),
-                random_matrix(rng, d) if d > 1 else matrix([[1]]),
+                random_matrix(rng, d) if d > 1 else ((1,),),
                 random_weight(rng, n),
                 random_box_for_sign(rng, s),
             ))
@@ -104,7 +111,7 @@ def random_operator(rng, n, d=1, atoms=2, shift_bound=2, box_bound=3) -> Lattice
             bounds.append((lo, rng.randint(lo + 1, box_bound + 1)))
         out.append(KernelAtom(
             random_exponent(rng, n, shift_bound),
-            random_matrix(rng, d) if d > 1 else matrix([[1]]),
+            random_matrix(rng, d) if d > 1 else ((1,),),
             random_weight(rng, n),
             Box.of(bounds),
         ))

@@ -99,6 +99,14 @@ def test_residue_input_that_is_missing(tmp_path, capsys):
     assert_error(capsys, ["residue", "--input", str(path), "--json"], "FileNotFoundError", str(path))
 
 
+def test_residue_input_that_is_not_utf8_names_the_file_and_the_option(tmp_path, capsys):
+    # a decode error used to end in a UnicodeDecodeError payload naming neither
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"t1^-1 ; t1\xff")
+    assert_error(capsys, ["residue", "--input", str(path), "--json"], "ValueError",
+                 f"--input {path}", "not UTF-8", "0xff")
+
+
 def test_json_determinism(capsys):
     args = ("residue", "--form", "2*t1^-1 + t1 ; t1 + t1^2", "--json")
     _, first, _ = run_cli(capsys, *args)

@@ -424,10 +424,14 @@ FORM_SEEDS = tuple(form.encode() for form in FORMS) + (b"3/2*t1^-2*t2 ; t1^2 - t
 @settings(max_examples=200, deadline=timedelta(seconds=5))
 def test_form_files_of_arbitrary_bytes_through_the_cli(tmp_path_factory, data):
     # exit 0 only with the residue equal to the oracle's; any other file ends
-    # in the error payload
+    # in the error payload, and one that is not UTF-8 names the file
     path = tmp_path_factory.getbasetemp() / "fuzzed-form.txt"
     path.write_bytes(data)
     code, out = run(["residue", "--input", str(path), "--json"])
     assert_ends_well(code, out, data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert_error_payload(code, out, "ValueError", data, named=f"--input {path}: not UTF-8")
     if code == 0:
         assert out["agrees"] is True and out["residue"] == out["oracle"], data

@@ -1,6 +1,7 @@
 """Cube complex: sign combinatorics, differential/homotopy identities, the lift."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from parshin.cube import (
     boundary,
     boundary_axis,
     boundary_hat,
+    boundary_hat_equals,
     degree,
     epsilon,
     epsilon_all,
@@ -28,7 +30,7 @@ from parshin.cube import (
     rho,
     sign_strings,
 )
-from parshin.errors import IdealViolation, RepeatedIndex
+from parshin.errors import DimensionMismatch, IdealViolation, RepeatedIndex
 from parshin.laurent import LaurentPoly, parse_poly
 from parshin.opalg import Box, KernelAtom, LatticeOperator, _iter_cells, mul_operator, projector, region
 from parshin.residue import raw_sum
@@ -102,6 +104,16 @@ def test_membership_by_construction_and_violation():
     bad = CubeElement.make(1, 1, 2, {"0": mul_operator(parse_poly("t1"))})
     with pytest.raises(IdealViolation):
         bad.check_ideals()
+
+
+def test_make_refuses_a_sign_string_with_another_character():
+    # "+x" used to be taken, and every map then dropped its component without a word
+    one = LatticeOperator.identity(2)
+    for p, s in ((1, "+x"), (1, "x-"), (1, "**"), (2, "0x"), (2, "+\u2070")):
+        with pytest.raises(DimensionMismatch, match=re.escape(repr(s))):
+            CubeElement.make(2, 1, p, {s: one})
+    f = CubeElement.make(2, 1, 1, {"++": one})
+    assert not f.is_zero() and not homotopy(f).is_zero()
 
 
 def test_boundary_then_hat_vanishes():
@@ -364,6 +376,52 @@ def test_corner_sums_on_hand_cases():
         assert cube._cancels(terms) == _cancels_by_cells(terms) == cancels, terms
 
 
+# -- d^ f = g on terms --------------------------------------------------------------
+
+@given(st.integers(0, 2**32), st.integers(1, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_boundary_hat_equals_agrees_with_the_read_difference(seed, n, shifted):
+    rng = random.Random(seed)
+    cuts = tuple(rng.randint(-3, 3) for _ in range(n)) if shifted else None
+    d = rng.choice((1, 3))
+    f = random_cube_element(rng, n, 1, d)
+    g = random_operator(rng, n, d)
+    hat = homotopy_hat(g, cuts)
+    cases = [
+        (f, None),
+        (boundary(random_cube_element(rng, n, 2, d)), None),  # d^ d = 0: cancels
+        (hat, g),                                            # d^ H^ = 1: cancels
+        (hat, random_operator(rng, n, d)),                   # g not a source of f
+        (hat, g.scale(2)),
+        (hat, boundary_hat(hat)),                            # a normalized d^ is a new source
+        (f, boundary_hat(f)),
+        (f, LatticeOperator.zero(n, d)),                     # a structurally zero g adds nothing
+        (hat, LatticeOperator.zero(n, d)),
+    ]
+    for x, y in cases:
+        want = boundary_hat(x).is_zero() if y is None else (boundary_hat(x) - y).is_zero()
+        assert boundary_hat_equals(x, y) == want
+        if y is None or not y.atoms:
+            assert boundary_hat_equals(x, y) == boundary_hat(x).is_zero()
+
+
+def test_boundary_hat_equals_reads_only_what_does_not_cancel(monkeypatch):
+    reads = []
+    read = cube._read
+    monkeypatch.setattr(cube, "_read", lambda *args: reads.append(args) or read(*args))
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        g = random_operator(rng, n, 3)
+        hat = homotopy_hat(g, (1,) * n)
+        assert boundary_hat_equals(hat, g) and boundary_hat_equals(boundary(random_cube_element(rng, n, 2)))
+        assert not reads
+        assert boundary_hat_equals(hat, boundary_hat(hat)) and len(reads) == 2  # boundary_hat reads too
+        assert not boundary_hat_equals(hat, g.scale(2)) and len(reads) == 3
+        with pytest.raises(DimensionMismatch):
+            boundary_hat_equals(hat, random_operator(rng, n, 1))
+        reads.clear()
+
+
 # -- H^ d^ on N^1 without a read ---------------------------------------------------
 
 def test_hat_homotopy_of_hat_boundary_keeps_the_sources():
@@ -397,14 +455,23 @@ def test_the_battery_never_reads_a_component_to_decide_an_identity(monkeypatch):
 
     monkeypatch.setattr(CubeElement, "is_zero", watched_is_zero)
     monkeypatch.setattr(CubeElement, "components", property(watched_components))
-    # a normalized d^ is a new source, so the N^1 identity built on it is read
-    f = random_cube_element(random.Random(29), 2, 1, d=1)
+    # and no operator is read or tested on N^0 either
+    calls = []
+    read, op_is_zero = cube._read, LatticeOperator.is_zero
+    monkeypatch.setattr(cube, "_read", lambda *args: calls.append("_read") or read(*args))
+    monkeypatch.setattr(LatticeOperator, "is_zero", lambda op: calls.append("is_zero") or op_is_zero(op))
+    # a normalized d^ is a new source, so the N^1 identity built on it is read,
+    # and the N^0 identity written on operators reads and tests one
+    rng = random.Random(29)
+    f, g = random_cube_element(rng, 2, 1, d=1), random_operator(rng, 2)
     assert (boundary(homotopy(f)) + homotopy_hat(boundary_hat(f)) - f).is_zero()
-    assert reads
+    assert (boundary_hat(homotopy_hat(g)) - g).is_zero()
+    assert reads and set(calls) == {"_read", "is_zero"}
     reads.clear()
+    calls.clear()
     for n in (1, 2, 3):
         assert check_cube_identities(n, 4, seed=n).passed
-    assert not reads
+    assert not reads and not calls
 
 
 @pytest.fixture
@@ -416,16 +483,44 @@ def cold_rules(request, monkeypatch):
     return monkeypatch
 
 
-@pytest.mark.parametrize("name, wrong", [
-    ("_zeros_after", lambda s, i: 1),        # one sign: (-1)^(#zeros after i) taken as +1
-    ("_flip", lambda sign: sign),            # one region: P_i^g in place of P_i^(-g)
+def _hat_formula(sign_from=0, region_from=0):
+    """H^'s formula with the axes before the given slots left out of its sign or its region."""
+    def hat(n, d, pieces, cuts):
+        sums = {}
+        for s in sign_strings(n, 1):
+            sign, image = cube._minus_parity(s[sign_from:]), region(cuts, list(enumerate(s, 1))[region_from:])
+            sums[s] = [(sign * c, op, meet) for c, op, bounds in pieces
+                       if (meet := cube._meet(bounds, image)) is not None]
+        return cube._element(n, d, 1, sums)
+    return hat
+
+
+@pytest.mark.parametrize("name, wrong, identity", [
+    pytest.param("_zeros_after", lambda s, i: 1, None,  # one sign: (-1)^(#zeros after i) taken as +1
+                 id="_zeros_after-<lambda>"),
+    pytest.param("_flip", lambda sign: sign, None,      # one region: P_i^g in place of P_i^(-g)
+                 id="_flip-<lambda>"),
+    pytest.param("_homotopy_hat", _hat_formula(sign_from=1), "dhat Hhat = 1",  # H^'s sign without s_1
+                 id="_homotopy_hat-sign"),
+    pytest.param("_homotopy_hat", _hat_formula(region_from=1), "dhat Hhat = 1",  # H^'s region without P_1
+                 id="_homotopy_hat-region"),
 ])
-def test_a_wrong_sign_or_region_fails_the_identities(cold_rules, name, wrong):
+def test_a_wrong_sign_or_region_fails_the_identities(cold_rules, name, wrong, identity):
     # the maps cancel terms symbolically and build each rule once; a wrong map must still be caught
     cold_rules.setattr(cube, name, wrong)
+    named = set()
     for seed in (1, 2, 3):
         report = check_cube_identities(2, 2, seed)
         assert not report.passed and report.failures
+        named |= {failure["identity"] for failure in report.failures}
+    # H^'s sign without s_1 gives P_1^+ g - P_1^- g, which equals g when g misses P_1^-
+    assert identity is None or identity in named
+
+
+def test_the_copied_hat_formula_passes_the_identities(monkeypatch):
+    # the control for the H^ cases above: the copy, uncorrupted, is H^
+    monkeypatch.setattr(cube, "_homotopy_hat", _hat_formula())
+    assert all(check_cube_identities(2, 2, seed).passed for seed in (1, 2, 3))
 
 
 def test_homotopy_closed_form_matches_definition():
